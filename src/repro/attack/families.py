@@ -673,7 +673,7 @@ class AttackRstProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: codecs, descriptors, report section.
+# Registry: descriptors, report section.
 # ---------------------------------------------------------------------------
 
 
@@ -682,122 +682,6 @@ def _attack_knobs(knobs: Mapping) -> Dict[str, float]:
         "rate": float(knobs.get("attack_rate", DEFAULT_ATTACK_RATE)),
         "duration": float(knobs.get("attack_duration", DEFAULT_ATTACK_DURATION)),
     }
-
-
-def encode_portflood_result(result: AttackPortfloodResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "attack_rate": result.attack_rate,
-        "attack_duration": result.attack_duration,
-        "pool_ports": result.pool_ports,
-        "attack_packets": result.attack_packets,
-        "home_onset": result.home_onset,
-        "home_cause": result.home_cause,
-        "cgn_onset": result.cgn_onset,
-        "home_refused": result.home_refused,
-        "cgn_refused_udp": result.cgn_refused_udp,
-        "cgn_refused_tcp": result.cgn_refused_tcp,
-        "innocent_flows": list(result.innocent_flows),
-        "innocent_refused": list(result.innocent_refused),
-        "fairness": result.fairness,
-        "victim_survival": result.victim_survival,
-    }
-
-
-def decode_portflood_result(payload: Dict) -> AttackPortfloodResult:
-    return AttackPortfloodResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        attack_rate=float(payload["attack_rate"]),
-        attack_duration=float(payload["attack_duration"]),
-        pool_ports=int(payload["pool_ports"]),
-        attack_packets=int(payload["attack_packets"]),
-        home_onset=None if payload["home_onset"] is None else float(payload["home_onset"]),
-        home_cause=payload["home_cause"],
-        cgn_onset=None if payload["cgn_onset"] is None else float(payload["cgn_onset"]),
-        home_refused=int(payload["home_refused"]),
-        cgn_refused_udp=int(payload["cgn_refused_udp"]),
-        cgn_refused_tcp=int(payload["cgn_refused_tcp"]),
-        innocent_flows=[int(v) for v in payload["innocent_flows"]],
-        innocent_refused=[int(v) for v in payload["innocent_refused"]],
-        fairness=float(payload["fairness"]),
-        victim_survival=float(payload["victim_survival"]),
-    )
-
-
-def encode_keepalive_result(result: AttackKeepaliveResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "filtering": result.filtering,
-        "natural_timeout": result.natural_timeout,
-        "scans": result.scans,
-        "spoofed_packets": result.spoofed_packets,
-        "refreshed": result.refreshed,
-        "refreshed_total": result.refreshed_total,
-        "evicted": result.evicted,
-        "evicted_total": result.evicted_total,
-        "home_filtered": result.home_filtered,
-        "onset": result.onset,
-        "fairness": result.fairness,
-        "victim_survival": result.victim_survival,
-    }
-
-
-def decode_keepalive_result(payload: Dict) -> AttackKeepaliveResult:
-    return AttackKeepaliveResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        filtering=payload["filtering"],
-        natural_timeout=float(payload["natural_timeout"]),
-        scans=int(payload["scans"]),
-        spoofed_packets=int(payload["spoofed_packets"]),
-        refreshed=int(payload["refreshed"]),
-        refreshed_total=int(payload["refreshed_total"]),
-        evicted=int(payload["evicted"]),
-        evicted_total=int(payload["evicted_total"]),
-        home_filtered=int(payload["home_filtered"]),
-        onset=None if payload["onset"] is None else float(payload["onset"]),
-        fairness=float(payload["fairness"]),
-        victim_survival=float(payload["victim_survival"]),
-    )
-
-
-def encode_rst_result(result: AttackRstResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "filtering": result.filtering,
-        "victims": result.victims,
-        "spoofed_rsts": result.spoofed_rsts,
-        "cgn_torn": result.cgn_torn,
-        "home_torn": result.home_torn,
-        "home_filtered": result.home_filtered,
-        "victims_reset": result.victims_reset,
-        "onset": result.onset,
-        "survived": result.survived,
-        "fairness": result.fairness,
-        "victim_survival": result.victim_survival,
-    }
-
-
-def decode_rst_result(payload: Dict) -> AttackRstResult:
-    return AttackRstResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        filtering=payload["filtering"],
-        victims=int(payload["victims"]),
-        spoofed_rsts=int(payload["spoofed_rsts"]),
-        cgn_torn=int(payload["cgn_torn"]),
-        home_torn=int(payload["home_torn"]),
-        home_filtered=int(payload["home_filtered"]),
-        victims_reset=int(payload["victims_reset"]),
-        onset=None if payload["onset"] is None else float(payload["onset"]),
-        survived=int(payload["survived"]),
-        fairness=float(payload["fairness"]),
-        victim_survival=float(payload["victim_survival"]),
-    )
 
 
 def _onset_text(onset: Optional[float]) -> str:
@@ -879,14 +763,12 @@ def _render_attack(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="attack_portflood",
     order=300,
-    result_type=AttackPortfloodResult,
+    cell_type=AttackPortfloodResult,
     description="NAT444 binding-exhaustion flood: per-tier onset + innocent collateral",
     probe_factory=lambda knobs: AttackPortfloodProbe(
         rate=_attack_knobs(knobs)["rate"],
         duration=_attack_knobs(knobs)["duration"],
     ).run_all,
-    encode_cell=encode_portflood_result,
-    decode_cell=decode_portflood_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -894,11 +776,9 @@ registry.register_family(registry.ExperimentFamily(
 registry.register_family(registry.ExperimentFamily(
     name="attack_keepalive",
     order=310,
-    result_type=AttackKeepaliveResult,
+    cell_type=AttackKeepaliveResult,
     description="Spoofed inbound keepalives refreshing/evicting victim bindings",
     probe_factory=lambda knobs: AttackKeepaliveProbe().run_all,
-    encode_cell=encode_keepalive_result,
-    decode_cell=decode_keepalive_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -906,13 +786,11 @@ registry.register_family(registry.ExperimentFamily(
 registry.register_family(registry.ExperimentFamily(
     name="attack_rst",
     order=320,
-    result_type=AttackRstResult,
+    cell_type=AttackRstResult,
     description="Off-path RST binding teardown through the NAT444 chain",
     probe_factory=lambda knobs: AttackRstProbe(
         rate=_attack_knobs(knobs)["rate"],
     ).run_all,
-    encode_cell=encode_rst_result,
-    decode_cell=decode_rst_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))

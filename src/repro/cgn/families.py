@@ -359,7 +359,7 @@ class CgnExhaustionProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: NAT444 testbed factory, codecs, descriptors, report section.
+# Registry: NAT444 testbed factory, descriptors, report section.
 # ---------------------------------------------------------------------------
 
 
@@ -390,60 +390,6 @@ def nat444_factory(knobs: Mapping):
         )
 
     return build
-
-
-def encode_cgn_timeout_result(result: CgnTimeoutResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "block_size": result.block_size,
-        "udp_samples": list(result.udp_samples),
-        "udp_censored": result.udp_censored,
-        "udp_cutoff": result.udp_cutoff,
-        "tcp_samples": list(result.tcp_samples),
-        "tcp_censored": result.tcp_censored,
-        "tcp_cutoff": result.tcp_cutoff,
-    }
-
-
-def decode_cgn_timeout_result(payload: Dict) -> CgnTimeoutResult:
-    return CgnTimeoutResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        block_size=int(payload["block_size"]),
-        udp_samples=[float(v) for v in payload["udp_samples"]],
-        udp_censored=int(payload["udp_censored"]),
-        udp_cutoff=float(payload["udp_cutoff"]),
-        tcp_samples=[float(v) for v in payload["tcp_samples"]],
-        tcp_censored=int(payload["tcp_censored"]),
-        tcp_cutoff=float(payload["tcp_cutoff"]),
-    )
-
-
-def encode_cgn_exhaustion_result(result: CgnExhaustionResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "block_size": result.block_size,
-        "pool_ports": result.pool_ports,
-        "flows_established": list(result.flows_established),
-        "blocked_onset": list(result.blocked_onset),
-        "rounds": result.rounds,
-        "fairness": result.fairness,
-    }
-
-
-def decode_cgn_exhaustion_result(payload: Dict) -> CgnExhaustionResult:
-    return CgnExhaustionResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        block_size=int(payload["block_size"]),
-        pool_ports=int(payload["pool_ports"]),
-        flows_established=[int(v) for v in payload["flows_established"]],
-        blocked_onset=[None if v is None else int(v) for v in payload["blocked_onset"]],
-        rounds=int(payload["rounds"]),
-        fairness=float(payload["fairness"]),
-    )
 
 
 def _median(values: Sequence[float]) -> Optional[float]:
@@ -499,11 +445,9 @@ def _render_cgn(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="cgn_timeouts",
     order=200,
-    result_type=CgnTimeoutResult,
+    cell_type=CgnTimeoutResult,
     description="NAT444 effective end-to-end binding timeouts (UDP-1/TCP-1 through two tiers)",
     probe_factory=lambda knobs: CgnTimeoutProbe().run_all,
-    encode_cell=encode_cgn_timeout_result,
-    decode_cell=decode_cgn_timeout_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -511,11 +455,9 @@ registry.register_family(registry.ExperimentFamily(
 registry.register_family(registry.ExperimentFamily(
     name="cgn_exhaustion",
     order=210,
-    result_type=CgnExhaustionResult,
+    cell_type=CgnExhaustionResult,
     description="NAT444 per-subscriber port-block exhaustion ramp (onset + fairness)",
     probe_factory=lambda knobs: CgnExhaustionProbe().run_all,
-    encode_cell=encode_cgn_exhaustion_result,
-    decode_cell=decode_cgn_exhaustion_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))

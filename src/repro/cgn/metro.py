@@ -782,44 +782,8 @@ class MetroPartitionHooks:
 
 
 # ---------------------------------------------------------------------------
-# Store codecs and report section.
+# Registry descriptor and report section.
 # ---------------------------------------------------------------------------
-
-
-def encode_metro_load_result(result: MetroLoadResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "requests": result.requests,
-        "replies": list(result.replies),
-        "timeouts": result.timeouts,
-        "rtt_sum": result.rtt_sum,
-        "rtt_min": result.rtt_min,
-        "rtt_max": result.rtt_max,
-        "gw_bindings_created": result.gw_bindings_created,
-        "gw_bindings_expired": result.gw_bindings_expired,
-        "cgn_bindings_created": result.cgn_bindings_created,
-        "cgn_bindings_expired": result.cgn_bindings_expired,
-        "unfinished": result.unfinished,
-    }
-
-
-def decode_metro_load_result(payload: Dict) -> MetroLoadResult:
-    return MetroLoadResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        requests=int(payload["requests"]),
-        replies=[int(v) for v in payload["replies"]],
-        timeouts=int(payload["timeouts"]),
-        rtt_sum=float(payload["rtt_sum"]),
-        rtt_min=None if payload["rtt_min"] is None else float(payload["rtt_min"]),
-        rtt_max=None if payload["rtt_max"] is None else float(payload["rtt_max"]),
-        gw_bindings_created=int(payload["gw_bindings_created"]),
-        gw_bindings_expired=int(payload["gw_bindings_expired"]),
-        cgn_bindings_created=int(payload["cgn_bindings_created"]),
-        cgn_bindings_expired=int(payload["cgn_bindings_expired"]),
-        unfinished=int(payload["unfinished"]),
-    )
 
 
 def _render_metro(results) -> Optional[str]:
@@ -853,11 +817,9 @@ def _render_metro(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="metro_load",
     order=220,
-    result_type=MetroLoadResult,
+    cell_type=MetroLoadResult,
     description="Metro-scale NAT444 echo load (partitionable: --partitions N)",
     probe_factory=lambda knobs: MetroLoadProbe().run_all,
-    encode_cell=encode_metro_load_result,
-    decode_cell=decode_metro_load_result,
     testbed_factory=metro_factory,
     default_selected=False,
     partition_factory=lambda knobs: MetroPartitionHooks(knobs),

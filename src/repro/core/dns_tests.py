@@ -123,38 +123,14 @@ class DnsProxyTest:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptor and store codec.
+# Registry: family descriptor.
 # ---------------------------------------------------------------------------
-
-
-def encode_dns_result(result: DnsProxyResult) -> Dict:
-    """Store codec: ``DnsProxyResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "answers_udp": result.answers_udp,
-        "accepts_tcp": result.accepts_tcp,
-        "answers_tcp": result.answers_tcp,
-        "upstream_transport_for_tcp": result.upstream_transport_for_tcp,
-    }
-
-
-def decode_dns_result(payload: Dict) -> DnsProxyResult:
-    """Store codec: decode what :func:`encode_dns_result` wrote."""
-    return DnsProxyResult(
-        tag=payload["tag"],
-        answers_udp=bool(payload["answers_udp"]),
-        accepts_tcp=bool(payload["accepts_tcp"]),
-        answers_tcp=bool(payload["answers_tcp"]),
-        upstream_transport_for_tcp=payload["upstream_transport_for_tcp"],
-    )
 
 
 registry.register_family(registry.ExperimentFamily(
     name="dns",
     order=100,
-    result_type=DnsProxyResult,
+    cell_type=DnsProxyResult,
     description="DNS proxy behaviour over UDP/TCP (Table 2)",
     probe_factory=lambda knobs: DnsProxyTest().run_all,
-    encode_cell=encode_dns_result,
-    decode_cell=decode_dns_result,
 ))

@@ -349,51 +349,9 @@ class IcmpTranslationTest:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptor, store codec, and the Table-2 report hook
+# Registry: family descriptor and the Table-2 report hook
 # (which also consumes the transport-support and DNS families).
 # ---------------------------------------------------------------------------
-
-
-def _encode_observation(obs: Optional[IcmpObservation]) -> Optional[Dict]:
-    if obs is None:
-        return None
-    return {
-        "forwarded": obs.forwarded,
-        "transport_rewritten": obs.transport_rewritten,
-        "embedded_checksum_ok": obs.embedded_checksum_ok,
-        "as_tcp_rst": obs.as_tcp_rst,
-    }
-
-
-def _decode_observation(payload: Optional[Dict]) -> Optional[IcmpObservation]:
-    if payload is None:
-        return None
-    return IcmpObservation(
-        forwarded=bool(payload["forwarded"]),
-        transport_rewritten=bool(payload["transport_rewritten"]),
-        embedded_checksum_ok=bool(payload["embedded_checksum_ok"]),
-        as_tcp_rst=bool(payload["as_tcp_rst"]),
-    )
-
-
-def encode_icmp_result(result: IcmpTestResult) -> Dict:
-    """Store codec: ``IcmpTestResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "udp": {kind: _encode_observation(obs) for kind, obs in result.udp.items()},
-        "tcp": {kind: _encode_observation(obs) for kind, obs in result.tcp.items()},
-        "icmp_host_unreach": _encode_observation(result.icmp_host_unreach),
-    }
-
-
-def decode_icmp_result(payload: Dict) -> IcmpTestResult:
-    """Store codec: decode what :func:`encode_icmp_result` wrote."""
-    return IcmpTestResult(
-        tag=payload["tag"],
-        udp={kind: _decode_observation(obs) for kind, obs in payload["udp"].items()},
-        tcp={kind: _decode_observation(obs) for kind, obs in payload["tcp"].items()},
-        icmp_host_unreach=_decode_observation(payload["icmp_host_unreach"]),
-    )
 
 
 def _render_table2(results) -> Optional[str]:
@@ -410,11 +368,9 @@ def _render_table2(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="icmp",
     order=80,
-    result_type=IcmpTestResult,
+    cell_type=IcmpTestResult,
     description="ICMP error translation battery (Table 2)",
     probe_factory=lambda knobs: IcmpTranslationTest().run_all,
-    encode_cell=encode_icmp_result,
-    decode_cell=decode_icmp_result,
 ))
 
 registry.register_section(registry.ReportSection(

@@ -7,10 +7,10 @@ the CLI's choice lists, and every analysis module.  This module replaces
 all of that with a single registry:
 
 * :class:`ExperimentFamily` describes one family end to end — how to build
-  its probe from the campaign knobs, what result type it produces, how to
-  encode/decode one device's result to/from JSON (the contract of the
-  on-disk :mod:`campaign store <repro.core.store>`), and how its results
-  merge across per-device shards.
+  its probe from the campaign knobs, the type of one stored cell (which
+  :mod:`~repro.core.codec` turns to and from JSON for the on-disk
+  :mod:`campaign store <repro.core.store>`), and how its results merge
+  across per-device shards.
 * :class:`ReportSection` is a render hook: a block of the markdown survey
   report owned by one or more families.  ``analysis/report.py`` iterates
   these instead of enumerating family attributes, so a family added here
@@ -32,6 +32,8 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.core import codec
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.devices.profile import DeviceProfile
@@ -55,7 +57,7 @@ __all__ = [
 
 #: Modules that register experiment families as an import side effect.
 #: Adding a new family module here is the *only* central edit a new
-#: experiment needs; everything else (survey dispatch, store codecs,
+#: experiment needs; everything else (survey dispatch, store cells,
 #: report sections, CLI choices) follows from its registrations.
 FAMILY_MODULES = (
     "repro.core.udp_timeouts",
@@ -131,19 +133,16 @@ class ExperimentFamily:
     name: str
     #: Execution and report position (ascending).
     order: int
-    #: The per-device result type (used by round-trip tests and docs).
-    result_type: type
+    #: The type of one stored cell: a result dataclass, or a mapping of
+    #: them (``Dict[str, UdpTimeoutResult]`` for UDP-5).  The store codec
+    #: (:mod:`repro.core.codec`) is derived from it.
+    cell_type: Any
     #: One-line description for CLI help and error messages.
     description: str = ""
     #: ``knobs -> run_all(bed)`` — builds the probe from the campaign's
     #: knob mapping and returns its population entry point.  ``None`` for
     #: derived families.
     probe_factory: Optional[Callable[[Mapping[str, Any]], Callable]] = None
-    #: One device cell -> JSON-compatible payload.
-    encode_cell: Optional[Callable[[Any], Any]] = None
-    #: JSON payload -> one device cell, field-for-field equal to the
-    #: original (tuples restored, floats exact).
-    decode_cell: Optional[Callable[[Any], Any]] = None
     #: Canonical family mapping -> ``{device_tag: cell}`` (default: identity).
     cells: Optional[Callable[[Mapping[str, Any]], Dict[str, Any]]] = None
     #: Insert one device cell into a canonical mapping (default: ``m[tag]=c``).
@@ -228,16 +227,12 @@ class ExperimentFamily:
             target.update(mapping)
 
     def encode(self, cell: Any) -> Any:
-        """Encode one result cell for the store (raises without a codec)."""
-        if self.encode_cell is None:
-            raise TypeError(f"family {self.name!r} has no cell encoder")
-        return self.encode_cell(cell)
+        """Encode one result cell for the store."""
+        return codec.encode(self.cell_type, cell)
 
     def decode(self, payload: Any) -> Any:
-        """Decode one stored cell payload (raises without a codec)."""
-        if self.decode_cell is None:
-            raise TypeError(f"family {self.name!r} has no cell decoder")
-        return self.decode_cell(payload)
+        """Decode one stored cell payload, field-for-field equal to the original."""
+        return codec.decode(self.cell_type, payload)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,13 @@ Determinism contract: cells are written atomically (temp file + rename)
 with canonical JSON (sorted keys, fixed indent, no timestamps), and a
 cell's bytes are a pure function of the campaign config — so a campaign
 interrupted at any point and resumed produces a store *byte-identical* to
-an uninterrupted run, under any ``jobs=N``.  Family codecs come from the
-:mod:`experiment registry <repro.core.registry>` and are round-trip exact
-(tuples restored, floats preserved), extending the ``jobs=N ≡ jobs=1``
-contract across process restarts.
+an uninterrupted run, under any ``jobs=N``.  Cell payloads are encoded
+and decoded by :mod:`repro.core.codec` from each family's ``cell_type``
+(declared in the :mod:`experiment registry <repro.core.registry>`) and
+are round-trip exact (tuples restored, floats preserved), extending the
+``jobs=N ≡ jobs=1`` contract across process restarts.  A cell that no
+longer decodes into its ``cell_type`` raises :class:`StoreError` naming
+the file.
 """
 
 from __future__ import annotations
@@ -383,7 +386,13 @@ class CampaignStore:
             for subject in subjects:
                 if not self.has_cell(subject, fam.name):
                     continue
-                cell = fam.decode(self.load_cell(subject, fam.name))
+                payload = self.load_cell(subject, fam.name)
+                try:
+                    cell = fam.decode(payload)
+                except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                    raise StoreError(
+                        f"undecodable cell {self.cell_path(subject, fam.name)}: {type(exc).__name__}: {exc}"
+                    ) from exc
                 fam.insert(mapping, subject, cell)
             if mapping:
                 results.set_family(fam.name, mapping)

@@ -359,33 +359,18 @@ class SurveyRunner:
         return bed
 
     def _shard_config(self) -> Dict:
-        return {
-            "udp_repetitions": self.udp_repetitions,
-            "udp5_repetitions": self.udp5_repetitions,
-            "tcp1_cutoff": self.tcp1_cutoff,
-            "transfer_bytes": self.transfer_bytes,
-            "cgn_subscribers": self.cgn_subscribers,
-            "cgn_block_size": self.cgn_block_size,
-            "attack_rate": self.attack_rate,
-            "attack_duration": self.attack_duration,
-            "metro_requests": self.metro_requests,
-            "metro_idle": self.metro_idle,
-            "metro_flap": self.metro_flap,
-            "matrix_pairs": self.matrix_pairs,
-            "matrix_cgn": self.matrix_cgn,
-            "workload_mix": self.workload_mix,
-            "workload_ramp": self.workload_ramp,
-            "fw_rules": self.fw_rules,
-            "fastpath": self.fastpath,
-            "impairment": self.impairment,
-            "faults": self.faults,
-            "family_timeout": self.family_timeout,
-            "trace_dir": self.obs.trace_dir,
-            "pcap_dir": self.obs.pcap_dir,
-            "metrics": self.obs.metrics,
-            "store_dir": self.store_dir,
-            "store_key": self.store_key or (self.fingerprint() if self.store_dir else None),
-        }
+        return dict(
+            self._knobs(),
+            fastpath=self.fastpath,
+            impairment=self.impairment,
+            faults=self.faults,
+            family_timeout=self.family_timeout,
+            trace_dir=self.obs.trace_dir,
+            pcap_dir=self.obs.pcap_dir,
+            metrics=self.obs.metrics,
+            store_dir=self.store_dir,
+            store_key=self.store_key or (self.fingerprint() if self.store_dir else None),
+        )
 
     def _validate(self, tests: Optional[Sequence[str]]) -> List[str]:
         """Resolve the family selection, failing with the registered menu."""

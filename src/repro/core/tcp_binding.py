@@ -240,46 +240,8 @@ class TcpBindingCapacityProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptors, store codecs, report hooks.
+# Registry: family descriptors, report hooks.
 # ---------------------------------------------------------------------------
-
-
-def encode_tcp_timeout_result(result: TcpTimeoutResult) -> Dict:
-    """Store codec: ``TcpTimeoutResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "samples": list(result.samples),
-        "censored": result.censored,
-        "cutoff": result.cutoff,
-    }
-
-
-def decode_tcp_timeout_result(payload: Dict) -> TcpTimeoutResult:
-    """Store codec: decode what :func:`encode_tcp_timeout_result` wrote."""
-    return TcpTimeoutResult(
-        tag=payload["tag"],
-        samples=[float(v) for v in payload["samples"]],
-        censored=int(payload["censored"]),
-        cutoff=float(payload["cutoff"]),
-    )
-
-
-def encode_tcp_capacity_result(result: TcpBindingCapacityResult) -> Dict:
-    """Store codec: ``TcpBindingCapacityResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "max_bindings": result.max_bindings,
-        "hit_probe_limit": result.hit_probe_limit,
-    }
-
-
-def decode_tcp_capacity_result(payload: Dict) -> TcpBindingCapacityResult:
-    """Store codec: decode what :func:`encode_tcp_capacity_result` wrote."""
-    return TcpBindingCapacityResult(
-        tag=payload["tag"],
-        max_bindings=int(payload["max_bindings"]),
-        hit_probe_limit=bool(payload["hit_probe_limit"]),
-    )
 
 
 def _render_tcp1(results) -> Optional[str]:
@@ -322,21 +284,17 @@ def _render_tcp4(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="tcp1",
     order=50,
-    result_type=TcpTimeoutResult,
+    cell_type=TcpTimeoutResult,
     description="TCP-1 idle binding timeout (Figure 7)",
     probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs.get("tcp1_cutoff", DEFAULT_TCP_CUTOFF)).run_all,
-    encode_cell=encode_tcp_timeout_result,
-    decode_cell=decode_tcp_timeout_result,
 ))
 
 registry.register_family(registry.ExperimentFamily(
     name="tcp4",
     order=70,
-    result_type=TcpBindingCapacityResult,
+    cell_type=TcpBindingCapacityResult,
     description="TCP-4 binding capacity (Figure 10)",
     probe_factory=lambda knobs: TcpBindingCapacityProbe().run_all,
-    encode_cell=encode_tcp_capacity_result,
-    decode_cell=decode_tcp_capacity_result,
 ))
 
 registry.register_section(registry.ReportSection(

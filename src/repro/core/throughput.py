@@ -230,42 +230,8 @@ class ThroughputProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptor, store codec, report hook.
+# Registry: family descriptor, report hook.
 # ---------------------------------------------------------------------------
-
-_DIRECTIONS = ("upload", "download", "upload_bidir", "download_bidir")
-
-
-def encode_throughput_result(result: ThroughputResult) -> Dict:
-    """Store codec: ``ThroughputResult`` to a JSON-safe dict."""
-    payload: Dict = {"tag": result.tag}
-    for name in _DIRECTIONS:
-        outcome = getattr(result, name)
-        payload[name] = None if outcome is None else {
-            "throughput_bps": outcome.throughput_bps,
-            "queuing_delay": outcome.queuing_delay,
-            "bytes_moved": outcome.bytes_moved,
-        }
-    return payload
-
-
-def decode_throughput_result(payload: Dict) -> ThroughputResult:
-    """Store codec: decode what :func:`encode_throughput_result` wrote."""
-    def outcome(data):
-        """Rebuild one direction's ``TransferOutcome`` (or ``None``)."""
-        if data is None:
-            return None
-        return TransferOutcome(
-            throughput_bps=float(data["throughput_bps"]),
-            queuing_delay=float(data["queuing_delay"]),
-            bytes_moved=int(data["bytes_moved"]),
-        )
-
-    return ThroughputResult(
-        tag=payload["tag"],
-        **{name: outcome(payload[name]) for name in _DIRECTIONS},
-    )
-
 
 def _render_tcp2(results) -> Optional[str]:
     from repro import paperdata
@@ -297,13 +263,11 @@ def _render_tcp2(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="tcp2",
     order=60,
-    result_type=ThroughputResult,
+    cell_type=ThroughputResult,
     description="TCP-2/TCP-3 throughput and queuing delay (Figures 8-9)",
     probe_factory=lambda knobs: ThroughputProbe(
         transfer_bytes=knobs.get("transfer_bytes", DEFAULT_TRANSFER_BYTES)
     ).run_all,
-    encode_cell=encode_throughput_result,
-    decode_cell=decode_throughput_result,
 ))
 
 registry.register_section(registry.ReportSection(

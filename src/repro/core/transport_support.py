@@ -165,45 +165,15 @@ class TransportSupportTest:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptor and store codec.  The per-device cell is the
+# Registry: family descriptor.  The per-device cell is the
 # ``{"sctp": result, "dccp": result}`` mapping the probe produces.
 # ---------------------------------------------------------------------------
-
-
-def encode_transport_cell(cell: Dict[str, TransportSupportResult]) -> Dict:
-    """Store codec: per-protocol transport results to a JSON-safe dict."""
-    return {
-        protocol: {
-            "tag": result.tag,
-            "protocol": result.protocol,
-            "connected": result.connected,
-            "data_passed": result.data_passed,
-            "wire_view": result.wire_view,
-        }
-        for protocol, result in cell.items()
-    }
-
-
-def decode_transport_cell(payload: Dict) -> Dict[str, TransportSupportResult]:
-    """Store codec: decode what :func:`encode_transport_cell` wrote."""
-    return {
-        protocol: TransportSupportResult(
-            tag=data["tag"],
-            protocol=data["protocol"],
-            connected=bool(data["connected"]),
-            data_passed=bool(data["data_passed"]),
-            wire_view=data["wire_view"],
-        )
-        for protocol, data in payload.items()
-    }
 
 
 registry.register_family(registry.ExperimentFamily(
     name="transports",
     order=90,
-    result_type=TransportSupportResult,
+    cell_type=Dict[str, TransportSupportResult],
     description="SCTP/DCCP transport support (Table 2)",
     probe_factory=lambda knobs: TransportSupportTest().run_all,
-    encode_cell=encode_transport_cell,
-    decode_cell=decode_transport_cell,
 ))

@@ -415,50 +415,8 @@ def analyze_port_behavior(result: UdpTimeoutResult) -> PortBehavior:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptors, store codecs, report hooks.
+# Registry: family descriptors, report hooks.
 # ---------------------------------------------------------------------------
-
-
-def encode_udp_timeout_result(result: UdpTimeoutResult) -> Dict:
-    """Store codec: ``UdpTimeoutResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "variant": result.variant,
-        "samples": list(result.samples),
-        "censored": result.censored,
-        "observed_ports": [[iteration, port] for iteration, port in result.observed_ports],
-        "client_port": result.client_port,
-    }
-
-
-def decode_udp_timeout_result(payload: Dict) -> UdpTimeoutResult:
-    """Store codec: decode what :func:`encode_udp_timeout_result` wrote."""
-    return UdpTimeoutResult(
-        tag=payload["tag"],
-        variant=payload["variant"],
-        samples=[float(v) for v in payload["samples"]],
-        censored=int(payload["censored"]),
-        observed_ports=[(int(i), int(p)) for i, p in payload["observed_ports"]],
-        client_port=int(payload["client_port"]),
-    )
-
-
-def encode_port_behavior(behavior: PortBehavior) -> Dict:
-    """Store codec: ``PortBehavior`` to a JSON-safe dict."""
-    return {
-        "tag": behavior.tag,
-        "preserves_port": behavior.preserves_port,
-        "reuses_binding": behavior.reuses_binding,
-    }
-
-
-def decode_port_behavior(payload: Dict) -> PortBehavior:
-    """Store codec: decode what :func:`encode_port_behavior` wrote."""
-    return PortBehavior(
-        tag=payload["tag"],
-        preserves_port=bool(payload["preserves_port"]),
-        reuses_binding=None if payload["reuses_binding"] is None else bool(payload["reuses_binding"]),
-    )
 
 
 def _udp5_cells(mapping: Dict) -> Dict[str, Dict]:
@@ -545,20 +503,16 @@ for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure
     registry.register_family(registry.ExperimentFamily(
         name=_variant,
         order=_order,
-        result_type=UdpTimeoutResult,
+        cell_type=UdpTimeoutResult,
         description=f"UDP-{_variant[-1]} binding timeout ({_figure})",
         probe_factory=_udp_probe_factory(_variant),
-        encode_cell=encode_udp_timeout_result,
-        decode_cell=decode_udp_timeout_result,
     ))
 
 registry.register_family(registry.ExperimentFamily(
     name="udp4",
     order=15,
-    result_type=PortBehavior,
+    cell_type=PortBehavior,
     description="UDP-4 port preservation / binding reuse (derived from UDP-1)",
-    encode_cell=encode_port_behavior,
-    decode_cell=decode_port_behavior,
     derived_from="udp1",
     derive=analyze_port_behavior,
 ))
@@ -566,11 +520,9 @@ registry.register_family(registry.ExperimentFamily(
 registry.register_family(registry.ExperimentFamily(
     name="udp5",
     order=40,
-    result_type=UdpTimeoutResult,
+    cell_type=Dict[str, UdpTimeoutResult],
     description="UDP-5 per-service binding timeouts (Figure 6)",
     probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs.get("udp5_repetitions", 1)).run_all,
-    encode_cell=lambda cell: {service: encode_udp_timeout_result(r) for service, r in cell.items()},
-    decode_cell=lambda payload: {service: decode_udp_timeout_result(r) for service, r in payload.items()},
     cells=_udp5_cells,
     insert_cell=_udp5_insert,
     merge_cells=_udp5_merge,

@@ -585,7 +585,7 @@ class PairProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: testbed factory, codecs, descriptor, report section.
+# Registry: testbed factory, descriptor, report section.
 # ---------------------------------------------------------------------------
 
 
@@ -597,44 +597,6 @@ def pair_factory(knobs: Mapping):
         return PairTopology.build(subject, seed=seed, cgn_policy=policy)
 
     return build
-
-
-def encode_traversal_cell(cell: TraversalCell) -> Dict:
-    return {
-        "pair": cell.pair,
-        "tag_a": cell.tag_a,
-        "tag_b": cell.tag_b,
-        "cgn_a": cell.cgn_a,
-        "cgn_b": cell.cgn_b,
-        "nat_a": cell.nat_a,
-        "nat_b": cell.nat_b,
-        "punched": cell.punched,
-        "relayed": cell.relayed,
-        "connected": cell.connected,
-        "path": cell.path,
-        "keepalive_interval": cell.keepalive_interval,
-        "keepalive_censored": cell.keepalive_censored,
-    }
-
-
-def decode_traversal_cell(payload: Dict) -> TraversalCell:
-    return TraversalCell(
-        pair=payload["pair"],
-        tag_a=payload["tag_a"],
-        tag_b=payload["tag_b"],
-        cgn_a=bool(payload["cgn_a"]),
-        cgn_b=bool(payload["cgn_b"]),
-        nat_a=payload["nat_a"],
-        nat_b=payload["nat_b"],
-        punched=bool(payload["punched"]),
-        relayed=bool(payload["relayed"]),
-        connected=bool(payload["connected"]),
-        path=payload["path"],
-        keepalive_interval=(
-            None if payload["keepalive_interval"] is None else float(payload["keepalive_interval"])
-        ),
-        keepalive_censored=bool(payload["keepalive_censored"]),
-    )
 
 
 _VARIANT_TITLES = {
@@ -717,11 +679,9 @@ def _render_matrix(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="traversal_matrix",
     order=400,
-    result_type=TraversalCell,
+    cell_type=TraversalCell,
     description="pairwise STUN/hole-punch/relay success and keepalive-cost matrix",
     probe_factory=lambda knobs: PairProbe().run_all,
-    encode_cell=encode_traversal_cell,
-    decode_cell=decode_traversal_cell,
     testbed_factory=pair_factory,
     default_selected=False,
     subject_kind="pair",

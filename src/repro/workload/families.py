@@ -28,11 +28,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cgn.families import nat444_factory
 from repro.cgn.topology import Nat444Topology
-from repro.core import registry
+from repro.core import codec, registry
 from repro.gateway.forwarding import PER_ENTRY_COST, PER_RULE_COST, REFERENCE_RATE_BPS
 from repro.workload.generator import (
     WorkloadGenerator,
@@ -375,116 +375,8 @@ class FwCostProbe:
 
 
 # ---------------------------------------------------------------------------
-# Codecs, registry descriptors, report section, bench curves.
+# Registry descriptors, report section, bench curves.
 # ---------------------------------------------------------------------------
-
-
-def encode_load_point(point: LoadPoint) -> Dict:
-    return {
-        "subscribers": point.subscribers,
-        "flows": point.flows,
-        "completed": point.completed,
-        "offered_bytes": point.offered_bytes,
-        "delivered_bytes": point.delivered_bytes,
-        "goodput_bps": point.goodput_bps,
-        "fct_p50": point.fct_p50,
-        "fct_p95": point.fct_p95,
-        "fct_p99": point.fct_p99,
-        "gw_bindings": point.gw_bindings,
-        "cgn_bindings": point.cgn_bindings,
-        "bindings_created": point.bindings_created,
-        "blocks_in_use": point.blocks_in_use,
-        "blocks_allocated": point.blocks_allocated,
-        "refusals": point.refusals,
-    }
-
-
-def decode_load_point(payload: Mapping) -> LoadPoint:
-    maybe = lambda v: None if v is None else float(v)  # noqa: E731 - tiny local codec
-    return LoadPoint(
-        subscribers=int(payload["subscribers"]),
-        flows=int(payload["flows"]),
-        completed=int(payload["completed"]),
-        offered_bytes=int(payload["offered_bytes"]),
-        delivered_bytes=int(payload["delivered_bytes"]),
-        goodput_bps=float(payload["goodput_bps"]),
-        fct_p50=maybe(payload["fct_p50"]),
-        fct_p95=maybe(payload["fct_p95"]),
-        fct_p99=maybe(payload["fct_p99"]),
-        gw_bindings=int(payload["gw_bindings"]),
-        cgn_bindings=int(payload["cgn_bindings"]),
-        bindings_created=int(payload["bindings_created"]),
-        blocks_in_use=int(payload["blocks_in_use"]),
-        blocks_allocated=int(payload["blocks_allocated"]),
-        refusals=int(payload["refusals"]),
-    )
-
-
-def encode_workload_result(result: WorkloadMixResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "mix": result.mix,
-        "subscribers": result.subscribers,
-        "window": result.window,
-        "points": [encode_load_point(point) for point in result.points],
-    }
-
-
-def decode_workload_result(payload: Mapping) -> WorkloadMixResult:
-    return WorkloadMixResult(
-        tag=payload["tag"],
-        mix=payload["mix"],
-        subscribers=int(payload["subscribers"]),
-        window=float(payload["window"]),
-        points=[decode_load_point(point) for point in payload["points"]],
-    )
-
-
-def encode_rule_point(point: RulePoint) -> Dict:
-    return {
-        "rules": point.rules,
-        "entries": point.entries,
-        "per_packet_cost": point.per_packet_cost,
-        "sent": point.sent,
-        "delivered": point.delivered,
-        "throughput_pps": point.throughput_pps,
-        "rtt_mean": point.rtt_mean,
-        "rtt_p95": point.rtt_p95,
-    }
-
-
-def decode_rule_point(payload: Mapping) -> RulePoint:
-    maybe = lambda v: None if v is None else float(v)  # noqa: E731 - tiny local codec
-    return RulePoint(
-        rules=int(payload["rules"]),
-        entries=int(payload["entries"]),
-        per_packet_cost=float(payload["per_packet_cost"]),
-        sent=int(payload["sent"]),
-        delivered=int(payload["delivered"]),
-        throughput_pps=float(payload["throughput_pps"]),
-        rtt_mean=maybe(payload["rtt_mean"]),
-        rtt_p95=maybe(payload["rtt_p95"]),
-    )
-
-
-def encode_fwcost_result(result: FwCostResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "offered_pps": result.offered_pps,
-        "window": result.window,
-        "rule_points": [encode_rule_point(point) for point in result.rule_points],
-        "table_points": [encode_rule_point(point) for point in result.table_points],
-    }
-
-
-def decode_fwcost_result(payload: Mapping) -> FwCostResult:
-    return FwCostResult(
-        tag=payload["tag"],
-        offered_pps=float(payload["offered_pps"]),
-        window=float(payload["window"]),
-        rule_points=[decode_rule_point(point) for point in payload["rule_points"]],
-        table_points=[decode_rule_point(point) for point in payload["table_points"]],
-    )
 
 
 def scaling_curves(results) -> Optional[Dict]:
@@ -499,10 +391,10 @@ def scaling_curves(results) -> Optional[Dict]:
         return None
     return {
         "workload_mix": {
-            tag: encode_workload_result(cell) for tag, cell in sorted(workload.items())
+            tag: codec.encode(WorkloadMixResult, cell) for tag, cell in sorted(workload.items())
         },
         "fwcost_scaling": {
-            tag: encode_fwcost_result(cell) for tag, cell in sorted(fwcost.items())
+            tag: codec.encode(FwCostResult, cell) for tag, cell in sorted(fwcost.items())
         },
     }
 
@@ -566,14 +458,12 @@ def _render_workload(results) -> Optional[str]:
 registry.register_family(registry.ExperimentFamily(
     name="workload_mix",
     order=230,
-    result_type=WorkloadMixResult,
+    cell_type=WorkloadMixResult,
     description="subscriber application-mix load ramp (goodput, FCT, NAT occupancy, block pressure)",
     probe_factory=lambda knobs: WorkloadMixProbe(
         mix_name=str(knobs.get("workload_mix", "residential")),
         ramp_spec=str(knobs.get("workload_ramp", "")),
     ).run_all,
-    encode_cell=encode_workload_result,
-    decode_cell=decode_workload_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -581,13 +471,11 @@ registry.register_family(registry.ExperimentFamily(
 registry.register_family(registry.ExperimentFamily(
     name="fwcost_scaling",
     order=240,
-    result_type=FwCostResult,
+    cell_type=FwCostResult,
     description="forwarding throughput and per-packet cost vs. rule count / conntrack size",
     probe_factory=lambda knobs: FwCostProbe(
         ramp_spec=str(knobs.get("fw_rules", "")),
     ).run_all,
-    encode_cell=encode_fwcost_result,
-    decode_cell=decode_fwcost_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))

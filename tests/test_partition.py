@@ -13,7 +13,8 @@ import shutil
 
 import pytest
 
-from repro.cgn.metro import MetroFlap, MetroLoadPlan, encode_metro_load_result
+from repro.cgn.metro import MetroFlap, MetroLoadPlan
+from repro.core import registry
 from repro.core.partition import PartitionError, PartitionRunner
 from repro.core.survey import SurveyRunner
 from repro.devices import catalog_profiles
@@ -36,10 +37,8 @@ def _tree(root):
 
 
 def _cells(results):
-    return {
-        tag: encode_metro_load_result(cell)
-        for tag, cell in results.family("metro_load").items()
-    }
+    fam = registry.family("metro_load")
+    return {tag: fam.encode(cell) for tag, cell in results.family("metro_load").items()}
 
 
 def _run(partitions, seed=11, **knobs):

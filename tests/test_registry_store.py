@@ -1,16 +1,20 @@
 """Experiment registry and versioned campaign store.
 
 Covers the registry's descriptor contract (every family decodes what it
-encodes, field for field), the store's resumability guarantee (an
+encodes, field for field, for measured cells and for generated instances of
+every cell type), the store's resumability guarantee (an
 interrupted ``jobs=N`` campaign resumed with ``--resume`` is byte-identical
 on disk and field-for-field equal in memory to an uninterrupted run), and
 the zero-resimulation guarantee of ``repro report --from``.
 """
 
+import dataclasses
 import json
+import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import registry
 from repro.core.store import (
@@ -125,6 +129,58 @@ class TestCellCodecs:
             restored = fam.decode(json.loads(json.dumps(fam.encode(cell))))
             for pair in restored.observed_ports:
                 assert isinstance(pair, tuple)
+
+
+def _without_nan(value):
+    """``value`` with every NaN float replaced by 0.0 (NaN never equals itself)."""
+    if isinstance(value, float):
+        return 0.0 if math.isnan(value) else value
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return dataclasses.replace(value, **{f.name: _without_nan(getattr(value, f.name)) for f in fields})
+    if isinstance(value, (list, tuple)):
+        return type(value)(_without_nan(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _without_nan(item) for key, item in value.items()}
+    return value
+
+
+def _assert_field_keys(value, payload):
+    """Every encoded dataclass carries exactly its field names, recursively."""
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+        assert sorted(payload) == sorted(names), type(value).__name__
+        for name in names:
+            _assert_field_keys(getattr(value, name), payload[name])
+    elif isinstance(value, (list, tuple)):
+        assert len(payload) == len(value)
+        for item, encoded in zip(value, payload):
+            _assert_field_keys(item, encoded)
+    elif isinstance(value, dict):
+        assert list(payload) == list(value)
+        for key, item in value.items():
+            _assert_field_keys(item, payload[key])
+
+
+class TestCellCodecProperties:
+    """Generated instances of every registered cell type survive the store codec.
+
+    Reaches the opt-in families no cheap campaign runs, and fails when a
+    result field is added without reaching the stored payload.
+    """
+
+    @pytest.mark.parametrize("name", registry.family_names())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_through_json(self, name, data):
+        fam = registry.family(name)
+        cell = data.draw(st.from_type(fam.cell_type).map(_without_nan))
+        payload = fam.encode(cell)
+        _assert_field_keys(cell, payload)
+        restored = fam.decode(json.loads(json.dumps(payload)))
+        assert restored == cell
+        # repr tells tuple from list, int from float and bool from int.
+        assert repr(restored) == repr(cell)
 
 
 class TestFingerprint:
@@ -397,6 +453,29 @@ class TestReportFromStore:
 
         with pytest.raises(SystemExit, match="no campaign store"):
             main(["report", "--from", str(tmp_path / "missing")])
+
+    @pytest.mark.parametrize("family, fields, corrupt, error", [
+        ("attack_rst", {"tag": "al", "subscribers": 4, "filtering": "EIF"},
+         lambda p: p.pop("onset"), "KeyError: 'onset'"),
+        ("udp1", {"tag": "al", "variant": "udp1", "observed_ports": [(0, 20001)]},
+         lambda p: p["observed_ports"][0].append(7), "ValueError"),
+        ("icmp", {"tag": "al"}, lambda p: p.update(udp=[]), "AttributeError"),
+    ])
+    def test_corrupt_cell_is_a_clean_error(self, tmp_path, family, fields, corrupt, error):
+        # Both `report --from` and the final decode of `survey --resume`
+        # load through load_results: a cell that no longer matches its
+        # result type must name the file instead of raising a traceback.
+        from repro.cli import main
+
+        fam = registry.family(family)
+        payload = fam.encode(fam.cell_type(**fields))
+        corrupt(payload)
+        store = CampaignStore.create_or_open(tmp_path, "aaaa", meta={"subjects": ["al"]})
+        store.save_cell("al", family, payload)
+        with pytest.raises(StoreError, match=rf"undecodable cell .*{family}\.json: {error}"):
+            store.load_results()
+        with pytest.raises(SystemExit, match="undecodable cell"):
+            main(["report", "--from", str(tmp_path)])
 
 
 class TestCliFamilies:

@@ -19,8 +19,6 @@ from repro.core.survey import SurveyRunner
 from repro.devices.catalog import catalog_profiles
 from repro.traversal.matrix import (
     TraversalCell,
-    decode_traversal_cell,
-    encode_traversal_cell,
     matrix_subjects,
     pair_subject,
 )
@@ -99,7 +97,8 @@ class TestCellCodec:
             connected=True, path="relayed", keepalive_interval=240.0,
             keepalive_censored=False,
         )
-        restored = decode_traversal_cell(json.loads(json.dumps(encode_traversal_cell(cell))))
+        fam = registry.family("traversal_matrix")
+        restored = fam.decode(json.loads(json.dumps(fam.encode(cell))))
         assert restored == cell
         assert type(restored) is TraversalCell
         assert restored.keepalives_per_hour == pytest.approx(15.0)
@@ -110,7 +109,8 @@ class TestCellCodec:
             punched=True, connected=True, path="direct",
             keepalive_interval=None, keepalive_censored=True,
         )
-        restored = decode_traversal_cell(json.loads(json.dumps(encode_traversal_cell(cell))))
+        fam = registry.family("traversal_matrix")
+        restored = fam.decode(json.loads(json.dumps(fam.encode(cell))))
         assert restored == cell
         assert restored.keepalives_per_hour is None
 

@@ -23,11 +23,7 @@ from repro.netsim.sim import Simulation
 from repro.workload.families import (
     FwCostProbe,
     WorkloadMixProbe,
-    decode_fwcost_result,
-    decode_workload_result,
     default_load_ramp,
-    encode_fwcost_result,
-    encode_workload_result,
     parse_points,
 )
 from repro.workload.generator import WorkloadGenerator, WorkloadServer
@@ -109,7 +105,8 @@ class TestGeneratorState:
         # into the second.
         first = WorkloadMixProbe(ramp_spec="1,2").run_all(self._bed())["dev"]
         second = WorkloadMixProbe(ramp_spec="1,2").run_all(self._bed())["dev"]
-        assert encode_workload_result(first) == encode_workload_result(second)
+        mix = registry.family("workload_mix")
+        assert mix.encode(first) == mix.encode(second)
 
     def test_load_point_beyond_population_rejected(self):
         bed = self._bed()
@@ -152,18 +149,17 @@ class TestWorkloadMixProbe:
         assert occupancy[0] < occupancy[-1]
 
     def test_seed_moves_the_mix(self):
-        assert encode_workload_result(self._run(seed=7)) != encode_workload_result(
-            self._run(seed=11)
-        )
+        mix = registry.family("workload_mix")
+        assert mix.encode(self._run(seed=7)) != mix.encode(self._run(seed=11))
 
     def test_mix_knob_moves_the_mix(self):
-        assert encode_workload_result(self._run()) != encode_workload_result(
-            self._run(mix_name="p2p-heavy")
-        )
+        mix = registry.family("workload_mix")
+        assert mix.encode(self._run()) != mix.encode(self._run(mix_name="p2p-heavy"))
 
     def test_codec_round_trips_exactly(self):
         cell = self._run()
-        restored = decode_workload_result(encode_workload_result(cell))
+        mix = registry.family("workload_mix")
+        restored = mix.decode(mix.encode(cell))
         assert restored == cell
         assert type(restored) is type(cell)
 
@@ -203,7 +199,8 @@ class TestFwCostProbe:
 
     def test_codec_round_trips_exactly(self):
         cell = self._run()
-        restored = decode_fwcost_result(encode_fwcost_result(cell))
+        fwcost = registry.family("fwcost_scaling")
+        restored = fwcost.decode(fwcost.encode(cell))
         assert restored == cell
         assert type(restored) is type(cell)
 
