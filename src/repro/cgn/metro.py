@@ -723,7 +723,7 @@ class MetroLoadProbe:
 
 
 class MetroPartitionHooks:
-    """What :class:`~repro.core.partition.PartitionRunner` needs from metro.
+    """What :func:`~repro.core.partition.run_partitioned` needs from metro.
 
     One instance is built per run from the campaign knobs (and rebuilt
     identically inside each worker — everything here is a pure function of

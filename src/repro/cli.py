@@ -105,9 +105,10 @@ def _parse_chaos(args):
     from repro.gateway.faults import FaultSpec
     from repro.netsim.impair import Impairment
 
+    impair = getattr(args, "impair", None)
     try:
-        impairment = Impairment.parse(args.impair) if args.impair else None
-        faults = [FaultSpec.parse(text) for text in (args.fault or [])]
+        impairment = Impairment.parse(impair) if impair else None
+        faults = [FaultSpec.parse(text) for text in (getattr(args, "fault", None) or [])]
     except ValueError as exc:
         raise SystemExit(f"bad chaos spec: {exc}") from None
     return impairment, faults
@@ -151,7 +152,7 @@ def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[
     families are appended; with none, ``--cgn``/``--attack``/``--metro``
     alone means "that campaign" (just those families, not them plus the
     command's default menu).  With no flag at all the command's own
-    ``default`` fills in.
+    ``default`` fills in, or the metro tier under ``--partitions``.
     """
     extra: List[str] = []
     if getattr(args, "cgn", False):
@@ -165,7 +166,11 @@ def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[
     if getattr(args, "workload", False):
         extra.extend(WORKLOAD_FAMILIES)
     if not extra:
-        return base if base is not None else list(default)
+        if base is not None:
+            return base
+        if getattr(args, "partitions", None) is not None:
+            return list(METRO_FAMILIES)
+        return list(default)
     if base is None:
         return extra
     return base + [name for name in extra if name not in base]
@@ -291,10 +296,9 @@ def cmd_probe(args, out) -> int:
 
 def cmd_survey(args, out) -> int:
     tags = _resolve_tags(args.tags)
-    if args.partitions is not None:
-        return _run_campaign_partitioned(args, tags, out)
     if (args.families or args.cgn or args.attack or args.metro or args.matrix
-            or args.workload or args.out or args.resume or args.jobs > 1):
+            or args.workload or args.out or args.resume or args.jobs > 1
+            or args.partitions is not None):
         return _run_campaign_survey(args, tags, out)
     csv_dir = pathlib.Path(args.csv_dir) if args.csv_dir else None
     if csv_dir:
@@ -316,99 +320,79 @@ def cmd_survey(args, out) -> int:
     return 0
 
 
-def _run_campaign_survey(args, tags: Sequence[str], out) -> int:
-    """The durable campaign path: SurveyRunner + optional store/resume."""
+def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
+    """Build the command's ``SurveyRunner`` from its flags and run ``selected``.
+
+    ``survey``, ``report`` and ``bench`` share it; a flag a command lacks
+    (``--out`` outside ``survey``, ``--impair`` outside ``report``/``bench``
+    …) leaves the runner's default in place.
+    """
     from repro.core import SurveyRunner
+    from repro.core.partition import PartitionError
     from repro.core.store import StoreError
 
+    impairment, faults = _parse_chaos(args)
+    flags = vars(args)
+    budget = {key: flags[key] for key in ("tcp1_cutoff", "transfer_bytes") if key in flags}
+    try:
+        runner = SurveyRunner(
+            profiles=catalog_profiles(tags),
+            seed=args.seed,
+            udp_repetitions=args.repetitions,
+            cgn_subscribers=args.subscribers,
+            cgn_block_size=args.block_size,
+            attack_rate=args.attack_rate,
+            attack_duration=args.attack_duration,
+            metro_requests=args.metro_requests,
+            metro_idle=args.metro_idle,
+            metro_flap=args.metro_flap,
+            matrix_pairs=args.matrix_pairs,
+            matrix_cgn=args.matrix_cgn,
+            workload_mix=args.workload_mix,
+            workload_ramp=args.load_ramp,
+            fw_rules=args.fw_rules,
+            jobs=args.jobs,
+            partitions=flags.get("partitions"),
+            fastpath=not args.no_fastpath,
+            impairment=impairment,
+            faults=faults,
+            trace_dir=args.trace,
+            pcap_dir=args.pcap,
+            metrics=args.metrics,
+            store_dir=flags.get("out"),
+            resume=flags.get("resume", False),
+            **budget,
+        )
+        results = runner.run(tests=list(selected))
+    except (ValueError, StoreError, PartitionError) as exc:
+        raise SystemExit(str(exc)) from None
+    return runner, results
+
+
+def _partition_line(run) -> str:
+    """One line on how the partitioned families ran (``runner.last_partition``)."""
+    return (f"partitions: {run.partitions}   sync rounds: {run.sync_rounds}   "
+            f"boundary frames: {run.boundary_frames}")
+
+
+def _run_campaign_survey(args, tags: Sequence[str], out) -> int:
+    """The durable campaign path: SurveyRunner + optional store/resume."""
     if args.resume and not args.out:
         raise SystemExit("--resume needs --out DIR (the store to resume from)")
-    runner = SurveyRunner(
-        profiles=catalog_profiles(tags),
-        seed=args.seed,
-        udp_repetitions=args.repetitions,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        attack_rate=args.attack_rate,
-        attack_duration=args.attack_duration,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        matrix_pairs=args.matrix_pairs,
-        matrix_cgn=args.matrix_cgn,
-        workload_mix=args.workload_mix,
-        workload_ramp=args.load_ramp,
-        fw_rules=args.fw_rules,
-        jobs=args.jobs,
-        fastpath=not args.no_fastpath,
-        trace_dir=args.trace,
-        pcap_dir=args.pcap,
-        metrics=args.metrics,
-        store_dir=args.out,
-        resume=args.resume,
-    )
-    try:
-        results = runner.run(
-            tests=_cgn_selection(args, _family_selection(args), DEFAULT_SURVEY_TESTS)
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    except StoreError as exc:
-        raise SystemExit(str(exc)) from None
+    selected = _cgn_selection(args, _family_selection(args), DEFAULT_SURVEY_TESTS)
+    runner, results = _run_campaign(args, tags, selected)
     for name, mapping in results.families.items():
         descriptor = registry.get(name)
         cells = descriptor.cells_of(mapping) if descriptor is not None else mapping
         unit = descriptor.subject_kind if descriptor is not None else "device"
         out(f"{name:>10}: {len(cells)} {unit}(s)")
+    if runner.last_partition is not None:
+        out(_partition_line(runner.last_partition))
     if args.out:
         skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
         out(f"store: {args.out}{skipped}")
     _report_errors(results, out)
     return 0 if results.complete else 1
-
-
-def _partition_runner(args, tags: Sequence[str]):
-    """Build the PartitionRunner shared by ``survey``/``bench --partitions``."""
-    from repro.core.partition import PartitionRunner
-
-    return PartitionRunner(
-        profiles=catalog_profiles(tags),
-        seed=args.seed,
-        partitions=args.partitions,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        fastpath=not args.no_fastpath,
-        store_dir=getattr(args, "out", None),
-        resume=getattr(args, "resume", False),
-    )
-
-
-def _run_campaign_partitioned(args, tags: Sequence[str], out) -> int:
-    """The ``--partitions N`` path: one topology cut across worker processes."""
-    from repro.core.partition import PartitionError
-    from repro.core.store import StoreError
-
-    if args.resume and not args.out:
-        raise SystemExit("--resume needs --out DIR (the store to resume from)")
-    runner = _partition_runner(args, tags)
-    selection = _cgn_selection(args, _family_selection(args), list(METRO_FAMILIES))
-    try:
-        results = runner.run(tests=selection)
-    except (PartitionError, StoreError) as exc:
-        raise SystemExit(str(exc)) from None
-    for name, mapping in results.families.items():
-        descriptor = registry.get(name)
-        cells = descriptor.cells_of(mapping) if descriptor is not None else mapping
-        out(f"{name:>10}: {len(cells)} segment(s)")
-    out(f"partitions: {runner.partitions}   sync rounds: {runner.last_sync_rounds}   "
-        f"boundary frames: {runner.last_boundary_frames}")
-    if args.out:
-        skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
-        out(f"store: {args.out}{skipped}")
-    return 0
 
 
 def cmd_classify(args, out) -> int:
@@ -432,8 +416,6 @@ def cmd_classify(args, out) -> int:
 
 def cmd_report(args, out) -> int:
     from repro.analysis import render_report
-    from repro.core import SurveyRunner
-    from repro.devices import catalog_profiles as _profiles
 
     if args.from_dir:
         from repro.core.store import CampaignStore, StoreError
@@ -453,38 +435,8 @@ def cmd_report(args, out) -> int:
         return 0
 
     tags = _resolve_tags(args.tags)
-    impairment, faults = _parse_chaos(args)
-    runner = SurveyRunner(
-        profiles=_profiles(tags),
-        seed=args.seed,
-        udp_repetitions=args.repetitions,
-        udp5_repetitions=1,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        attack_rate=args.attack_rate,
-        attack_duration=args.attack_duration,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        matrix_pairs=args.matrix_pairs,
-        matrix_cgn=args.matrix_cgn,
-        workload_mix=args.workload_mix,
-        workload_ramp=args.load_ramp,
-        fw_rules=args.fw_rules,
-        jobs=args.jobs,
-        fastpath=not args.no_fastpath,
-        impairment=impairment,
-        faults=faults,
-        trace_dir=args.trace,
-        pcap_dir=args.pcap,
-        metrics=args.metrics,
-    )
-    try:
-        results = runner.run(
-            tests=_cgn_selection(args, _family_selection(args), DEFAULT_REPORT_TESTS)
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    selected = _cgn_selection(args, _family_selection(args), DEFAULT_REPORT_TESTS)
+    _runner, results = _run_campaign(args, tags, selected)
     report = render_report(results, title=f"Home gateway survey ({len(tags)} devices)")
     if args.output:
         pathlib.Path(args.output).write_text(report)
@@ -499,50 +451,24 @@ def cmd_report(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
-    from repro.core import SurveyRunner, write_bench_json
-    from repro.devices import catalog_profiles as _profiles
+    from repro.core import write_bench_json
 
     tags = _resolve_tags(args.tags)
-    if args.partitions is not None:
-        return _bench_partitioned(args, tags, out)
-    impairment, faults = _parse_chaos(args)
-    runner = SurveyRunner(
-        profiles=_profiles(tags),
-        seed=args.seed,
-        udp_repetitions=args.repetitions,
-        udp5_repetitions=1,
-        tcp1_cutoff=args.tcp1_cutoff,
-        transfer_bytes=args.transfer_bytes,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        attack_rate=args.attack_rate,
-        attack_duration=args.attack_duration,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        matrix_pairs=args.matrix_pairs,
-        matrix_cgn=args.matrix_cgn,
-        workload_mix=args.workload_mix,
-        workload_ramp=args.load_ramp,
-        fw_rules=args.fw_rules,
-        jobs=args.jobs,
-        fastpath=not args.no_fastpath,
-        impairment=impairment,
-        faults=faults,
-        trace_dir=args.trace,
-        pcap_dir=args.pcap,
-        metrics=args.metrics,
-    )
     selected = _cgn_selection(args, _family_selection(args), DEFAULT_BENCH_TESTS)
-    try:
-        results = runner.run(tests=selected)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    runner, results = _run_campaign(args, tags, selected)
     stats = results.stats
-    out(f"devices: {len(tags)}   families: {' '.join(selected)}   jobs: {args.jobs}")
-    if impairment is not None or faults:
+    engine = f"   partitions: {runner.partitions}" if runner.partitions is not None else ""
+    out(f"devices: {len(tags)}   families: {' '.join(selected)}   jobs: {args.jobs}{engine}")
+    if runner.impairment is not None or runner.faults:
         out(f"impairment: {args.impair or 'none'}   faults: {', '.join(args.fault or []) or 'none'}")
     out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s cpu (shard sum)")
+    partition = runner.last_partition
+    if partition is not None:
+        out(_partition_line(partition))
+        if partition.island_cpu_seconds:
+            islands = " ".join(f"{s:.2f}" for s in partition.island_cpu_seconds)
+            out(f"cpu: hub {partition.hub_cpu_seconds:.2f}s   islands [{islands}]s   "
+                f"critical path: {partition.critical_path_seconds:.2f}s")
     out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
     out(f"segments modeled: {stats.segments_modeled}   "
         f"fastpath saved: {stats.fastpath_events_saved} events "
@@ -560,26 +486,16 @@ def cmd_bench(args, out) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config_hash": runner.fingerprint(),
-            "campaign": {
-                "devices": len(tags),
-                "tests": list(selected),
-                "seed": args.seed,
-                "repetitions": args.repetitions,
-                "tcp1_cutoff": args.tcp1_cutoff,
-                "transfer_bytes": args.transfer_bytes,
-                "impairment": impairment.describe() if impairment is not None else None,
-                "faults": [fault.describe() for fault in faults],
-                "cgn_subscribers": args.subscribers,
-                "cgn_block_size": args.block_size,
-                "attack_rate": args.attack_rate,
-                "attack_duration": args.attack_duration,
-                "matrix_pairs": args.matrix_pairs,
-                "matrix_cgn": args.matrix_cgn,
-                "workload_mix": args.workload_mix,
-                "workload_ramp": args.load_ramp,
-                "fw_rules": args.fw_rules,
-                "fastpath": not args.no_fastpath,
-            },
+            # Every fingerprinted knob, so a dump explains its config hash.
+            "campaign": dict(
+                runner._knobs(),
+                devices=len(tags),
+                tests=list(selected),
+                seed=runner.seed,
+                fastpath=runner.fastpath,
+                impairment=runner.impairment.describe() if runner.impairment is not None else None,
+                faults=[fault.describe() for fault in runner.faults],
+            ),
             "elapsed_wall_seconds": round(runner.last_elapsed, 3),
             "shard_errors": [
                 {"tag": error.tag, "family": error.family, "error": error.error, "message": error.message}
@@ -587,6 +503,8 @@ def cmd_bench(args, out) -> int:
             ],
             "stats": stats.as_dict(),
         }
+        if partition is not None:
+            payload["partition"] = partition.as_dict()
         if results.metrics is not None:
             payload["metrics"] = results.metrics.as_dict()
         from repro.workload.families import scaling_curves
@@ -605,111 +523,42 @@ def cmd_bench(args, out) -> int:
     return 0
 
 
-def _bench_partitioned(args, tags: Sequence[str], out) -> int:
-    """``bench --partitions N``: time a partitioned metro campaign.
-
-    The dump gains a ``partition`` block (worker count, sync rounds,
-    boundary-frame count) and the history entry records the same three, so
-    ``tools/bench_diff.py`` can guard the partition-scaling rows like any
-    other family wall time.
-    """
-    from repro.core import write_bench_json
-    from repro.core.partition import PartitionError
-    from repro.core.store import SCHEMA_VERSION
-
-    runner = _partition_runner(args, tags)
-    selected = _cgn_selection(args, _family_selection(args), list(METRO_FAMILIES))
-    try:
-        results = runner.run(tests=selected)
-    except PartitionError as exc:
-        raise SystemExit(str(exc)) from None
-    stats = results.stats
-    out(f"devices: {len(tags)}   families: {' '.join(selected)}   "
-        f"partitions: {runner.partitions}")
-    out(f"elapsed: {runner.last_elapsed:.2f}s wall   "
-        f"sync rounds: {runner.last_sync_rounds}   "
-        f"boundary frames: {runner.last_boundary_frames}")
-    if runner.last_island_cpu_seconds:
-        islands = " ".join(f"{s:.2f}" for s in runner.last_island_cpu_seconds)
-        out(f"cpu: hub {runner.last_hub_cpu_seconds:.2f}s   islands [{islands}]s   "
-            f"critical path: {runner.last_critical_path_seconds:.2f}s")
-    out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
-    for family in selected:
-        wall = stats.family_wall.get(family, 0.0)
-        events = stats.family_events.get(family, 0)
-        out(f"  {family:>10}  {wall:8.2f}s  {events:>9} events")
-    if args.output:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": runner.fingerprint(),
-            "campaign": {
-                "devices": len(tags),
-                "tests": list(selected),
-                "seed": args.seed,
-                "cgn_subscribers": args.subscribers,
-                "cgn_block_size": args.block_size,
-                "metro_requests": args.metro_requests,
-                "metro_idle": args.metro_idle,
-                "metro_flap": args.metro_flap,
-                "fastpath": not args.no_fastpath,
-            },
-            "partition": {
-                "partitions": runner.partitions,
-                "sync_rounds": runner.last_sync_rounds,
-                "boundary_frames": runner.last_boundary_frames,
-                "island_cpu_seconds": [
-                    round(s, 3) for s in runner.last_island_cpu_seconds
-                ],
-                "hub_cpu_seconds": round(runner.last_hub_cpu_seconds, 3),
-                "critical_path_seconds": round(
-                    runner.last_critical_path_seconds, 3
-                ),
-            },
-            "elapsed_wall_seconds": round(runner.last_elapsed, 3),
-            "shard_errors": [],
-            "stats": stats.as_dict(),
-        }
-        write_bench_json(args.output, payload)
-        out(f"wrote {args.output}")
-        history = _append_bench_history(
-            pathlib.Path(args.output), runner, stats,
-            extra={
-                "partitions": runner.partitions,
-                "sync_rounds": runner.last_sync_rounds,
-                "boundary_frames": runner.last_boundary_frames,
-                "elapsed_wall_seconds": round(runner.last_elapsed, 3),
-                "critical_path_seconds": round(
-                    runner.last_critical_path_seconds, 3
-                ),
-            },
-        )
-        if history is not None:
-            out(f"appended {history}")
-    return 0
-
-
-def _append_bench_history(output: pathlib.Path, runner, stats, extra=None) -> Optional[pathlib.Path]:
+def _append_bench_history(output: pathlib.Path, runner, stats) -> Optional[pathlib.Path]:
     """Append one trajectory point to ``BENCH_history.json`` next to the dump.
 
-    The ``pr`` field counts the entries in the repo's ``CHANGES.md`` (one
-    line per merged PR), looked up from the output file upwards; it is
-    ``None`` when no changelog is in sight (e.g. dumps into /tmp).
+    The ``pr`` field is the highest ``PR <n>`` entry in the repo's
+    ``CHANGES.md``, looked up from the output file upwards; it is ``None``
+    when no changelog is in sight (e.g. dumps into /tmp).  Every row
+    records ``jobs``, and ``partitions`` when the campaign set it; a row
+    whose campaign ran a partitioned family adds its sync rounds, boundary
+    frames, elapsed wall and critical-path seconds.
     """
+    import re
+
     history_path = output.resolve().parent / "BENCH_history.json"
     pr = None
     for ancestor in [output.resolve().parent, *output.resolve().parents]:
         changelog = ancestor / "CHANGES.md"
         if changelog.is_file():
-            pr = sum(1 for line in changelog.read_text().splitlines() if line.startswith("- PR"))
+            numbers = re.findall(r"^- PR (\d+)", changelog.read_text(), re.M)
+            pr = max(map(int, numbers), default=None)
             break
     entry = {
         "pr": pr,
         "config_hash": runner.fingerprint(),
         "events_per_sec": round(stats.events_per_sec, 1),
         "family_wall": {k: round(v, 6) for k, v in sorted(stats.family_wall.items())},
+        "jobs": runner.jobs,
     }
-    if extra:
-        entry.update(extra)
+    if runner.partitions is not None:
+        entry["partitions"] = runner.partitions
+    if runner.last_partition is not None:
+        entry.update(
+            sync_rounds=runner.last_partition.sync_rounds,
+            boundary_frames=runner.last_partition.boundary_frames,
+            elapsed_wall_seconds=round(runner.last_elapsed, 3),
+            critical_path_seconds=round(runner.last_partition.critical_path_seconds, 3),
+        )
     try:
         history = json.loads(history_path.read_text()) if history_path.is_file() else []
         if not isinstance(history, list):
@@ -851,10 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--csv-dir", help="export each series as CSV here")
     survey.add_argument("--jobs", type=int, default=1, help="shard devices across N worker processes")
     survey.add_argument("--partitions", type=int, default=None, metavar="N",
-                        help="cut the (partitionable) topology into N islands in "
-                        "separate worker processes, synchronized at boundary links "
+                        help="cut each partitionable family's topology into N islands "
+                        "in separate worker processes, synchronized at boundary links "
                         "(1 = the single-process reference engine; cells are "
-                        "byte-identical either way)")
+                        "byte-identical either way); other families run as shards")
     survey.add_argument("--out", metavar="DIR",
                         help="persist every (device, family) cell into a campaign store at DIR")
     survey.add_argument("--resume", action="store_true",
@@ -899,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--transfer-bytes", type=int, default=512 * 1024)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--partitions", type=int, default=None, metavar="N",
-                       help="time a partitioned campaign on N worker processes "
+                       help="run partitionable families on N worker processes "
                        "(see `survey --partitions`)")
     bench.add_argument("--impair", help="link impairment, e.g. loss=0.01,reorder=5ms,dup=0.001")
     bench.add_argument("--fault", action="append",

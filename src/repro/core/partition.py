@@ -1,11 +1,12 @@
 """Conservative parallel simulation of partitionable mega-topologies.
 
-:class:`PartitionRunner` is the :class:`~repro.core.survey.SurveyRunner`
-peer for topologies too large for one process.  Where the survey shards
-*per device* (independent simulations, embarrassingly parallel), this
-runner cuts **one** simulation into islands along its boundary links and
-runs the islands in worker processes that synchronize in conservative
-lookahead windows:
+:class:`~repro.core.survey.SurveyRunner` runs every campaign.  With
+``partitions=k`` set, each selected partitionable family leaves its
+per-device shard plan and runs once through :func:`run_partitioned`.
+Where the survey shards *per device* (independent simulations,
+embarrassingly parallel), this module cuts **one** simulation into islands
+along its boundary links and runs the islands in worker processes that
+synchronize in conservative lookahead windows:
 
 * the partitionable family (see
   :attr:`~repro.core.registry.ExperimentFamily.partition_factory`) supplies
@@ -47,11 +48,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import registry
 from repro.core.stats import SimStats
-from repro.core.store import CampaignStore
-from repro.core.survey import DEFAULT_FAMILY_TIMEOUT, SurveyResults, SurveyRunner
 from repro.devices.profile import DeviceProfile
 
-__all__ = ["PartitionError", "PartitionRunner"]
+__all__ = ["PartitionError", "PartitionStats", "run_partitioned"]
 
 
 class PartitionError(RuntimeError):
@@ -74,8 +73,8 @@ class _WorkerSpec:
     numbered: List[Tuple[int, DeviceProfile]]
     worker: int
     seed: int
-    fastpath: bool = True
-    family_timeout: Optional[float] = DEFAULT_FAMILY_TIMEOUT
+    fastpath: bool
+    family_timeout: Optional[float]
 
 
 def _frame_key(entry: Tuple[float, str, Any]) -> Tuple[float, int]:
@@ -130,7 +129,7 @@ def _partition_worker(conn, spec: _WorkerSpec) -> None:
         loop:
           recv ("run", bound, frames)  -> inject, run_window(bound),
                                           send ("window", out, next_event_time)
-          recv ("collect",)            -> send ("cells", {tag: payload}, stats)
+          recv ("collect",)            -> send ("cells", {tag: cell}, stats)
           recv ("stop",)               -> exit without collecting
 
     Any exception turns into ``("error", type, message, traceback)`` so the
@@ -154,10 +153,7 @@ def _partition_worker(conn, spec: _WorkerSpec) -> None:
                 island.sim.run_window(bound)
                 conn.send(("window", _drain_island(island), island.sim.next_event_time()))
             elif kind == "collect":
-                cells = {
-                    tag: family.encode(cell) for tag, cell in island.collect().items()
-                }
-                conn.send(("cells", cells, _island_stats(island)))
+                conn.send(("cells", island.collect(), _island_stats(island)))
                 return
             elif kind == "stop":
                 return
@@ -173,31 +169,70 @@ def _partition_worker(conn, spec: _WorkerSpec) -> None:
 
 
 @dataclass
-class _PartitionedOutcome:
-    """What one partitioned family run hands back to the runner."""
+class PartitionStats:
+    """How the partitioned families of one campaign run were executed.
 
-    cells: Dict[str, Any]
-    stats: SimStats = field(default_factory=SimStats)
-    boundary_frames: int = 0
-    sync_rounds: int = 0
-    #: Per-worker whole-process CPU seconds (build + windows + collect).
-    island_cpu_seconds: List[float] = field(default_factory=list)
-    #: The hub process's CPU seconds for this family (core island + routing).
-    hub_cpu_seconds: float = 0.0
-
-    @property
-    def critical_path_seconds(self) -> float:
-        """CPU time of the longest chain: hub plus its slowest island.
-
-        An honest projection of the family's wall-clock on a host with at
+    Attributes
+    ----------
+    partitions : int
+        Worker processes per family (``1`` = the in-process full build).
+    sync_rounds : int
+        Lookahead windows the hub granted.
+    boundary_frames : int
+        Frames shipped across partition boundaries.
+    island_cpu_seconds : list of float
+        Whole-process CPU seconds per worker island (build + windows +
+        collect), one entry per island per family run.
+    hub_cpu_seconds : float
+        The parent process's CPU seconds: the core island and frame
+        routing, or the whole build at ``partitions=1``.
+    critical_path_seconds : float
+        Per family, hub CPU plus its slowest island's CPU, summed over
+        families.  An honest projection of the wall-clock on a host with at
         least ``partitions + 1`` cores: worker islands run concurrently, so
         only the slowest one bounds the run, while the hub's core island
         and routing are serial with every window.  On a single-core host
         the measured wall is instead the *sum* of all islands (plus IPC),
         which is why BENCH rows record both.
-        """
-        worst = max(self.island_cpu_seconds, default=0.0)
-        return self.hub_cpu_seconds + worst
+    """
+
+    partitions: int
+    sync_rounds: int = 0
+    boundary_frames: int = 0
+    island_cpu_seconds: List[float] = field(default_factory=list)
+    hub_cpu_seconds: float = 0.0
+    critical_path_seconds: float = 0.0
+
+    def merge(self, other: "PartitionStats") -> None:
+        """Fold another family run's record into this one."""
+        self.sync_rounds += other.sync_rounds
+        self.boundary_frames += other.boundary_frames
+        self.island_cpu_seconds.extend(other.island_cpu_seconds)
+        self.hub_cpu_seconds += other.hub_cpu_seconds
+        self.critical_path_seconds += other.critical_path_seconds
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The ``partition`` block of a bench dump."""
+        return {
+            "partitions": self.partitions,
+            "sync_rounds": self.sync_rounds,
+            "boundary_frames": self.boundary_frames,
+            "island_cpu_seconds": [round(s, 3) for s in self.island_cpu_seconds],
+            "hub_cpu_seconds": round(self.hub_cpu_seconds, 3),
+            "critical_path_seconds": round(self.critical_path_seconds, 3),
+        }
+
+
+@dataclass
+class _PartitionedOutcome:
+    """What one partitioned family run hands back to the runner."""
+
+    #: The family's result mapping: one cell per segment, not yet encoded.
+    mapping: Dict[str, Any]
+    #: The simulation counters :meth:`SimStats.note_run` reads: the full
+    #: build's ``Simulation``, or every island's summed into a ``SimStats``.
+    counters: Any
+    run: PartitionStats
 
 
 class _Hub:
@@ -258,7 +293,8 @@ class _Hub:
         owners = self._owner_of(groups)
         context = multiprocessing.get_context()
         workers: List[Tuple[Any, Any]] = []
-        outcome = _PartitionedOutcome(cells={})
+        run = PartitionStats(self.partitions)
+        outcome = _PartitionedOutcome(mapping={}, counters=SimStats(), run=run)
         hub_cpu_start = time.process_time()
         try:
             for w, group in enumerate(groups):
@@ -289,7 +325,7 @@ class _Hub:
                 if floor == math.inf or floor > hooks.horizon:
                     break
                 bound = floor + lookahead
-                outcome.sync_rounds += 1
+                run.sync_rounds += 1
                 for w, (_proc, conn) in enumerate(workers):
                     conn.send(("run", bound, sorted(pending[w], key=_frame_key)))
                     pending[w] = []
@@ -298,27 +334,26 @@ class _Hub:
                     _arrival, channel, _frame = entry
                     index = int(channel.rsplit(":", 1)[1])
                     pending[owners[index]].append(entry)
-                    outcome.boundary_frames += 1
+                    run.boundary_frames += 1
                 inbound: List[Tuple[float, str, Any]] = []
                 for w, (_proc, conn) in enumerate(workers):
                     _kind, out, next_t = self._recv(conn, "window")
                     worker_next[w] = next_t
                     inbound.extend(out)
-                outcome.boundary_frames += len(inbound)
+                run.boundary_frames += len(inbound)
                 _inject(core, inbound)
-            merged_stats = SimStats()
-            for w, (_proc, conn) in enumerate(workers):
+            for _proc, conn in workers:
                 conn.send(("collect",))
                 _kind, cells, raw = self._recv(conn, "cells")
-                overlap = set(cells) & set(outcome.cells)
+                overlap = set(cells) & set(outcome.mapping)
                 if overlap:  # pragma: no cover - builder contract violation
                     raise PartitionError(f"duplicate cells across islands: {sorted(overlap)}")
-                outcome.cells.update(cells)
-                outcome.island_cpu_seconds.append(raw["cpu_seconds"])
-                self._fold(merged_stats, raw)
-            self._fold(merged_stats, _island_stats(core))
-            outcome.stats = merged_stats
-            outcome.hub_cpu_seconds = time.process_time() - hub_cpu_start
+                outcome.mapping.update(cells)
+                run.island_cpu_seconds.append(raw["cpu_seconds"])
+                self._fold(outcome.counters, raw)
+            self._fold(outcome.counters, _island_stats(core))
+            run.hub_cpu_seconds = time.process_time() - hub_cpu_start
+            run.critical_path_seconds = run.hub_cpu_seconds + max(run.island_cpu_seconds)
             for process, conn in workers:
                 conn.close()
                 process.join(timeout=30)
@@ -358,232 +393,45 @@ class _Hub:
         return message
 
 
-class PartitionRunner:
-    """Run partitionable campaigns across worker processes.
+def _run_single(
+    family: registry.ExperimentFamily,
+    knobs: Mapping[str, Any],
+    profiles: Sequence[DeviceProfile],
+    seed: int,
+    fastpath: bool,
+    family_timeout: Optional[float],
+) -> _PartitionedOutcome:
+    """The ``partitions=1`` reference engine: one simulation, inline."""
+    cpu_start = time.process_time()
+    bed = family.partition_factory(knobs).build_full(profiles, seed, fastpath=fastpath)
+    if family_timeout is not None:
+        bed.sim.watchdog_limit = bed.sim.now + family_timeout
+    mapping = family.probe_factory(knobs)(bed)
+    cpu = time.process_time() - cpu_start
+    run = PartitionStats(1, hub_cpu_seconds=cpu, critical_path_seconds=cpu)
+    return _PartitionedOutcome(mapping=mapping, counters=bed.sim, run=run)
 
-    A thin campaign driver around the window protocol: it reuses the
-    survey's knob schema, fingerprint and store layout (an internal
-    :class:`~repro.core.survey.SurveyRunner` supplies all three), so a
-    store written by a partitioned run is the *same artifact* a
-    single-process run writes — resumable and reportable by either engine,
-    under any ``--partitions N``.
 
-    Parameters
-    ----------
-    profiles : sequence of DeviceProfile, optional
-        The segment population, one segment per profile (catalog order by
-        default).  Global segment indices are 1-based catalog positions.
-    seed : int
-        Campaign seed.  Cells of partitionable families are seed-independent
-        by construction; the seed still namespaces the store fingerprint.
-    partitions : int
-        Worker-process count. ``1`` runs the reference single-simulation
-        build in-process (no pipes, no windows) — the baseline the
-        byte-identity tests diff against.
-    survey_kwargs
-        Remaining knobs (``cgn_subscribers``, ``metro_requests``,
-        ``store_dir``, ``resume`` …) are forwarded verbatim to the internal
-        :class:`~repro.core.survey.SurveyRunner`; chaos knobs
-        (``impairment``/``faults``) are rejected — per-link chaos is not
-        defined across partition boundaries.
+def run_partitioned(
+    family: registry.ExperimentFamily,
+    knobs: Mapping[str, Any],
+    numbered: Sequence[Tuple[int, DeviceProfile]],
+    seed: int,
+    partitions: int,
+    fastpath: bool,
+    family_timeout: Optional[float],
+) -> _PartitionedOutcome:
+    """Run one partitionable family once over its ``numbered`` segments.
 
-    Attributes
-    ----------
-    last_boundary_frames : int
-        Frames shipped across partition boundaries by the last :meth:`run`.
-    last_sync_rounds : int
-        Lookahead windows the hub granted during the last :meth:`run`.
-    last_island_cpu_seconds : list of float
-        Whole-process CPU seconds per worker island (one entry per island
-        per family run), as reported at collect time.
-    last_hub_cpu_seconds : float
-        The hub process's CPU seconds (core island plus frame routing).
-    last_critical_path_seconds : float
-        Hub CPU plus the slowest island's CPU, summed over families — the
-        projected wall-clock on a host with ``partitions + 1`` cores (see
-        ``docs/SCALING.md``); on a single-core host the measured wall is
-        the sum of all islands instead.
+    ``numbered`` pairs each profile with its 1-based position in the
+    campaign population, the global index boundary channels are named by,
+    whichever subset of the population runs.  ``partitions=1`` runs the
+    family's full single-process build inline, the reference the
+    byte-identity tests diff against; ``k >= 2`` cuts the topology across
+    ``k`` worker processes.  A worker that dies or reports an error raises
+    :class:`PartitionError`.
     """
-
-    def __init__(
-        self,
-        profiles: Optional[Sequence[DeviceProfile]] = None,
-        seed: int = 0,
-        partitions: int = 1,
-        **survey_kwargs: Any,
-    ):
-        if survey_kwargs.get("impairment") is not None or survey_kwargs.get("faults"):
-            raise PartitionError(
-                "partitioned campaigns do not support impairment or faults: "
-                "per-link chaos is not defined across partition boundaries"
-            )
-        self.partitions = max(1, int(partitions))
-        self._survey = SurveyRunner(profiles=profiles, seed=seed, **survey_kwargs)
-        self.profiles = self._survey.profiles
-        self.seed = seed
-        self.last_elapsed: Optional[float] = None
-        self.last_skipped_cells: int = 0
-        self.last_boundary_frames: int = 0
-        self.last_sync_rounds: int = 0
-        self.last_island_cpu_seconds: List[float] = []
-        self.last_hub_cpu_seconds: float = 0.0
-        self.last_critical_path_seconds: float = 0.0
-
-    def fingerprint(self) -> str:
-        """The campaign fingerprint (identical to the survey's)."""
-        return self._survey.fingerprint()
-
-    def _validate(self, tests: Optional[Sequence[str]]) -> List[registry.ExperimentFamily]:
-        """Resolve the selection to partitionable families (or raise)."""
-        names = tests if tests is not None else [
-            f.name for f in registry.families() if f.partitionable and f.runnable
-        ]
-        families = []
-        for name in names:
-            family = registry.get(name)
-            if family is None:
-                raise PartitionError(
-                    f"unknown experiment family {name!r}; registered families "
-                    f"are: {', '.join(registry.runnable_names())}"
-                )
-            if not family.partitionable:
-                raise PartitionError(
-                    f"family {name!r} is not partitionable; run it through the "
-                    "survey engine instead (drop --partitions or pick from: "
-                    + ", ".join(
-                        f.name for f in registry.families() if f.partitionable
-                    )
-                )
-            families.append(family)
-        if not families:
-            raise PartitionError("no partitionable families selected")
-        return families
-
-    def _run_single(self, family: registry.ExperimentFamily, profiles) -> _PartitionedOutcome:
-        """The ``--partitions 1`` reference engine: one simulation, inline."""
-        survey = self._survey
-        cpu_start = time.process_time()
-        hooks = family.partition_factory(survey._knobs())
-        bed = hooks.build_full(profiles, self.seed, fastpath=survey.fastpath)
-        if survey.family_timeout is not None:
-            bed.sim.watchdog_limit = bed.sim.now + survey.family_timeout
-        mapping = family.probe_factory(survey._knobs())(bed)
-        stats = SimStats()
-        stats.events_processed = bed.sim.events_processed
-        stats.fastpath_events_saved = bed.sim.fastpath_events_saved
-        stats.fastpath_windows = bed.sim.fastpath_windows
-        stats.stale_purges = bed.sim.stale_purges
-        stats.stale_entries_purged = bed.sim.stale_entries_purged
-        cells = {
-            tag: family.encode(cell) for tag, cell in family.cells_of(mapping).items()
-        }
-        return _PartitionedOutcome(
-            cells=cells,
-            stats=stats,
-            hub_cpu_seconds=time.process_time() - cpu_start,
-        )
-
-    def run(self, tests: Optional[Sequence[str]] = None) -> SurveyResults:
-        """Run the selected partitionable families over the population.
-
-        Families run sequentially; each family's topology is partitioned
-        across ``partitions`` worker processes (the hub simulates the core
-        island between window grants).  With a store, cells persist as each
-        family completes and ``resume=True`` rebuilds the topology over
-        only the devices whose cells are missing — valid precisely because
-        partitionable cells are population-independent.
-
-        Returns
-        -------
-        SurveyResults
-            Families keyed like the survey's; ``stats`` carries the summed
-            island counters with ``jobs=partitions``.
-        """
-        survey = self._survey
-        families = self._validate(tests)
-        selected = [family.name for family in families]
-        store: Optional[CampaignStore] = None
-        to_run: Dict[str, List[DeviceProfile]] = {
-            family.name: list(self.profiles) for family in families
-        }
-        self.last_skipped_cells = 0
-        self.last_boundary_frames = 0
-        self.last_sync_rounds = 0
-        self.last_island_cpu_seconds = []
-        self.last_hub_cpu_seconds = 0.0
-        self.last_critical_path_seconds = 0.0
-        if survey.store_dir is not None:
-            fingerprint = survey.store_key or survey.fingerprint()
-            survey.store_key = fingerprint
-            store = CampaignStore.create_or_open(
-                survey.store_dir, fingerprint, meta=survey._campaign_meta(selected)
-            )
-            if survey.resume:
-                for family in families:
-                    missing = [
-                        profile
-                        for profile in self.profiles
-                        if family.name not in store.completed_families(profile.tag)
-                    ]
-                    self.last_skipped_cells += len(self.profiles) - len(missing)
-                    to_run[family.name] = missing
-        stats = SimStats(jobs=self.partitions)
-        decoded: Dict[str, Dict[str, Any]] = {}
-        started = time.perf_counter()
-        try:
-            for family in families:
-                profiles = to_run[family.name]
-                if not profiles:
-                    continue
-                numbered = [
-                    (index, profile)
-                    for index, profile in enumerate(self.profiles, start=1)
-                    if profile in profiles
-                ]
-                family_started = time.perf_counter()
-                if self.partitions == 1:
-                    outcome = self._run_single(family, profiles)
-                else:
-                    hub = _Hub(
-                        family,
-                        survey._knobs(),
-                        numbered,
-                        self.seed,
-                        self.partitions,
-                        survey.fastpath,
-                        survey.family_timeout,
-                    )
-                    outcome = hub.run()
-                wall = time.perf_counter() - family_started
-                self.last_boundary_frames += outcome.boundary_frames
-                self.last_sync_rounds += outcome.sync_rounds
-                self.last_island_cpu_seconds.extend(outcome.island_cpu_seconds)
-                self.last_hub_cpu_seconds += outcome.hub_cpu_seconds
-                self.last_critical_path_seconds += outcome.critical_path_seconds
-                stats.note_family(
-                    family.name,
-                    wall,
-                    outcome.stats.events_processed,
-                    saved=outcome.stats.fastpath_events_saved,
-                    windows=outcome.stats.fastpath_windows,
-                )
-                stats.wall_seconds += wall
-                stats.stale_purges += outcome.stats.stale_purges
-                stats.stale_entries_purged += outcome.stats.stale_entries_purged
-                if store is not None:
-                    for tag, payload in outcome.cells.items():
-                        store.save_cell(tag, family.name, payload)
-                decoded[family.name] = {
-                    tag: family.decode(payload)
-                    for tag, payload in outcome.cells.items()
-                }
-        finally:
-            self.last_elapsed = time.perf_counter() - started
-        if store is not None:
-            results = store.load_results(
-                tags=[profile.tag for profile in self.profiles], families=selected
-            )
-        else:
-            results = SurveyResults(families=decoded)
-        results.stats = stats
-        return results
+    if partitions == 1:
+        profiles = [profile for _index, profile in numbered]
+        return _run_single(family, knobs, profiles, seed, fastpath, family_timeout)
+    return _Hub(family, knobs, numbered, seed, partitions, fastpath, family_timeout).run()

@@ -177,10 +177,11 @@ class ExperimentFamily:
     #: families (one :meth:`Subject.device` per profile).
     subjects: Optional[Callable[[Sequence["DeviceProfile"], Mapping[str, Any]], List["Subject"]]] = None
     #: ``knobs -> PartitionHooks`` — families whose topology can be cut at
-    #: boundary links and run across worker processes supply the hooks the
-    #: :class:`~repro.core.partition.PartitionRunner` drives (island
-    #: builders, lookahead, stop horizon).  ``None`` = the family only runs
-    #: single-process (the per-device shard schedule still applies).
+    #: boundary links and run across worker processes supply the hooks
+    #: :func:`~repro.core.partition.run_partitioned` drives when the
+    #: campaign sets ``partitions`` (island builders, lookahead, stop
+    #: horizon).  ``None`` = the family always runs in the per-device shard
+    #: schedule.
     partition_factory: Optional[Callable[[Mapping[str, Any]], Any]] = None
 
     @property

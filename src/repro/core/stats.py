@@ -69,6 +69,24 @@ class SimStats:
         self.fastpath_events_saved += saved
         self.fastpath_windows += windows
 
+    def note_run(self, family: str, wall: float, sim) -> None:
+        """Accumulate one family run: its wall time and its simulation's counters.
+
+        ``sim`` is the :class:`~repro.netsim.sim.Simulation` the family ran
+        on, or any object with the same five counters — a partitioned run
+        sums its islands' counters into a :class:`SimStats`.
+        """
+        self.note_family(
+            family,
+            wall,
+            sim.events_processed,
+            saved=sim.fastpath_events_saved,
+            windows=sim.fastpath_windows,
+        )
+        self.wall_seconds += wall
+        self.stale_purges += sim.stale_purges
+        self.stale_entries_purged += sim.stale_entries_purged
+
     def merge(self, other: "SimStats") -> None:
         """Fold a shard's counters into this aggregate.
 

@@ -32,7 +32,7 @@ alone in its own simulation.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import registry
 from repro.core.parallel import (
@@ -52,6 +52,9 @@ from repro.gateway.faults import FaultSpec
 from repro.netsim.impair import Impairment
 from repro.obs import MetricsRegistry, ObsConfig, ShardObserver
 from repro.testbed.testbed import Testbed
+
+if TYPE_CHECKING:  # pragma: no cover - the partition engine is imported lazily
+    from repro.core.partition import PartitionStats
 
 registry.ensure_loaded()
 
@@ -153,7 +156,8 @@ class SurveyRunner:
     One instance describes a whole measurement campaign: the device
     population, the campaign seed, per-family knobs (repetitions, cutoffs,
     transfer sizes), the chaos configuration (``impairment``/``faults``),
-    the execution schedule (``jobs``), the durable result store
+    the execution schedule (``jobs``, and ``partitions`` for families whose
+    topology can be cut across processes), the durable result store
     (``store_dir``/``resume`` — see :mod:`repro.core.store`), and what the
     flight recorder should capture (``trace_dir``/``pcap_dir``/``metrics``
     — see :mod:`repro.obs`).  :meth:`run` executes the selected families
@@ -198,6 +202,7 @@ class SurveyRunner:
         workload_ramp: str = "",
         fw_rules: str = "",
         jobs: int = 1,
+        partitions: Optional[int] = None,
         fastpath: bool = True,
         impairment: Optional[Impairment] = None,
         faults: Sequence[FaultSpec] = (),
@@ -250,6 +255,18 @@ class SurveyRunner:
         self.workload_ramp = str(workload_ramp)
         self.fw_rules = str(fw_rules)
         self.jobs = max(1, int(jobs))
+        if partitions is not None and (impairment is not None or faults):
+            from repro.core.partition import PartitionError
+
+            raise PartitionError(
+                "partitioned campaigns do not support impairment or faults: "
+                "per-link chaos is not defined across partition boundaries"
+            )
+        #: Worker processes for each partitionable family (``None``: those
+        #: families stay in the per-device shard plan; ``1``: one in-process
+        #: simulation over every device).  An engine knob like ``jobs``:
+        #: cells do not depend on it, so it stays out of the fingerprint.
+        self.partitions = None if partitions is None else max(1, int(partitions))
         #: Run the eager event-elision kernels (``--no-fastpath`` clears it).
         #: Results are engine-independent by construction, so this knob is
         #: deliberately *not* part of the campaign fingerprint: cells written
@@ -282,6 +299,9 @@ class SurveyRunner:
         self.last_elapsed: Optional[float] = None
         #: Cells skipped by the last resumed :meth:`run`.
         self.last_skipped_cells: int = 0
+        #: How the last :meth:`run`'s partitioned families executed (None
+        #: when none ran): sync rounds, boundary frames, CPU per island.
+        self.last_partition: Optional[PartitionStats] = None
 
     def _knobs(self) -> Dict[str, Any]:
         """The per-family measurement knobs, as the registry factories see them."""
@@ -445,6 +465,13 @@ class SurveyRunner:
         With ``store_dir``, cells persist as they complete and the returned
         results are decoded from the store — the exact artifact ``repro
         report --from`` renders later.
+
+        With ``partitions`` set, each selected partitionable family leaves
+        the shard plan after resume filtering and runs once, over the
+        devices still missing its cell, after the shards (see
+        :mod:`repro.core.partition`; no flight recorder is attached to it).
+        Its cells are persisted, decoded and counted like shard output; a
+        hub failure raises :class:`~repro.core.partition.PartitionError`.
         """
         selected = self._validate(tests)
         plan = self._shard_plan(selected)
@@ -453,6 +480,7 @@ class SurveyRunner:
         ensure_distinct_dirnames(subject.tag for subject, _families in plan)
         store: Optional[CampaignStore] = None
         self.last_skipped_cells = 0
+        self.last_partition = None
         if self.store_dir is not None:
             fingerprint = self.store_key or self.fingerprint()
             self.store_key = fingerprint
@@ -471,6 +499,17 @@ class SurveyRunner:
                     self.last_skipped_cells += len(families) - len(missing)
                     filtered.append((subject, missing))
                 plan = filtered
+        partitioned: List[Tuple[registry.ExperimentFamily, List[DeviceProfile]]] = []
+        if self.partitions is not None:
+            for family in registry.families():
+                if family.partitionable:
+                    profiles = [subject.profiles[0] for subject, names in plan if family.name in names]
+                    if profiles:
+                        partitioned.append((family, profiles))
+            plan = [
+                (subject, [name for name in names if not registry.family(name).partitionable])
+                for subject, names in plan
+            ]
         specs = [
             ShardSpec(
                 subject=subject,
@@ -484,6 +523,9 @@ class SurveyRunner:
         started = time.perf_counter()
         try:
             shard_outcomes = run_shards(specs, jobs=self.jobs, retries=self.shard_retries)
+            shard_outcomes += [
+                self._run_partitioned(family, profiles, store) for family, profiles in partitioned
+            ]
         finally:
             # Set even if the executor itself blows up: timing must never
             # go stale on the failure path.
@@ -514,6 +556,57 @@ class SurveyRunner:
                     metrics_registry.merge(shard.metrics)
             results.metrics = metrics_registry
         return results
+
+    def _run_partitioned(
+        self,
+        family: registry.ExperimentFamily,
+        profiles: Sequence[DeviceProfile],
+        store: Optional[CampaignStore],
+    ) -> Tuple[SurveyResults, SimStats]:
+        """Run one partitionable family once over ``profiles``, shaped like a shard's outcome."""
+        from repro.core.partition import PartitionStats, run_partitioned
+
+        numbered = [
+            (index, profile)
+            for index, profile in enumerate(self.profiles, start=1)
+            if profile in profiles
+        ]
+        started = time.perf_counter()
+        outcome = run_partitioned(
+            family,
+            self._knobs(),
+            numbered,
+            self.seed,
+            self.partitions,
+            self.fastpath,
+            self.family_timeout,
+        )
+        stats = SimStats()
+        stats.note_run(family.name, time.perf_counter() - started, outcome.counters)
+        if self.last_partition is None:
+            self.last_partition = PartitionStats(self.partitions)
+        self.last_partition.merge(outcome.run)
+        results = SurveyResults()
+        self._record(results, store, family, outcome.mapping)
+        return results, stats
+
+    @staticmethod
+    def _record(
+        results: SurveyResults,
+        store: Optional[CampaignStore],
+        family: registry.ExperimentFamily,
+        mapping: Mapping,
+    ) -> None:
+        """Keep one family's mapping and its derived families', persisting each as it lands."""
+        results.set_family(family.name, mapping)
+        if store is not None:
+            for tag, cell in family.cells_of(mapping).items():
+                store.save_cell(tag, family.name, family.encode(cell))
+        for derived in registry.derived_families(family.name):
+            derived_mapping: Dict[str, Any] = {}
+            for tag, cell in family.cells_of(mapping).items():
+                derived.insert(derived_mapping, tag, derived.derive(cell))
+            SurveyRunner._record(results, store, derived, derived_mapping)
 
     # -- shard engine (one subject, its families; used by the workers) ------
 
@@ -584,26 +677,10 @@ class SurveyRunner:
             except Exception as exc:
                 raise ShardFailure(failure_tag(), family, type(exc).__name__, str(exc)) from exc
             finally:
-                wall = time.perf_counter() - started
-                stats.note_family(
-                    family,
-                    wall,
-                    bed.sim.events_processed,
-                    saved=bed.sim.fastpath_events_saved,
-                    windows=bed.sim.fastpath_windows,
-                )
-                stats.wall_seconds += wall
-                stats.stale_purges += bed.sim.stale_purges
-                stats.stale_entries_purged += bed.sim.stale_entries_purged
+                stats.note_run(family, time.perf_counter() - started, bed.sim)
                 if observer is not None:
                     observer.finish(bed, family)
             return outcome
-
-        def persist(family: registry.ExperimentFamily, mapping: Mapping) -> None:
-            if store is None:
-                return
-            for tag, cell in family.cells_of(mapping).items():
-                store.save_cell(tag, family.name, family.encode(cell))
 
         def measure(family: registry.ExperimentFamily) -> Optional[Dict]:
             """One family's result mapping for this shard (None = not ours)."""
@@ -638,16 +715,8 @@ class SurveyRunner:
                 if not family.runnable or family.name not in selected:
                     continue
                 mapping = measure(family)
-                if mapping is None:
-                    continue
-                results.set_family(family.name, mapping)
-                persist(family, mapping)
-                for derived in registry.derived_families(family.name):
-                    derived_mapping: Dict[str, Any] = {}
-                    for tag, cell in family.cells_of(mapping).items():
-                        derived.insert(derived_mapping, tag, derived.derive(cell))
-                    results.set_family(derived.name, derived_mapping)
-                    persist(derived, derived_mapping)
+                if mapping is not None:
+                    self._record(results, store, family, mapping)
         finally:
             # Streams must land on disk even when a family dies mid-shard:
             # a partial trace of a failed run is exactly when you want one.

@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -110,3 +112,59 @@ def test_trace_summary_command(capsys, tmp_path):
 def test_trace_command_rejects_empty(tmp_path):
     with pytest.raises(SystemExit):
         main(["trace", str(tmp_path)])
+
+
+def _store_bytes(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*.json"))
+    }
+
+
+def test_partitioned_survey_resume_and_bench(capsys, tmp_path):
+    metro = ["--metro", "--partitions", "2", "--tags", "al", "ap", "as1", "--subscribers", "2"]
+    store = tmp_path / "metro"
+    code, out = run_cli(capsys, "survey", *metro, "--out", str(store))
+    assert code == 0
+    assert "metro_load: 3 device(s)" in out
+    assert "partitions: 2   sync rounds: " in out
+    clean = _store_bytes(store)
+
+    (store / "cells" / "ap" / "metro_load.json").unlink()
+    code, out = run_cli(capsys, "survey", *metro, "--out", str(store), "--resume")
+    assert code == 0
+    assert "(2 cell(s) reused)" in out
+    assert _store_bytes(store) == clean
+
+    dump = tmp_path / "bench.json"
+    code, out = run_cli(capsys, "bench", *metro[1:], "--output", str(dump))
+    assert code == 0
+    payload = json.loads(dump.read_text())
+    partition = payload["partition"]
+    assert partition["partitions"] == 2
+    assert partition["sync_rounds"] > 0 and partition["boundary_frames"] > 0
+    assert len(partition["island_cpu_seconds"]) == 2
+    assert payload["campaign"]["tests"] == ["metro_load"]
+    assert payload["campaign"]["metro_requests"] == 8
+    assert payload["stats"]["family_events"]["metro_load"] > 0
+    (row,) = json.loads((tmp_path / "BENCH_history.json").read_text())
+    assert row["partitions"] == 2 and row["jobs"] == 1
+    assert row["sync_rounds"] == partition["sync_rounds"]
+
+
+def test_bench_history_labels_rows_with_the_latest_pr(tmp_path):
+    from repro.cli import _append_bench_history
+    from repro.core import SimStats, SurveyRunner
+    from repro.devices import catalog_profiles
+
+    (tmp_path / "CHANGES.md").write_text(
+        "# Changes\n- PR 1: first\n- PR 2: second\n- PR 14: after a gap\n"
+    )
+    out_dir = tmp_path / "bench"
+    out_dir.mkdir()
+    runner = SurveyRunner(profiles=catalog_profiles(["al"]), jobs=3, partitions=2)
+    history = _append_bench_history(out_dir / "BENCH_survey.json", runner, SimStats())
+    (row,) = json.loads(history.read_text())
+    assert row["pr"] == 14
+    assert row["jobs"] == 3
+    assert row["partitions"] == 2
+    assert "sync_rounds" not in row  # no partitioned family ran

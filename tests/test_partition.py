@@ -2,7 +2,8 @@
 
 The load-bearing property: store cells from a partitioned metro campaign
 are **byte-identical** across ``--partitions 1/2/4`` and across engines
-(the per-device survey shard path writes the same bytes).  The edge-case
+(the per-device survey shard path writes the same bytes), also when the
+campaign mixes partitioned and ordinary shard families.  The edge-case
 tests pin the scenarios where a naive implementation diverges: a frame in
 flight across a boundary during a link flap, and lazy NAT expiry timers
 firing in sync epochs where no boundary traffic exists to drive rounds.
@@ -15,7 +16,7 @@ import pytest
 
 from repro.cgn.metro import MetroFlap, MetroLoadPlan
 from repro.core import registry
-from repro.core.partition import PartitionError, PartitionRunner
+from repro.core.partition import PartitionError
 from repro.core.survey import SurveyRunner
 from repro.devices import catalog_profiles
 from repro.netsim.link import BoundaryHalf
@@ -42,7 +43,7 @@ def _cells(results):
 
 
 def _run(partitions, seed=11, **knobs):
-    runner = PartitionRunner(
+    runner = SurveyRunner(
         profiles=_profiles(), seed=seed, partitions=partitions,
         cgn_subscribers=2, **knobs,
     )
@@ -118,18 +119,30 @@ class TestBoundaryHalf:
 
 
 class TestPartitionDeterminism:
-    def test_cells_byte_identical_across_partition_counts(self, tmp_path):
+    @staticmethod
+    def _trees(tmp_path, **knobs):
         trees = {}
-        for partitions in (1, 2, 4):
+        for partitions in (None, 1, 2, 4):
             store = tmp_path / f"p{partitions}"
-            runner = PartitionRunner(
+            runner = SurveyRunner(
                 profiles=_profiles(), seed=11, partitions=partitions,
-                cgn_subscribers=2, store_dir=str(store),
+                cgn_subscribers=2, store_dir=str(store), **knobs,
             )
             runner.run(["metro_load"])
             trees[partitions] = _tree(store)
-        assert trees[1] == trees[2] == trees[4]
+        return trees
+
+    def test_cells_byte_identical_across_partition_counts(self, tmp_path):
+        trees = self._trees(tmp_path)
+        assert trees[None] == trees[1] == trees[2] == trees[4]
         assert any("metro_load" in path for path in trees[1])
+
+    @pytest.mark.parametrize(
+        "knobs", [{"metro_flap": "tag=ap,at=30.06,for=0.1"}, {"metro_idle": 500.0}]
+    )
+    def test_flap_and_idle_stores_byte_identical(self, tmp_path, knobs):
+        trees = self._trees(tmp_path, **knobs)
+        assert trees[None] == trees[1] == trees[2] == trees[4]
 
     def test_frame_in_flight_during_boundary_flap(self):
         # The flap window sits inside the send schedule, so request/reply
@@ -163,7 +176,7 @@ class TestPartitionDeterminism:
 
     def test_partitioned_resume_byte_identical(self, tmp_path):
         full = tmp_path / "full"
-        runner = PartitionRunner(
+        runner = SurveyRunner(
             profiles=_profiles(), seed=11, partitions=1,
             cgn_subscribers=2, store_dir=str(full),
         )
@@ -172,7 +185,7 @@ class TestPartitionDeterminism:
         shutil.copytree(full, resumed)
         for tag in ("ap", "be1"):
             (resumed / "cells" / tag / "metro_load.json").unlink()
-        runner = PartitionRunner(
+        runner = SurveyRunner(
             profiles=_profiles(), seed=11, partitions=2,
             cgn_subscribers=2, store_dir=str(resumed), resume=True,
         )
@@ -190,7 +203,7 @@ class TestPartitionDeterminism:
             store_dir=str(survey_store),
         ).run(["metro_load"])
         partition_store = tmp_path / "partition"
-        PartitionRunner(
+        SurveyRunner(
             profiles=_profiles(), seed=11, partitions=2,
             cgn_subscribers=2, store_dir=str(partition_store),
         ).run(["metro_load"])
@@ -201,33 +214,50 @@ class TestPartitionDeterminism:
         _r, res_b = _run(2, seed=99)
         assert _cells(res_a) == _cells(res_b)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_campaign_byte_identical(self, tmp_path, jobs):
+        # udp1 cannot be partitioned: it stays in the per-device shard plan
+        # (across a process pool at jobs=2) while metro_load runs once
+        # through the hub.  The store must not tell the two engines apart.
+        stores = {}
+        for partitions in (None, 2):
+            store = tmp_path / f"p{partitions}"
+            runner = SurveyRunner(
+                profiles=_profiles(), seed=11, partitions=partitions, jobs=jobs,
+                udp_repetitions=1, cgn_subscribers=2, store_dir=str(store),
+            )
+            results = runner.run(["udp1", "metro_load"])
+            assert results.complete
+            assert set(results.families) >= {"udp1", "udp4", "metro_load"}
+            stores[partitions] = _tree(store)
+        assert stores[None] == stores[2]
+        assert any(path.endswith("/udp1.json") for path in stores[2])
+        assert runner.last_partition.partitions == 2
+        assert runner.last_partition.sync_rounds > 0
+        assert runner.last_partition.boundary_frames > 0
 
-class TestPartitionRunnerValidation:
-    def test_rejects_non_partitionable_family(self):
-        runner = PartitionRunner(profiles=_profiles(), partitions=2)
-        with pytest.raises(PartitionError, match="not partitionable"):
-            runner.run(["udp1"])
+    def test_partitions_stay_out_of_the_fingerprint(self):
+        fingerprints = {
+            SurveyRunner(profiles=_profiles(), partitions=partitions).fingerprint()
+            for partitions in (None, 1, 2, 4)
+        }
+        assert len(fingerprints) == 1
 
+
+class TestPartitionedValidation:
     def test_rejects_unknown_family(self):
-        runner = PartitionRunner(profiles=_profiles(), partitions=2)
-        with pytest.raises(PartitionError, match="unknown experiment family"):
+        runner = SurveyRunner(profiles=_profiles(), partitions=2)
+        with pytest.raises(ValueError, match="unknown experiment families"):
             runner.run(["udp9"])
 
     def test_rejects_chaos(self):
         from repro.netsim.impair import Impairment
 
         with pytest.raises(PartitionError, match="impairment or faults"):
-            PartitionRunner(
+            SurveyRunner(
                 profiles=_profiles(), partitions=2,
                 impairment=Impairment.parse("loss=0.01"),
             )
-
-    def test_defaults_to_partitionable_menu(self):
-        runner = PartitionRunner(
-            profiles=_profiles(), partitions=1, cgn_subscribers=2,
-        )
-        results = runner.run()
-        assert set(results.families) == {"metro_load"}
 
 
 class TestMetroKnobs:
