@@ -47,9 +47,7 @@ from repro.packets.ipv4 import (
 from repro.packets.tcp import TcpSegment
 from repro.packets.udp import UdpDatagram
 from repro.protocols.dhcp import DhcpClientService, DhcpServerService
-from repro.protocols.stack import LIMITED_BROADCAST, Host
-
-_UNSPECIFIED = IPv4Address("0.0.0.0")
+from repro.protocols.stack import Host
 
 WAN_IFACE = 0
 LAN_IFACE = 1
@@ -261,8 +259,9 @@ class HomeGateway(Host):
                 proto=packet.protocol,
                 size=packet.wire_size(),
             )
-        if packet.src != _UNSPECIFIED:
-            self.neighbors[(iface.index, packet.src._ip)] = frame.src
+        src = packet.src._ip
+        if src != 0:  # 0.0.0.0
+            self.neighbors[(iface.index, src)] = frame.src
         if iface.index == LAN_IFACE:
             self._from_lan(packet, iface)
         else:
@@ -271,17 +270,18 @@ class HomeGateway(Host):
     # -- LAN -> WAN ---------------------------------------------------------------------
 
     def _from_lan(self, packet: IPv4Packet, iface: Interface) -> None:
-        dst = packet.dst
-        if dst == self.lan_ip or dst == LIMITED_BROADCAST or (
-            iface.network is not None and dst == iface.network.broadcast_address
-        ):
+        # Address checks compare ints; ``iface`` is the LAN port, which
+        # __init__ configured with lan_ip and lan_network.
+        dst = packet.dst._ip
+        if dst == iface.ip_int or dst == 0xFFFFFFFF or dst == iface.broadcast_int:
             self.deliver_local(packet, iface)
             return
-        if dst in self.lan_network:
+        if dst & iface.mask_int == iface.net_int:
             return  # LAN-to-LAN traffic is the switch's business, not ours
-        if self.wan_ip is None:
+        wan = self.interfaces[WAN_IFACE]
+        if wan.ip is None:
             return  # WAN not up yet
-        if self.profile.nat.hairpinning and dst == self.wan_ip:
+        if self.profile.nat.hairpinning and dst == wan.ip_int:
             self._hairpin(packet)
             return
         outbound = clone_packet(packet)
@@ -349,7 +349,7 @@ class HomeGateway(Host):
             # must not relabel this packet's refusal cause.
             self._trace_drop(self.nat.refusal_cause(proto) or "no_binding")
             return
-        rewrite_source(packet, self.wan_ip, binding.ext_port)
+        rewrite_source(packet, self.interfaces[WAN_IFACE].ip, binding.ext_port)
         self.nat.note_outbound(binding)
         if proto == "tcp":
             self.nat.note_tcp_flags(binding, fin=transport.fin, rst=transport.rst, outbound=True)
@@ -411,12 +411,12 @@ class HomeGateway(Host):
     # -- WAN -> LAN --------------------------------------------------------------------------
 
     def _from_wan(self, packet: IPv4Packet, iface: Interface) -> None:
-        dst = packet.dst
-        if dst == LIMITED_BROADCAST:
+        dst = packet.dst._ip
+        if dst == 0xFFFFFFFF:  # limited broadcast
             self.deliver_local(packet, iface)
             return
-        if self.wan_ip is None or dst != self.wan_ip:
-            if iface.ip is None and dst != _UNSPECIFIED:
+        if dst != self.interfaces[WAN_IFACE].ip_int:  # also while the WAN is down
+            if iface.ip is None and dst != 0:
                 # DHCP unicast during WAN configuration.
                 self.deliver_local(packet, iface)
             elif self._generic_inbound(packet):
@@ -512,9 +512,9 @@ class HomeGateway(Host):
         bus = self.sim.bus
         if bus is not None:
             bus.emit("pkt.tx", dev=self.profile.tag, dir=UPSTREAM, proto=packet.protocol, size=packet.wire_size())
-        iface = self.wan_iface
+        iface = self.interfaces[WAN_IFACE]
         next_hop = packet.dst
-        if iface.network is None or packet.dst not in iface.network:
+        if next_hop._ip & iface.mask_int != iface.net_int:  # off-link
             next_hop = iface.gateway_ip or packet.dst
         mac = self.neighbors.get((WAN_IFACE, next_hop._ip), BROADCAST_MAC)
         iface.transmit(EthernetFrame(mac, iface.mac, packet, ETHERTYPE_IPV4))
@@ -524,6 +524,6 @@ class HomeGateway(Host):
         bus = self.sim.bus
         if bus is not None:
             bus.emit("pkt.tx", dev=self.profile.tag, dir=DOWNSTREAM, proto=packet.protocol, size=packet.wire_size())
-        iface = self.lan_iface
+        iface = self.interfaces[LAN_IFACE]
         mac = self.neighbors.get((LAN_IFACE, packet.dst._ip), BROADCAST_MAC)
         iface.transmit(EthernetFrame(mac, iface.mac, packet, ETHERTYPE_IPV4))

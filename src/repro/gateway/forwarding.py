@@ -210,7 +210,8 @@ class ForwardingEngine:
         t = base + bucket.delay_until_available(base, size_bytes)
         while not bucket.can_consume(t, size_bytes):
             t = t + bucket.delay_until_available(t, size_bytes)
-        bucket.try_consume(t, size_bytes)
+        # The can_consume that ended the loop refilled the bucket at ``t``.
+        bucket.consume_unchecked(size_bytes)
         self._frontier[lane] = t
         if t > now:
             ledger.append((t, size_bytes))

@@ -123,7 +123,11 @@ class NatEngine:
         self._by_mapping: Dict[tuple, Binding] = {}
         # Inbound lookup: (proto, ext_port) -> binding.
         self._by_external: Dict[Tuple[str, int], Binding] = {}
-        # Hold-down history for expired bindings: 5-tuple -> (port, when).
+        # Live bindings per protocol, kept with ``_by_mapping`` so the
+        # table-cap check before each new binding is O(1), not a scan.
+        self._live: Dict[str, int] = {"udp": 0, "tcp": 0}
+        # Hold-down history for expired bindings: 5-tuple (with int(ip)s, like
+        # the mapping keys) -> (port, when).
         self._expired: Dict[tuple, Tuple[int, float]] = {}
         self._used_ports: Dict[str, Set[int]] = {"udp": set(), "tcp": set()}
         self._next_port: Dict[str, int] = {
@@ -179,7 +183,7 @@ class NatEngine:
     def binding_count(self, proto: Optional[str] = None) -> int:
         if proto is None:
             return len(self._by_mapping)
-        return sum(1 for binding in self._by_mapping.values() if binding.proto == proto)
+        return self._live.get(proto, 0)
 
     @property
     def bindings_port_exhausted(self) -> int:
@@ -252,8 +256,7 @@ class NatEngine:
             # deliberately doesn't — a CGN never preserves client ports).
             return self.allocator.allocate(proto, int_ip, int_port, remote)
         nat = self.profile.nat
-        flow = (proto, int_ip, int_port, remote[0], remote[1])
-        history = self._expired.get(flow)
+        history = self._expired.get((proto, int_ip._ip, int_port, remote[0]._ip, remote[1]))
         in_holddown = history is not None and (self.sim.now - history[1]) <= nat.reuse_holddown
         if in_holddown:
             old_port, _when = history
@@ -295,7 +298,7 @@ class NatEngine:
             binding.remotes_seen.add((remote[0]._ip, remote[1]))
             return binding
         bus = self.sim.bus
-        if self.binding_count(proto) >= self._max_bindings(proto):
+        if self._live[proto] >= self._max_bindings(proto):
             self.bindings_refused += 1
             self._refuse(proto, "table_full", bus)
             return None
@@ -320,6 +323,7 @@ class NatEngine:
         self._binding_gen += 1
         binding.gen = self._binding_gen
         self._by_mapping[key] = binding
+        self._live[proto] += 1
         self._by_external[(proto, ext_port)] = binding
         self._used_ports[proto].add(ext_port)
         binding.timer = self.sim.timer(self._expire, key, binding.gen)
@@ -382,13 +386,14 @@ class NatEngine:
         binding = self._by_mapping.pop(key, None)
         if binding is None:
             return
+        self._live[binding.proto] -= 1
         self._by_external.pop((binding.proto, binding.ext_port), None)
         self._used_ports[binding.proto].discard(binding.ext_port)
         if self.allocator is not None:
             self.allocator.release(binding.proto, binding.ext_port)
         if binding.timer is not None:
             binding.timer.cancel()
-        flow = (binding.proto, binding.int_ip, binding.int_port, binding.remote[0], binding.remote[1])
+        flow = (binding.proto, binding.int_ip._ip, binding.int_port, binding.remote[0]._ip, binding.remote[1])
         self._expired[flow] = (binding.ext_port, self.sim.now)
 
     def flush(self) -> None:
@@ -406,6 +411,7 @@ class NatEngine:
         if bus is not None and self._by_mapping:
             bus.emit("nat.flush", dev=self.profile.tag, count=len(self._by_mapping))
         self._by_mapping.clear()
+        self._live["udp"] = self._live["tcp"] = 0
         self._by_external.clear()
         self._used_ports["udp"].clear()
         self._used_ports["tcp"].clear()

@@ -13,6 +13,7 @@ provides.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
 from typing import Any, List, Optional, TYPE_CHECKING
 
@@ -23,8 +24,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.sim import Simulation
 
 
+@dataclass(frozen=True)
+class Route:
+    """One routing-table entry."""
+
+    network: IPv4Network
+    iface_index: int
+    gateway: Optional[IPv4Address] = None
+    # ``network`` as ints, for the per-packet longest-prefix match.
+    net: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
+    prefixlen: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "net", int(self.network.network_address))
+        object.__setattr__(self, "mask", int(self.network.netmask))
+        object.__setattr__(self, "prefixlen", self.network.prefixlen)
+
+
 class Interface:
-    """One Ethernet port of a :class:`Node`."""
+    """One Ethernet port of a :class:`Node`.
+
+    :meth:`configure` also derives what the data path compares: the
+    address, network, mask and broadcast as ints (``ip_int``, ``net_int``,
+    ``mask_int``, ``broadcast_int``) and the connected :class:`Route`.
+    Unconfigured, the ints read ``-1``, which no address equals, and
+    ``mask_int`` reads 0, so ``address & mask_int == net_int`` is the whole
+    on-link test.
+    """
 
     def __init__(self, node: "Node", index: int, mac: MacAddress):
         self.node = node
@@ -39,6 +66,11 @@ class Interface:
         self.ip: Optional[IPv4Address] = None
         self.network: Optional[IPv4Network] = None
         self.gateway_ip: Optional[IPv4Address] = None
+        self.ip_int = -1
+        self.net_int = -1
+        self.mask_int = 0
+        self.broadcast_int = -1
+        self.route: Optional[Route] = None
         self.frames_sent = 0
         self.frames_received = 0
 
@@ -62,11 +94,19 @@ class Interface:
         self.ip = ip
         self.network = network
         self.gateway_ip = gateway_ip
+        self.route = Route(network, self.index)
+        self.ip_int = int(ip)
+        self.net_int = self.route.net
+        self.mask_int = self.route.mask
+        self.broadcast_int = int(network.broadcast_address)
 
     def deconfigure(self) -> None:
         self.ip = None
         self.network = None
         self.gateway_ip = None
+        self.route = None
+        self.ip_int = self.net_int = self.broadcast_int = -1
+        self.mask_int = 0
 
     def transmit(self, frame: Any) -> None:
         """Hand a frame to the attached link for transmission."""

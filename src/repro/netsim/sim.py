@@ -298,13 +298,23 @@ class Simulation:
         guards against runaway models.
         """
         processed = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
+        # The event dispatch below is :meth:`step` inlined (same semantics,
+        # watchdog included), as in ``run_tasks``: one Python call per event
+        # is measurable across a campaign's millions of events.
+        heap = self._heap
+        while heap:
+            when = heap[0][0]
+            if until is not None and when > until:
                 self.now = max(self.now, until)
                 return
             if max_events is not None and processed >= max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
-            self.step()
+            if self.watchdog_limit is not None and when > self.watchdog_limit:
+                self.step()  # raises WatchdogExpired with the canonical message
+            when, _seq, callback, args = heappop(heap)
+            self.now = when
+            self.events_processed += 1
+            callback(*args)
             processed += 1
         if until is not None:
             self.now = max(self.now, until)

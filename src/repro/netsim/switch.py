@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.netsim.addresses import MacAddress
 from repro.netsim.node import Interface, Node
 from repro.netsim.sim import Simulation
 
@@ -29,8 +28,9 @@ class VlanSwitch(Node):
         super().__init__(sim, name)
         self._mac_pool = mac_pool
         self._port_vlan: Dict[int, int] = {}
-        # (vlan, mac) -> port index
-        self._mac_table: Dict[Tuple[int, MacAddress], int] = {}
+        # (vlan, int(mac)) -> port index.  Int keys: MacAddress.__hash__ is a
+        # Python-level call, and this table is probed twice per frame.
+        self._mac_table: Dict[Tuple[int, int], int] = {}
         self.frames_switched = 0
         self.frames_flooded = 0
 
@@ -47,9 +47,9 @@ class VlanSwitch(Node):
 
     def receive_frame(self, iface: Interface, frame: Any) -> None:
         vlan = self._port_vlan[iface.index]
-        self._mac_table[(vlan, frame.src)] = iface.index
-        dst = frame.dst
-        if dst._value == 0xFFFFFFFFFFFF or (dst._value >> 40) & 1:  # broadcast/multicast
+        self._mac_table[(vlan, frame.src._value)] = iface.index
+        dst = frame.dst._value
+        if dst == 0xFFFFFFFFFFFF or (dst >> 40) & 1:  # broadcast/multicast
             self._flood(vlan, iface.index, frame)
             return
         out_port = self._mac_table.get((vlan, dst))

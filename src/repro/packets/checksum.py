@@ -112,15 +112,19 @@ def incremental_update_words(checksum: int, old: int, new: int, nwords: int) -> 
     when complemented).  Same arithmetic as :func:`incremental_update`, the
     word sum being order-independent, without materializing any bytes; the
     NAT data path calls this per rewritten packet.
+
+    Closed form of the per-word sum: ``mask - old`` is the packed
+    complement of ``old``'s words and ``2**16 ≡ 1 (mod 0xFFFF)``, so the
+    one's-complement fold of ``~HC + Σ~m + Σm'`` is the fold of
+    ``t = ~HC + (mask - old) + new``.  The fold of a positive ``t`` is
+    ``(t - 1) % 0xFFFF + 1``, and ``t`` is zero exactly when the word sum
+    is.  ``tests/test_checksums.py`` keeps the per-word loop as the oracle.
     """
-    total = (~checksum) & 0xFFFF
-    for _ in range(nwords):
-        total += ((~old) & 0xFFFF) + (new & 0xFFFF)
-        old >>= 16
-        new >>= 16
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    mask = (1 << (nwords << 4)) - 1
+    total = ((~checksum) & 0xFFFF) + (mask - (old & mask)) + (new & mask)
+    if total == 0:
+        return 0xFFFF
+    return ~((total - 1) % 0xFFFF + 1) & 0xFFFF
 
 
 def pseudo_header(src: IPv4Address, dst: IPv4Address, protocol: int, length: int) -> bytes:

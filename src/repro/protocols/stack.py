@@ -13,12 +13,11 @@ irrelevant to every measurement in the study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.addresses import BROADCAST_MAC, MacAddress
-from repro.netsim.node import Interface, Node
+from repro.netsim.node import Interface, Node, Route
 from repro.netsim.sim import Simulation
 from repro.packets.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.packets.ipv4 import (
@@ -32,18 +31,6 @@ from repro.packets.ipv4 import (
 
 LIMITED_BROADCAST = IPv4Address("255.255.255.255")
 UNSPECIFIED = IPv4Address("0.0.0.0")
-
-
-@dataclass(frozen=True)
-class Route:
-    """One routing-table entry."""
-
-    network: IPv4Network
-    iface_index: int
-    gateway: Optional[IPv4Address] = None
-
-    def matches(self, dst: IPv4Address) -> bool:
-        return dst in self.network
 
 
 class Host(Node):
@@ -118,17 +105,18 @@ class Host(Node):
 
     def lookup_route(self, dst: IPv4Address) -> Optional[Route]:
         """Longest-prefix match, including connected networks."""
+        address = dst._ip
         best: Optional[Route] = None
         best_len = -1
         for iface in self.interfaces:
-            if iface.network is not None and dst in iface.network:
-                if iface.network.prefixlen > best_len:
-                    best = Route(iface.network, iface.index, None)
-                    best_len = iface.network.prefixlen
-        for route in self.routes:
-            if route.matches(dst) and route.network.prefixlen > best_len:
+            route = iface.route
+            if route is not None and address & route.mask == route.net and route.prefixlen > best_len:
                 best = route
-                best_len = route.network.prefixlen
+                best_len = route.prefixlen
+        for route in self.routes:
+            if address & route.mask == route.net and route.prefixlen > best_len:
+                best = route
+                best_len = route.prefixlen
         return best
 
     def source_ip_for(self, dst: IPv4Address) -> Optional[IPv4Address]:
@@ -147,7 +135,7 @@ class Host(Node):
 
     def send_ip(self, packet: IPv4Packet) -> bool:
         """Route and transmit ``packet``; returns False when unroutable."""
-        if packet.dst == LIMITED_BROADCAST:
+        if packet.dst._ip == 0xFFFFFFFF:  # LIMITED_BROADCAST
             raise ValueError("use send_ip_on_iface for limited broadcasts")
         route = self.lookup_route(packet.dst)
         if route is None:
@@ -166,8 +154,8 @@ class Host(Node):
             return self.send_ip(packet)
         iface = self.interfaces[iface_index]
         next_hop = packet.dst
-        if iface.gateway_ip is not None and (iface.network is None or packet.dst not in iface.network):
-            next_hop = iface.gateway_ip
+        if iface.gateway_ip is not None and next_hop._ip & iface.mask_int != iface.net_int:
+            next_hop = iface.gateway_ip  # off-link (always, while unconfigured)
         return self.send_ip_on_iface(packet, iface_index, next_hop=next_hop)
 
     def send_ip_on_iface(
@@ -184,7 +172,7 @@ class Host(Node):
         if packet.header_checksum is None:
             packet.fill_checksums()
         if dst_mac is None:
-            if next_hop is None or packet.dst == LIMITED_BROADCAST:
+            if next_hop is None or packet.dst._ip == 0xFFFFFFFF:  # LIMITED_BROADCAST
                 dst_mac = BROADCAST_MAC
             else:
                 dst_mac = self.neighbors.get((iface_index, next_hop._ip), BROADCAST_MAC)
@@ -205,9 +193,10 @@ class Host(Node):
         if not isinstance(packet, IPv4Packet):
             return
         # Learn the sender's L2 address for future unicasts.
-        if packet.src != UNSPECIFIED:
-            self.neighbors[(iface.index, packet.src._ip)] = frame.src
-        if not self._addressed_to_us(packet.dst, iface):
+        src = packet.src._ip
+        if src != 0:  # UNSPECIFIED
+            self.neighbors[(iface.index, src)] = frame.src
+        if not self._addressed_to_us(packet.dst._ip, iface):
             if self.ip_forwarding:
                 self._forward(packet, iface)
             return
@@ -263,18 +252,17 @@ class Host(Node):
             return
         handler(packet, iface)
 
-    def _addressed_to_us(self, dst: IPv4Address, iface: Interface) -> bool:
-        if dst == LIMITED_BROADCAST:
-            return True
-        if iface.network is not None and dst == iface.network.broadcast_address:
+    def _addressed_to_us(self, dst: int, iface: Interface) -> bool:
+        """Is the int address ``dst`` ours, as seen on ``iface``?"""
+        if dst == 0xFFFFFFFF or dst == iface.broadcast_int:  # limited/directed broadcast
             return True
         # Weak host model (Linux default): any local address on any
         # interface is "us" — the multi-VLAN test server depends on it.
         for own in self.interfaces:
-            if own.ip is not None and dst == own.ip:
+            if dst == own.ip_int:
                 return True
         # DHCP clients accept unicasts to their about-to-be address.
-        return iface.ip is None and dst != UNSPECIFIED and self.udp.accepts_unconfigured(iface)
+        return iface.ip is None and dst != 0 and self.udp.accepts_unconfigured(iface)
 
     # -- convenience ------------------------------------------------------------
 

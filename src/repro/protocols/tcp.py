@@ -269,8 +269,9 @@ class TcpConnection:
         return self.state == ESTABLISHED
 
     @property
-    def key(self) -> Tuple[IPv4Address, int, IPv4Address, int]:
-        return (self.local_ip, self.local_port, self.remote_ip, self.remote_port)
+    def key(self) -> Tuple[int, int, int, int]:
+        """This connection's :attr:`TcpManager.connections` key."""
+        return (self.local_ip._ip, self.local_port, self.remote_ip._ip, self.remote_port)
 
     def open_active(self) -> None:
         """Send the SYN (called by :meth:`TcpManager.connect`)."""
@@ -887,7 +888,10 @@ class TcpManager:
 
     def __init__(self, host: "Host"):
         self.host = host
-        self.connections: Dict[Tuple[IPv4Address, int, IPv4Address, int], TcpConnection] = {}
+        #: (local ip, local port, remote ip, remote port) -> connection, with
+        #: int(ip)s: the stdlib IPv4Address hash builds a hex string per
+        #: call, and this table is probed once per segment.
+        self.connections: Dict[Tuple[int, int, int, int], TcpConnection] = {}
         self.listeners: Dict[int, TcpListener] = {}
         self._ports = EphemeralPortAllocator()
         self.rsts_sent = 0
@@ -925,11 +929,11 @@ class TcpManager:
             raise OSError(f"no route to {dst_ip} from {self.host.name}")
         if src_port == 0:
             src_port = self._ports.allocate(
-                lambda p: (src_ip, p, dst_ip, dst_port) not in self.connections
+                lambda p: (src_ip._ip, p, dst_ip._ip, dst_port) not in self.connections
             )
-        key = (src_ip, src_port, dst_ip, dst_port)
+        key = (src_ip._ip, src_port, dst_ip._ip, dst_port)
         if key in self.connections:
-            raise OSError(f"connection {key} already exists")
+            raise OSError(f"connection {(src_ip, src_port, dst_ip, dst_port)} already exists")
         conn = TcpConnection(self, src_ip, src_port, dst_ip, dst_port, iface_index)
         if mss is not None:
             conn.mss = mss
@@ -944,7 +948,7 @@ class TcpManager:
 
     def owns_flow(self, local_ip: IPv4Address, local_port: int, remote_ip: IPv4Address, remote_port: int) -> bool:
         """Does a connection or listener claim this inbound segment?"""
-        if (local_ip, local_port, remote_ip, remote_port) in self.connections:
+        if (local_ip._ip, local_port, remote_ip._ip, remote_port) in self.connections:
             return True
         return local_port in self.listeners
 
@@ -959,7 +963,7 @@ class TcpManager:
                 if not segment.checksum_ok(packet.src, packet.dst):
                     self.host.checksum_drops += 1
                     return
-        key = (packet.dst, segment.dst_port, packet.src, segment.src_port)
+        key = (packet.dst._ip, segment.dst_port, packet.src._ip, segment.src_port)
         conn = self.connections.get(key)
         if conn is not None:
             conn.segment_arrives(packet, segment)
@@ -1000,7 +1004,7 @@ class TcpManager:
         segment = embedded.payload
         if not isinstance(segment, TcpSegment):
             return
-        key = (embedded.src, segment.src_port, embedded.dst, segment.dst_port)
+        key = (embedded.src._ip, segment.src_port, embedded.dst._ip, segment.dst_port)
         conn = self.connections.get(key)
         if conn is None:
             return

@@ -140,8 +140,16 @@ class UdpManager:
         return False
 
     def _match(self, port: int, iface: Interface) -> Optional[UdpSocket]:
+        sockets = self._sockets.get(port)
+        if sockets is None:
+            return None
+        if len(sockets) == 1:  # the common case: one socket owns the port
+            socket = sockets[0]
+            if socket.iface_index is None or socket.iface_index == iface.index:
+                return socket
+            return None
         best = None
-        for socket in self._sockets.get(port, []):
+        for socket in sockets:
             if socket.iface_index is None:
                 best = best or socket
             elif socket.iface_index == iface.index:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.packets.checksum import (
     crc32c,
     incremental_update,
+    incremental_update_words,
     internet_checksum,
     internet_checksum_reference,
     pseudo_header,
@@ -136,6 +137,51 @@ def test_incremental_update_rejects_misaligned_material():
         incremental_update(0, b"\x01", b"\x02")
     with pytest.raises(ValueError):
         incremental_update(0, b"\x01\x02", b"\x03")
+
+
+def incremental_update_words_loop(checksum: int, old: int, new: int, nwords: int) -> int:
+    """RFC 1624 eqn. 3 one word at a time, then an end-around-carry fold:
+    the oracle for the closed form in :func:`incremental_update_words`."""
+    total = (~checksum) & 0xFFFF
+    for _ in range(nwords):
+        total += ((~old) & 0xFFFF) + (new & 0xFFFF)
+        old >>= 16
+        new >>= 16
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+# Wider than four words: bits above ``nwords`` words must be ignored.
+packed_words = st.one_of(
+    st.integers(min_value=0, max_value=2**80 - 1),
+    st.sampled_from([0, 0xFFFF, 0xFFFF_FFFF, 2**64 - 1, 2**80 - 1, 0x1_0000, 0xFFFF_0000]),
+)
+
+
+@given(
+    checksum=st.integers(min_value=0, max_value=0xFFFF),
+    old=packed_words,
+    new=packed_words,
+    nwords=st.integers(min_value=1, max_value=4),
+)
+def test_incremental_update_words_matches_per_word_loop(checksum, old, new, nwords):
+    assert incremental_update_words(checksum, old, new, nwords) == incremental_update_words_loop(
+        checksum, old, new, nwords
+    )
+
+
+@pytest.mark.parametrize("nwords", [1, 2, 3, 4])
+@pytest.mark.parametrize("excess", [0, 0xABCD])
+def test_incremental_update_words_zero_sum_corner(nwords, excess):
+    """Checksum 0xFFFF, every old word 0xFFFF and every new word 0: the word
+    sum is exactly zero, the one case the ``(t - 1) % 0xFFFF + 1`` fold
+    cannot cover, and it must still give the loop's 0xFFFF."""
+    mask = (1 << 16 * nwords) - 1
+    old = (excess << 16 * nwords) | mask
+    new = excess << 16 * nwords
+    assert incremental_update_words_loop(0xFFFF, old, new, nwords) == 0xFFFF
+    assert incremental_update_words(0xFFFF, old, new, nwords) == 0xFFFF
 
 
 def test_udp_zero_checksum_not_updated_by_nat():

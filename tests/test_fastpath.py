@@ -96,13 +96,14 @@ def test_jobs_sharding_preserves_fastpath_determinism(tmp_path):
     assert serial == parallel
 
 
-def test_cgn_families_cells_identical_across_engines(tmp_path):
+@pytest.mark.parametrize("family", ["cgn_timeouts", "cgn_exhaustion"])
+def test_cgn_families_cells_identical_across_engines(tmp_path, family):
     fast, _ = _run_store(
-        tmp_path, "fast", fastpath=True, families=["cgn_timeouts"], tags=("dl1", "bu1"),
+        tmp_path, "fast", fastpath=True, families=[family], tags=("dl1", "bu1"),
         cgn_subscribers=4,
     )
     slow, _ = _run_store(
-        tmp_path, "slow", fastpath=False, families=["cgn_timeouts"], tags=("dl1", "bu1"),
+        tmp_path, "slow", fastpath=False, families=[family], tags=("dl1", "bu1"),
         cgn_subscribers=4,
     )
     assert fast == slow

@@ -1,9 +1,11 @@
 """The NAT engine: bindings, timers, port policy, filtering."""
 
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cgn import CgnNode, CgnPolicy
 from repro.devices.profile import (
     FilteringBehavior,
     MappingBehavior,
@@ -12,6 +14,7 @@ from repro.devices.profile import (
     TcpTimeoutPolicy,
     UdpTimeoutPolicy,
 )
+from repro.gateway.device import HomeGateway
 from repro.gateway.nat import (
     STATE_AFTER_INBOUND,
     STATE_BIDIRECTIONAL,
@@ -19,7 +22,7 @@ from repro.gateway.nat import (
     NatEngine,
     PortExhaustedError,
 )
-from repro.netsim import Simulation
+from repro.netsim import Simulation, mac_allocator
 from tests.conftest import make_profile
 
 CLIENT = IPv4Address("192.168.1.100")
@@ -501,3 +504,68 @@ class TestOneFullWrapProperty:
         nat._used_ports["udp"].update(self.POOL)
         with pytest.raises(PortExhaustedError, match=r"\[65533, 65535\]"):
             nat._allocate_sequential("udp")
+
+
+class TestOccupancyCounts:
+    """``binding_count(proto)`` is a live count kept next to the binding
+    table.  After any sequence of binds, expiries, RST teardowns,
+    ``remove_binding`` calls and flushes it must equal a recount of the
+    table, on a home gateway (whose tight caps refuse with ``table_full``)
+    and on a CGN, whose block allocator owns port selection and refuses
+    with ``port_exhausted``."""
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("bind"), st.sampled_from(["udp", "tcp"]), st.integers(0, 3), st.integers(0, 5)),
+            st.tuples(st.just("advance"), st.sampled_from([1.0, 20.0, 45.0, 90.0])),
+            st.tuples(st.just("rst"), st.integers(0, 63)),
+            st.tuples(st.just("remove"), st.integers(0, 63)),
+            st.tuples(st.just("flush")),
+        ),
+        max_size=60,
+    )
+
+    @staticmethod
+    def _gateway(kind, sim):
+        if kind == "home":
+            profile = make_profile(
+                nat=NatPolicy(max_udp_bindings=6, max_tcp_bindings=4),
+                udp_timeouts=UdpTimeoutPolicy(30.0, 60.0, 60.0),
+                tcp_timeouts=TcpTimeoutPolicy(established=120.0, transitory=40.0),
+            )
+            return HomeGateway(sim, profile, mac_allocator())
+        policy = CgnPolicy(
+            block_size=2, blocks_per_subscriber=2, pool_ports=12,
+            udp_timeout=40.0, tcp_transitory_timeout=50.0,
+        )
+        return CgnNode(sim, policy, mac_allocator(), IPv4Network("100.64.0.0/24"))
+
+    @pytest.mark.parametrize("kind", ["home", "cgn"])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=OPS)
+    def test_count_equals_a_recount_of_the_table(self, kind, ops):
+        sim = Simulation(seed=3)
+        nat = self._gateway(kind, sim).nat
+        clients = [IPv4Address(f"192.168.1.{10 + i}") for i in range(4)]
+        seen = []
+        for op in ops:
+            if op[0] == "bind":
+                _, proto, client, flow = op
+                binding = nat.lookup_or_create(proto, clients[client], 4000 + flow, (SERVER, 7000 + flow))
+                if binding is not None:
+                    nat.note_outbound(binding)  # arms the expiry timer, as the gateway does
+                    seen.append(binding)
+            elif op[0] == "advance":
+                sim.run(until=sim.now + op[1])
+            elif op[0] == "rst" and seen:
+                binding = seen[op[1] % len(seen)]
+                if binding.proto == "tcp":
+                    nat.note_tcp_flags(binding, fin=False, rst=True, outbound=False)
+            elif op[0] == "remove" and seen:
+                nat.remove_binding(seen[op[1] % len(seen)])
+            elif op[0] == "flush":
+                nat.flush()
+            for proto in ("udp", "tcp"):
+                recount = sum(1 for binding in nat._by_mapping.values() if binding.proto == proto)
+                assert nat.binding_count(proto) == recount
+            assert nat.binding_count() == len(nat._by_mapping)

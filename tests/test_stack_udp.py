@@ -3,6 +3,7 @@
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Link, Simulation, mac_allocator
 from repro.packets import IPv4Packet, PROTO_UDP, UdpDatagram
@@ -50,6 +51,89 @@ class TestRouting:
         a, b = host_pair
         assert a.source_ip_for(IPv4Address("10.0.0.2")) == IPv4Address("10.0.0.1")
         assert a.source_ip_for(IPv4Address("8.8.8.8")) is None
+
+
+addresses = st.integers(min_value=0, max_value=2**32 - 1).map(IPv4Address)
+
+
+def _network_around(address: IPv4Address, prefixlen: int) -> IPv4Network:
+    return IPv4Network((int(address), prefixlen), strict=False)
+
+
+def _reference_lookup(host, dst):
+    """``lookup_route`` over IPv4Network objects, as it was written before
+    the data path compared ints: the oracle for the int version."""
+    best, best_len = None, -1
+    for iface in host.interfaces:
+        if iface.network is not None and dst in iface.network and iface.network.prefixlen > best_len:
+            best, best_len = Route(iface.network, iface.index, None), iface.network.prefixlen
+    for route in host.routes:
+        if dst in route.network and route.network.prefixlen > best_len:
+            best, best_len = route, route.network.prefixlen
+    return best
+
+
+class TestIntAddressing:
+    """The ints ``Interface.configure`` derives agree with the
+    ``IPv4Address``/``IPv4Network`` semantics they replace on the data
+    path, and the int longest-prefix match agrees with its reference."""
+
+    @staticmethod
+    def _assert_agrees(iface, probe):
+        value = int(probe)
+        network = iface.network
+        assert (value & iface.mask_int == iface.net_int) == (network is not None and probe in network)
+        assert (value == iface.broadcast_int) == (network is not None and probe == network.broadcast_address)
+        assert (value == iface.ip_int) == (iface.ip is not None and probe == iface.ip)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ip=addresses, prefixlen=st.integers(0, 32),
+        new_ip=addresses, new_prefixlen=st.integers(0, 32),
+        probe=addresses,
+    )
+    def test_interface_ints_agree_across_configure_deconfigure_and_re_lease(
+        self, ip, prefixlen, new_ip, new_prefixlen, probe
+    ):
+        host = Host(Simulation(), "h", mac_allocator())
+        iface = host.new_interface()
+        network = _network_around(ip, prefixlen)
+        new_network = _network_around(new_ip, new_prefixlen)
+        probes = [probe, ip, new_ip, network.network_address, network.broadcast_address,
+                  new_network.broadcast_address, IPv4Address("0.0.0.0"), IPv4Address("255.255.255.255")]
+        for step in ("unconfigured", "configured", "deconfigured", "re-leased"):
+            if step == "configured":
+                iface.configure(ip, network)
+            elif step == "deconfigured":
+                iface.deconfigure()
+                assert iface.route is None
+            elif step == "re-leased":
+                iface.configure(ip, network)
+                iface.configure(new_ip, new_network, gateway_ip=new_ip)
+                assert iface.route == Route(new_network, iface.index, None)
+            for address in probes:
+                self._assert_agrees(iface, address)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lan=addresses, wan=addresses, host_route=addresses,
+        near=st.integers(0, 255), dst=addresses,
+        default=st.booleans(),
+    )
+    def test_lookup_route_matches_the_network_reference(self, lan, wan, host_route, near, dst, default):
+        host = Host(Simulation(), "h", mac_allocator())
+        host.new_interface().configure(lan, _network_around(lan, 24))
+        host.new_interface().configure(wan, _network_around(wan, 24))
+        host.new_interface()  # never configured
+        host.add_route(IPv4Network((int(host_route), 32)), 1, wan)
+        host.add_route(_network_around(host_route, 24), 0, lan)
+        host.add_route(_network_around(lan, 24), 1, wan)  # ties the connected /24, which wins
+        if default:
+            host.add_default_route(1, wan)
+        candidates = [dst, lan, wan, host_route, IPv4Address((int(lan) & ~0xFF) | near),
+                      IPv4Address((int(host_route) & ~0xFF) | near), IPv4Address("255.255.255.255")]
+        for address in candidates:
+            assert host.lookup_route(address) == _reference_lookup(host, address)
 
 
 class TestNeighborLearning:
