@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
-"""Capture a gateway's WAN traffic to a real pcap file.
+"""Capture a gateway's traffic to real pcap files.
 
-Attaches a packet trace to a gateway's WAN port, exercises it (DHCP has
-already run; we add UDP, TCP, ICMP and an SCTP attempt), and writes a
-Wireshark-compatible ``gateway.pcap`` — demonstrating that the simulator's
-wire formats are the real thing.
+Attaches a trace bus with a pcap sink to the testbed (DHCP has already
+run), exercises the gateway with UDP, TCP and an SCTP attempt, and writes
+one Wireshark-compatible capture per testbed link into a directory —
+``bu1.wan.pcap`` holds the gateway's WAN side, where every packet appears
+translated.  This is the same capture path ``repro survey --pcap`` uses,
+and it demonstrates that the simulator's wire formats are the real thing.
 
-Run:  python examples/packet_capture.py [output.pcap]
+Run:  python examples/packet_capture.py [output-directory]
 """
 
+import pathlib
 import sys
 from collections import Counter
 
 from repro.devices import profile_for
-from repro.netsim import PacketTrace
-from repro.netsim.pcap import save_trace
+from repro.netsim.pcap import read_pcap
+from repro.obs import PcapSink, TraceBus
+from repro.packets import EthernetFrame, IPv4Packet
 from repro.testbed import Testbed
 
 
 def main() -> None:
-    output = sys.argv[1] if len(sys.argv) > 1 else "gateway.pcap"
+    output = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "capture")
     bed = Testbed.build([profile_for("bu1")])
     port = bed.port("bu1")
-    trace = PacketTrace.on(port.gateway.wan_iface)
+    bus = TraceBus.attach(bed.sim)
+    capture = bus.subscribe(PcapSink(output))
 
     # Generate a little of everything through the NAT.
     sink = bed.server.udp.bind(7000)
@@ -39,18 +44,21 @@ def main() -> None:
     bed.client.sctp.connect(port.server_ip, 9000, iface_index=port.client_iface_index)
 
     bed.sim.run(until=bed.sim.now + 10)
-    trace.detach()
+    bus.detach()
+    capture.close()
 
-    count = save_trace(trace, output)
+    wan = output / "bu1.wan.pcap"
+    records = read_pcap(str(wan))
     protocols = Counter(
-        entry.frame.payload.protocol for entry in trace.entries
+        EthernetFrame.from_bytes(raw, payload_parser=IPv4Packet.from_bytes).payload.protocol
+        for _timestamp, raw in records
     )
-    print(f"wrote {count} frames to {output}")
-    print("protocol mix:", {
+    print(f"wrote {capture.records_written} frames to {output}/ ({len(records)} on the WAN: {wan})")
+    print("WAN protocol mix:", {
         {1: "icmp", 6: "tcp", 17: "udp", 132: "sctp"}.get(proto, proto): n
         for proto, n in sorted(protocols.items())
     })
-    print("open it with:  wireshark", output)
+    print("open it with:  wireshark", wan)
 
 
 if __name__ == "__main__":

@@ -380,13 +380,13 @@ def cgn_policy_for(knobs: Mapping) -> CgnPolicy:
 
 
 def nat444_factory(knobs: Mapping):
-    """``testbed_factory`` hook: knobs -> ``build(profiles, seed)``."""
+    """``testbed_factory`` hook: knobs -> ``build(profiles, seed, fastpath)``."""
     subscribers = int(knobs.get("cgn_subscribers", 8))
     policy = cgn_policy_for(knobs)
 
-    def build(profiles, seed):
+    def build(profiles, seed, fastpath=True):
         return Nat444Topology.build(
-            profiles, seed=seed, subscribers=subscribers, cgn_policy=policy
+            profiles, seed=seed, subscribers=subscribers, cgn_policy=policy, fastpath=fastpath
         )
 
     return build

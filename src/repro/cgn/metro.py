@@ -21,9 +21,11 @@ The byte-identity argument (docs/SCALING.md spells it out) rests on four
 construction rules enforced here:
 
 * every segment owns its *own* client host, switches and MAC allocator —
-  no cross-segment shared allocator state (the single-process
-  :class:`~repro.cgn.topology.Nat444Topology` shares one client across
-  segments, which is precisely why metro does not reuse it);
+  no cross-segment shared allocator state.  Segments are cabled by the
+  shared Figure-1 wiring (:mod:`repro.testbed.wiring`), the builders
+  :class:`~repro.cgn.topology.Nat444Topology` uses too; but Nat444 shares
+  one client host, one switch set and one allocator across its segments,
+  so metro keeps those per segment;
 * core-side state is per segment (one server interface, DHCP service and
   address plan each) and the only shared core service — the UDP echo
   responder — is stateless and replies at the instant of arrival;
@@ -43,27 +45,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cgn.node import CgnNode
 from repro.core import registry
 from repro.devices.cgn_profiles import CgnPolicy
 from repro.devices.profile import DeviceProfile
-from repro.gateway.device import HomeGateway
 from repro.netsim.addresses import mac_allocator
-from repro.netsim.link import BoundaryHalf, Link
+from repro.netsim.link import BoundaryHalf
 from repro.netsim.sim import Simulation
 from repro.netsim.switch import VlanSwitch
-from repro.protocols.dhcp import DhcpClientService, DhcpServerService
 from repro.protocols.stack import Host
-from repro.testbed.testbed import LINK_DELAY, LINK_RATE_BPS
+from repro.testbed.wiring import CgnSegment, Wiring, dhcp_cascade, simulation
 
 __all__ = [
     "MetroFlap",
     "MetroLoadPlan",
     "MetroLoadResult",
-    "MetroHome",
-    "MetroSegment",
     "MetroTopology",
     "MetroCoreIsland",
     "MetroSegmentIsland",
@@ -236,36 +233,6 @@ class MetroLoadResult:
         return self.rtt_sum / total if total else None
 
 
-@dataclass
-class MetroHome:
-    """One subscriber home inside a metro segment."""
-
-    index: int
-    gateway: HomeGateway
-    lan_network: IPv4Network
-    client_iface_index: int
-    client_dhcp: Optional[DhcpClientService] = None
-
-
-@dataclass
-class MetroSegment:
-    """One CGN segment: its NAT population plus its own client host."""
-
-    index: int
-    profile: DeviceProfile
-    cgn: CgnNode
-    client: Host
-    wan_network: IPv4Network
-    access_network: IPv4Network
-    server_ip: IPv4Address
-    homes: List[MetroHome] = field(default_factory=list)
-    load: Optional["_SegmentLoad"] = None
-
-    @property
-    def tag(self) -> str:
-        return self.profile.tag
-
-
 class _SegmentLoad:
     """Workload runtime of one segment: sockets, schedule, snapshot.
 
@@ -274,7 +241,7 @@ class _SegmentLoad:
     same scheduler sequence numbers in every engine.
     """
 
-    def __init__(self, sim: Simulation, segment: MetroSegment, plan: MetroLoadPlan):
+    def __init__(self, sim: Simulation, segment: CgnSegment, plan: MetroLoadPlan):
         self.sim = sim
         self.segment = segment
         self.plan = plan
@@ -355,98 +322,6 @@ def _segment_plan(index: int) -> Tuple[IPv4Network, IPv4Network, IPv4Address]:
     return wan_network, access_network, IPv4Address(f"10.100.{index}.1")
 
 
-def _build_segment(
-    sim: Simulation,
-    index: int,
-    profile: DeviceProfile,
-    subscribers: int,
-    policy: CgnPolicy,
-    links: List[Link],
-) -> MetroSegment:
-    """Everything on the segment side of the core link, self-contained."""
-    macs = mac_allocator(0x02_00_00 + index)
-    wan_network, access_network, server_ip = _segment_plan(index)
-    cgn = CgnNode(sim, policy, macs, access_network, tag=f"cgn-{profile.tag}")
-    access_switch = VlanSwitch(sim, f"acc-{index}", macs)
-    lan_switch = VlanSwitch(sim, f"lan-{index}", macs)
-
-    def wire(label: str, iface_a, iface_b) -> None:
-        link = Link(sim, LINK_RATE_BPS, LINK_DELAY)
-        link.label = label
-        links.append(link)
-        link.attach(iface_a, iface_b)
-
-    wire(f"metro-{profile.tag}.{index}:acc", cgn.lan_iface, access_switch.new_port(2000 + index))
-    client = Host(sim, f"client-{index}", macs)
-    segment = MetroSegment(
-        index=index,
-        profile=profile,
-        cgn=cgn,
-        client=client,
-        wan_network=wan_network,
-        access_network=access_network,
-        server_ip=server_ip,
-    )
-    for slot in range(1, subscribers + 1):
-        lan_network = IPv4Network(f"192.168.{slot}.0/24")
-        gateway = HomeGateway(
-            sim,
-            profile,
-            macs,
-            lan_network=lan_network,
-            name=f"gw-{profile.tag}-{index}.{slot}",
-        )
-        wire(f"{profile.tag}.{index}.{slot}:wan", gateway.wan_iface, access_switch.new_port(2000 + index))
-        wire(f"{profile.tag}.{index}.{slot}:lan", gateway.lan_iface, lan_switch.new_port(3000 + slot))
-        client_iface = client.new_interface()
-        wire(f"{profile.tag}.{index}.{slot}:cli", client_iface, lan_switch.new_port(3000 + slot))
-        segment.homes.append(
-            MetroHome(
-                index=slot,
-                gateway=gateway,
-                lan_network=lan_network,
-                client_iface_index=client_iface.index,
-            )
-        )
-    return segment
-
-
-def _schedule_bring_up(sim: Simulation, segment: MetroSegment) -> None:
-    """Schedule the three-tier DHCP cascade at t=0 (no stepping here)."""
-
-    def start() -> None:
-        def cgn_ready(_gw: HomeGateway) -> None:
-            for home in segment.homes:
-
-                def home_ready(_gw2: HomeGateway, home: MetroHome = home) -> None:
-                    client = DhcpClientService(segment.client, home.client_iface_index)
-                    home.client_dhcp = client
-                    client.start()
-
-                home.gateway.start(on_ready=home_ready)
-
-        segment.cgn.start(on_ready=cgn_ready)
-
-    sim.schedule(0.0, start)
-
-
-def _core_attach(server: Host, index: int):
-    """One segment's core-side state: interface, address plan, DHCP."""
-    wan_network, _access, server_ip = _segment_plan(index)
-    iface = server.new_interface()
-    iface.configure(server_ip, wan_network)
-    DhcpServerService(
-        server,
-        iface.index,
-        wan_network,
-        server_ip,
-        router=server_ip,
-        dns_servers=[server_ip],
-        first_offset=2,
-    )
-    return iface
-
-
 def _install_echo(server: Host):
     """The core's only shared service: a stateless immediate UDP echo."""
     socket = server.udp.bind(METRO_PORT)
@@ -472,24 +347,87 @@ def _check_population(profiles: Sequence[DeviceProfile], subscribers: int) -> No
         raise ValueError(f"duplicate device tags in metro population: {tags}")
 
 
-def _collect_segments(segments: Mapping[str, MetroSegment], tags=None) -> Dict[str, MetroLoadResult]:
-    wanted = list(tags if tags is not None else segments)
-    results: Dict[str, MetroLoadResult] = {}
-    for tag in wanted:
-        segment = segments[tag]
-        result = segment.load.result if segment.load is not None else None
-        if result is None:
-            raise RuntimeError(
-                f"metro segment {tag}: snapshot never ran (simulation stopped "
-                "before the plan's snap instant)"
-            )
-        if result.unfinished:
-            raise RuntimeError(
-                f"metro segment {tag}: {result.unfinished} subscriber(s) failed "
-                f"DHCP bring-up before LOAD_START={LOAD_START:g}s"
-            )
-        results[tag] = result
-    return results
+class _MetroWiring(Wiring):
+    """What the full metro build and its partition islands share.
+
+    Each segment is a NAT444 unit of the shared wiring with its own MAC
+    allocator, switches and client host; the server side of its core link
+    is one server face on the core host.
+    """
+
+    def __init__(self, sim: Simulation, flap: Optional[MetroFlap]):
+        super().__init__(sim)
+        self.flap = flap
+        #: Boundary halves by the channel they transmit on (islands only),
+        #: and by the channel whose frames the hub injects into them.
+        self.halves: Dict[str, BoundaryHalf] = {}
+        self.inject_map: Dict[str, BoundaryHalf] = {}
+        self.segments: Dict[str, CgnSegment] = {}
+
+    def _core(self) -> None:
+        self.server = Host(self.sim, "metro-core", mac_allocator(CORE_OUI))
+        self.echo_socket = _install_echo(self.server)
+
+    def _core_face(self, index: int):
+        wan_network, _access, server_ip = _segment_plan(index)
+        return self.server_face(index, wan_network, server_ip)
+
+    def _segment(
+        self, index: int, profile: DeviceProfile, subscribers: int, policy: CgnPolicy
+    ) -> CgnSegment:
+        """Everything on the segment side of the core link, self-contained."""
+        macs = mac_allocator(0x02_00_00 + index)
+        wan_network, access_network, server_ip = _segment_plan(index)
+        access = VlanSwitch(self.sim, f"acc-{index}", macs)
+        lan = VlanSwitch(self.sim, f"lan-{index}", macs)
+        cgn = self.cgn(
+            f"metro-{profile.tag}.{index}", policy, macs, access_network, f"cgn-{profile.tag}",
+            access=(access, 2000 + index),
+        )
+        client = Host(self.sim, f"client-{index}", macs)
+        segment = CgnSegment(index, profile, cgn, wan_network, access_network, server_ip, client=client)
+        self.subscriber_homes(
+            segment, subscribers, macs, access, lan, client, first_lan=1, prefix=f"{profile.tag}.{index}"
+        )
+        return segment
+
+    def _half(self, channel: str, inject: str, iface) -> BoundaryHalf:
+        half = BoundaryHalf(self.sim, channel, CORE_RATE_BPS, CORE_DELAY).attach(iface)
+        self.halves[channel] = half
+        self.inject_map[inject] = half
+        return half
+
+    def _flap(self, tag: str, core) -> None:
+        """Schedule the flap on this segment's core link (or its half)."""
+        if self.flap is not None and self.flap.tag == tag:
+            self.sim.schedule_at(self.flap.at, core.sever)
+            self.sim.schedule_at(self.flap.at + self.flap.duration, core.mend)
+
+    def _start(self, segment: CgnSegment, core, plan: MetroLoadPlan) -> None:
+        """Flap, the DHCP cascade at t=0 (never stepped here), then the load."""
+        self._flap(segment.tag, core)
+        self.sim.schedule(0.0, dhcp_cascade, segment.client, segment.homes, segment.cgn)
+        segment.load = _SegmentLoad(self.sim, segment, plan)
+        self.segments[segment.tag] = segment
+
+    def collect(self, tags: Optional[Sequence[str]] = None) -> Dict[str, MetroLoadResult]:
+        """Per-segment cells; raises when a snapshot is missing or bring-up failed."""
+        results: Dict[str, MetroLoadResult] = {}
+        for tag in list(tags if tags is not None else self.segments):
+            segment = self.segments[tag]
+            result = segment.load.result if segment.load is not None else None
+            if result is None:
+                raise RuntimeError(
+                    f"metro segment {tag}: snapshot never ran (simulation stopped "
+                    "before the plan's snap instant)"
+                )
+            if result.unfinished:
+                raise RuntimeError(
+                    f"metro segment {tag}: {result.unfinished} subscriber(s) failed "
+                    f"DHCP bring-up before LOAD_START={LOAD_START:g}s"
+                )
+            results[tag] = result
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +435,7 @@ def _collect_segments(segments: Mapping[str, MetroSegment], tags=None) -> Dict[s
 # ---------------------------------------------------------------------------
 
 
-class MetroTopology:
+class MetroTopology(_MetroWiring):
     """The assembled metro population in one simulation.
 
     Construction only *schedules* — the DHCP cascade at t=0, the load on
@@ -519,29 +457,18 @@ class MetroTopology:
         flap: Optional[MetroFlap] = None,
     ):
         _check_population(profiles, subscribers)
-        self.sim = sim
+        super().__init__(sim, flap)
         self.subscribers = subscribers
         self.cgn_policy = cgn_policy if cgn_policy is not None else CgnPolicy()
         self.plan = plan if plan is not None else MetroLoadPlan(subscribers=subscribers)
-        self.flap = flap
-        self.links: List[Link] = []
-        core_macs = mac_allocator(CORE_OUI)
-        self.server = Host(sim, "metro-core", core_macs)
-        self.echo_socket = _install_echo(self.server)
-        self.segments: Dict[str, MetroSegment] = {}
+        self._core()
         for index, profile in enumerate(profiles, start=1):
-            server_iface = _core_attach(self.server, index)
-            segment = _build_segment(sim, index, profile, subscribers, self.cgn_policy, self.links)
-            core_link = Link(sim, CORE_RATE_BPS, CORE_DELAY)
-            core_link.label = f"core:{profile.tag}"
-            self.links.append(core_link)
-            core_link.attach(server_iface, segment.cgn.wan_iface)
-            if flap is not None and flap.tag == profile.tag:
-                sim.schedule_at(flap.at, core_link.sever)
-                sim.schedule_at(flap.at + flap.duration, core_link.mend)
-            _schedule_bring_up(sim, segment)
-            segment.load = _SegmentLoad(sim, segment, self.plan)
-            self.segments[profile.tag] = segment
+            server_iface = self._core_face(index)
+            segment = self._segment(index, profile, subscribers, self.cgn_policy)
+            core_link = self.link(
+                f"core:{profile.tag}", server_iface, segment.cgn.wan_iface, CORE_RATE_BPS, CORE_DELAY
+            )
+            self._start(segment, core_link, self.plan)
 
     @classmethod
     def build(
@@ -552,20 +479,17 @@ class MetroTopology:
         cgn_policy: Optional[CgnPolicy] = None,
         plan: Optional[MetroLoadPlan] = None,
         flap: Optional[MetroFlap] = None,
+        fastpath: bool = True,
     ) -> "MetroTopology":
         """Construct (but do not run) the metro over a fresh simulation."""
         return cls(
-            Simulation(seed=seed),
+            simulation(seed, fastpath),
             profiles,
             subscribers=subscribers,
             cgn_policy=cgn_policy,
             plan=plan,
             flap=flap,
         )
-
-    def collect(self, tags: Optional[Sequence[str]] = None) -> Dict[str, MetroLoadResult]:
-        """Per-segment cells; raises when a snapshot is missing or bring-up failed."""
-        return _collect_segments(self.segments, tags)
 
     def tags(self) -> List[str]:
         return list(self.segments)
@@ -597,7 +521,7 @@ class MetroTopology:
 # ---------------------------------------------------------------------------
 
 
-class MetroCoreIsland:
+class MetroCoreIsland(_MetroWiring):
     """The hub-side island: the core host plus one boundary half per segment.
 
     Channels are named from the core's perspective: ``down:<n>`` carries
@@ -611,26 +535,14 @@ class MetroCoreIsland:
         numbered: Sequence[Tuple[int, DeviceProfile]],
         flap: Optional[MetroFlap] = None,
     ):
-        self.sim = sim
-        core_macs = mac_allocator(CORE_OUI)
-        self.server = Host(sim, "metro-core", core_macs)
-        self.echo_socket = _install_echo(self.server)
-        #: Transmitting halves by channel (``down:<n>``); injection for an
-        #: ``up:<n>`` frame reuses the same half's interface.
-        self.halves: Dict[str, BoundaryHalf] = {}
-        self.inject_map: Dict[str, BoundaryHalf] = {}
+        super().__init__(sim, flap)
+        self._core()
         for index, profile in numbered:
-            server_iface = _core_attach(self.server, index)
-            half = BoundaryHalf(sim, f"down:{index}", CORE_RATE_BPS, CORE_DELAY)
-            half.attach(server_iface)
-            self.halves[half.channel] = half
-            self.inject_map[f"up:{index}"] = half
-            if flap is not None and flap.tag == profile.tag:
-                sim.schedule_at(flap.at, half.sever)
-                sim.schedule_at(flap.at + flap.duration, half.mend)
+            half = self._half(f"down:{index}", f"up:{index}", self._core_face(index))
+            self._flap(profile.tag, half)
 
 
-class MetroSegmentIsland:
+class MetroSegmentIsland(_MetroWiring):
     """One worker's island: a contiguous group of complete segments."""
 
     def __init__(
@@ -642,28 +554,12 @@ class MetroSegmentIsland:
         plan: MetroLoadPlan,
         flap: Optional[MetroFlap] = None,
     ):
-        self.sim = sim
+        super().__init__(sim, flap)
         self.plan = plan
-        self.links: List[Link] = []
-        self.halves: Dict[str, BoundaryHalf] = {}
-        self.inject_map: Dict[str, BoundaryHalf] = {}
-        self.segments: Dict[str, MetroSegment] = {}
         for index, profile in numbered:
-            segment = _build_segment(sim, index, profile, subscribers, policy, self.links)
-            half = BoundaryHalf(sim, f"up:{index}", CORE_RATE_BPS, CORE_DELAY)
-            half.attach(segment.cgn.wan_iface)
-            self.halves[half.channel] = half
-            self.inject_map[f"down:{index}"] = half
-            if flap is not None and flap.tag == profile.tag:
-                sim.schedule_at(flap.at, half.sever)
-                sim.schedule_at(flap.at + flap.duration, half.mend)
-            _schedule_bring_up(sim, segment)
-            segment.load = _SegmentLoad(sim, segment, plan)
-            self.segments[profile.tag] = segment
-
-    def collect(self, tags: Optional[Sequence[str]] = None) -> Dict[str, MetroLoadResult]:
-        """Per-segment cells; raises when bring-up failed (worker reports it)."""
-        return _collect_segments(self.segments, tags)
+            segment = self._segment(index, profile, subscribers, policy)
+            half = self._half(f"up:{index}", f"down:{index}", segment.cgn.wan_iface)
+            self._start(segment, half, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +589,13 @@ def metro_plan_for(knobs: Mapping) -> MetroLoadPlan:
 
 
 def metro_factory(knobs: Mapping):
-    """``testbed_factory`` hook: knobs -> ``build(profiles, seed)``."""
+    """``testbed_factory`` hook: knobs -> ``build(profiles, seed, fastpath)``."""
     subscribers = int(knobs.get("cgn_subscribers", 8))
     policy = metro_policy_for(knobs)
     plan = metro_plan_for(knobs)
     flap = MetroFlap.parse(str(knobs.get("metro_flap", "")))
 
-    def build(profiles, seed):
+    def build(profiles, seed, fastpath=True):
         return MetroTopology.build(
             profiles,
             seed=seed,
@@ -707,6 +603,7 @@ def metro_factory(knobs: Mapping):
             cgn_policy=policy,
             plan=plan,
             flap=flap,
+            fastpath=fastpath,
         )
 
     return build
@@ -743,16 +640,15 @@ class MetroPartitionHooks:
 
     def build_full(self, profiles: Sequence[DeviceProfile], seed: int, fastpath: bool = True):
         """The ``--partitions 1`` reference: one simulation, real links."""
-        bed = MetroTopology.build(
+        return MetroTopology.build(
             profiles,
             seed=seed,
             subscribers=self.subscribers,
             cgn_policy=self.policy,
             plan=self.plan,
             flap=self.flap,
+            fastpath=fastpath,
         )
-        bed.sim.fastpath = fastpath
-        return bed
 
     def build_core(
         self, numbered: Sequence[Tuple[int, DeviceProfile]], seed: int, fastpath: bool = True
@@ -760,9 +656,7 @@ class MetroPartitionHooks:
         """The hub's inline island over *all* segments' core-side state."""
         from repro.core.parallel import shard_seed
 
-        sim = Simulation(seed=shard_seed(seed, "metro-core"))
-        sim.fastpath = fastpath
-        return MetroCoreIsland(sim, numbered, flap=self.flap)
+        return MetroCoreIsland(simulation(shard_seed(seed, "metro-core"), fastpath), numbered, flap=self.flap)
 
     def build_segments(
         self,
@@ -774,10 +668,9 @@ class MetroPartitionHooks:
         """One worker's island over its contiguous segment group."""
         from repro.core.parallel import shard_seed
 
-        sim = Simulation(seed=shard_seed(seed, f"metro-island-{worker}"))
-        sim.fastpath = fastpath
         return MetroSegmentIsland(
-            sim, numbered, self.subscribers, self.policy, self.plan, flap=self.flap
+            simulation(shard_seed(seed, f"metro-island-{worker}"), fastpath),
+            numbered, self.subscribers, self.policy, self.plan, flap=self.flap,
         )
 
 

@@ -12,35 +12,23 @@ per-device VLAN: traffic crosses
 
 and every flow is translated twice, with independent policy at each tier.
 
-Construction mirrors :class:`~repro.testbed.testbed.Testbed` deliberately:
-links append to ``self.links`` in a deterministic order (their ordinal
-seeds per-link impairment RNGs), bring-up is a staged DHCP cascade (CGN
-WAN first, then every home WAN, then every client), and chaos — link
-impairment, gateway crash faults — installs through the same two methods
-the survey engine already calls.
+The segment is built from the shared Figure-1 wiring
+(:mod:`repro.testbed.wiring`): links append to ``self.links`` in a
+deterministic order (their ordinal seeds per-link impairment RNGs),
+bring-up is the staged DHCP cascade (CGN WAN first, then every home WAN,
+then every client), and chaos — link impairment, gateway crash faults —
+installs through the same two methods the survey engine already calls.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, List, Optional, Sequence
 
-from repro.cgn.node import CgnNode
 from repro.devices.cgn_profiles import CgnPolicy
 from repro.devices.profile import DeviceProfile
-from repro.gateway.device import HomeGateway
-from repro.gateway.faults import FaultSpec
-from repro.netsim.addresses import mac_allocator
-from repro.netsim.impair import Impairment, impair_seed
-from repro.netsim.link import Link
 from repro.netsim.sim import Simulation
-from repro.netsim.switch import VlanSwitch
-from repro.protocols.dhcp import DhcpClientService, DhcpServerService
-from repro.protocols.dns import DnsAuthoritativeServer
-from repro.protocols.stack import Host
-from repro.testbed.testbed import DEFAULT_ZONE_ANSWER, DEFAULT_ZONE_NAME, LINK_DELAY, LINK_RATE_BPS
+from repro.testbed.wiring import CgnSegment, HomeSlot, Wiring, dhcp_cascade, simulation
 
 __all__ = ["HomeSlot", "CgnSegment", "Nat444Topology"]
 
@@ -51,42 +39,12 @@ MAX_SEGMENTS = 63
 MAX_HOMES = 254
 
 
-@dataclass
-class HomeSlot:
-    """One subscriber home: a gateway, its LAN, and its client interface."""
-
-    index: int
-    gateway: HomeGateway
-    lan_network: IPv4Network
-    client_iface_index: int
-    client_dhcp: Optional[DhcpClientService] = None
-
-
-@dataclass
-class CgnSegment:
-    """Everything behind (and in front of) one carrier-grade NAT."""
-
-    index: int
-    profile: DeviceProfile
-    cgn: CgnNode
-    wan_network: IPv4Network
-    access_network: IPv4Network
-    server_ip: IPv4Address
-    server_iface_index: int
-    homes: List[HomeSlot] = field(default_factory=list)
-
-    @property
-    def tag(self) -> str:
-        return self.profile.tag
-
-
-class Nat444Topology:
+class Nat444Topology(Wiring):
     """The assembled NAT444 population testbed.
 
-    Satisfies the same structural contract the survey engine expects of a
-    testbed — ``sim``, ``links``, ``build(profiles, seed)``,
-    ``apply_impairment``, ``schedule_faults`` — so the CGN experiment
-    families plug into shards, observers, watchdogs and chaos unchanged.
+    Segment ``n`` faces the server on VLAN ``1000+n`` (``10.100.n.0/24``)
+    and its homes on VLAN ``2000+n`` (``100.(64+n).0.0/24``); the CGN
+    answers crash faults as ``cgn-<tag>``, the homes as ``<tag>``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -107,21 +65,11 @@ class Nat444Topology:
                 f"{len(profiles)} segments x {subscribers} subscribers exceeds "
                 f"the {MAX_HOMES}-home address plan"
             )
-        self.sim = sim
+        super().__init__(sim)
         self.subscribers = subscribers
         self.cgn_policy = cgn_policy if cgn_policy is not None else CgnPolicy()
-        self.macs = mac_allocator()
-        self.server = Host(sim, "test-server", self.macs)
-        self.client = Host(sim, "test-client", self.macs)
-        self.wan_switch = VlanSwitch(sim, "wan-switch", self.macs)
-        self.access_switch = VlanSwitch(sim, "access-switch", self.macs)
-        self.lan_switch = VlanSwitch(sim, "lan-switch", self.macs)
+        self.figure1(access_switch=True)
         self.segments: Dict[str, CgnSegment] = {}
-        #: Every link in construction order; ordinals seed per-link
-        #: impairment RNGs, exactly as in the single-tier testbed.
-        self.links: List[Link] = []
-        self.dns_zone = DnsAuthoritativeServer(self.server, {DEFAULT_ZONE_NAME: DEFAULT_ZONE_ANSWER})
-        self._next_home = 1
         for number, profile in enumerate(profiles, start=1):
             self._add_segment(number, profile)
 
@@ -132,159 +80,50 @@ class Nat444Topology:
         seed: int = 0,
         subscribers: int = 8,
         cgn_policy: Optional[CgnPolicy] = None,
+        fastpath: bool = True,
     ) -> "Nat444Topology":
         """Construct the population and DHCP the whole chain up."""
-        bed = cls(Simulation(seed=seed), profiles, subscribers=subscribers, cgn_policy=cgn_policy)
+        bed = cls(simulation(seed, fastpath), profiles, subscribers=subscribers, cgn_policy=cgn_policy)
         bed.bring_up()
         return bed
 
-    # -- construction -----------------------------------------------------
-
-    def _link(self, label: str) -> Link:
-        link = Link(self.sim, LINK_RATE_BPS, LINK_DELAY)
-        link.label = label
-        self.links.append(link)
-        return link
-
     def _add_segment(self, number: int, profile: DeviceProfile) -> None:
+        """Segment ``n``: server face and CGN on VLAN ``1000+n``, homes on ``2000+n``."""
         if profile.tag in self.segments:
             raise ValueError(f"duplicate device tag {profile.tag!r}")
         wan_network = IPv4Network(f"10.100.{number}.0/24")
         access_network = IPv4Network(f"100.{64 + number}.0.0/24")
         server_ip = IPv4Address(f"10.100.{number}.1")
-
-        # Server side: one interface per segment + DHCP for the CGN's WAN.
-        server_iface = self.server.new_interface()
-        server_iface.configure(server_ip, wan_network)
-        self._link(f"cgn-{profile.tag}:srv").attach(
-            server_iface, self.wan_switch.new_port(1000 + number)
+        name = f"cgn-{profile.tag}"
+        uplink = (self.wan_switch, 1000 + number)
+        server_iface = self.server_face(number, wan_network, server_ip, uplink, name)
+        cgn = self.cgn(
+            name, self.cgn_policy, self.macs, access_network, name,
+            access=(self.access_switch, 2000 + number), wan=uplink,
         )
-        DhcpServerService(
-            self.server,
-            server_iface.index,
-            wan_network,
-            server_ip,
-            router=server_ip,
-            dns_servers=[server_ip],
-            first_offset=2,
-        )
-        self.dns_zone.add_record(f"vlan{number}.{DEFAULT_ZONE_NAME}", server_ip)
-
-        # The carrier-grade NAT between public WAN and shared access space.
-        cgn = CgnNode(
-            self.sim,
-            self.cgn_policy,
-            self.macs,
-            access_network,
-            tag=f"cgn-{profile.tag}",
-        )
-        self._link(f"cgn-{profile.tag}:wan").attach(
-            cgn.wan_iface, self.wan_switch.new_port(1000 + number)
-        )
-        self._link(f"cgn-{profile.tag}:acc").attach(
-            cgn.lan_iface, self.access_switch.new_port(2000 + number)
-        )
-
         segment = CgnSegment(
-            index=number,
-            profile=profile,
-            cgn=cgn,
-            wan_network=wan_network,
-            access_network=access_network,
-            server_ip=server_ip,
-            server_iface_index=server_iface.index,
+            number, profile, cgn, wan_network, access_network, server_ip, server_iface.index
         )
-
-        # The subscriber homes: same device model, each with its own LAN.
-        for slot in range(1, self.subscribers + 1):
-            k = self._next_home
-            self._next_home += 1
-            lan_network = IPv4Network(f"192.168.{k}.0/24")
-            gateway = HomeGateway(
-                self.sim,
-                profile,
-                self.macs,
-                lan_network=lan_network,
-                name=f"gw-{profile.tag}-{number}.{slot}",
-            )
-            self._link(f"{profile.tag}.{slot}:wan").attach(
-                gateway.wan_iface, self.access_switch.new_port(2000 + number)
-            )
-            self._link(f"{profile.tag}.{slot}:lan").attach(
-                gateway.lan_iface, self.lan_switch.new_port(3000 + k)
-            )
-            client_iface = self.client.new_interface()
-            self._link(f"{profile.tag}.{slot}:cli").attach(
-                client_iface, self.lan_switch.new_port(3000 + k)
-            )
-            segment.homes.append(
-                HomeSlot(
-                    index=slot,
-                    gateway=gateway,
-                    lan_network=lan_network,
-                    client_iface_index=client_iface.index,
-                )
-            )
-
+        # Home LANs are numbered across segments: 192.168.k.0/24, VLAN 3000+k.
+        self.subscriber_homes(
+            segment, self.subscribers, self.macs, self.access_switch, self.lan_switch, self.client,
+            first_lan=(number - 1) * self.subscribers + 1, prefix=profile.tag,
+        )
         self.segments[profile.tag] = segment
-
-    # -- bring-up ----------------------------------------------------------
 
     def bring_up(self, timeout: float = 120.0) -> None:
         """Run the staged DHCP cascade until every client is configured.
 
-        The ordering matters and is deterministic: each CGN leases its WAN
-        address from the server first; its readiness starts the segment's
-        home gateways, whose WANs lease from the CGN; each home's readiness
-        starts its client's DHCP.  One virtual-time loop drives all
-        segments concurrently.
+        Each CGN leases its WAN address from the server first; its readiness
+        starts the segment's home gateways, whose WANs lease from the CGN;
+        each home's readiness starts its client's DHCP.  One virtual-time
+        loop drives all segments concurrently.
         """
+        homes: Dict[str, HomeSlot] = {}
         for segment in self.segments.values():
-            def cgn_ready(_gw: HomeGateway, segment: CgnSegment = segment) -> None:
-                for home in segment.homes:
-                    def home_ready(_gw2: HomeGateway, home: HomeSlot = home) -> None:
-                        client = DhcpClientService(self.client, home.client_iface_index)
-                        home.client_dhcp = client
-                        client.start()
-
-                    home.gateway.start(on_ready=home_ready)
-
-            segment.cgn.start(on_ready=cgn_ready)
-        deadline = self.sim.now + timeout
-        while self.sim.now < deadline:
-            if all(
-                home.client_dhcp is not None and home.client_dhcp.configured
-                for segment in self.segments.values()
-                for home in segment.homes
-            ):
-                break
-            if not self.sim.step():
-                break
-        not_up = [
-            f"{segment.tag}.{home.index}"
-            for segment in self.segments.values()
-            for home in segment.homes
-            if home.client_dhcp is None or not home.client_dhcp.configured
-        ]
-        if not_up:
-            raise RuntimeError(f"NAT444 bring-up failed for: {not_up}")
-
-    # -- chaos --------------------------------------------------------------
-
-    def apply_impairment(self, impairment: Impairment) -> None:
-        """Install ``impairment`` on every link with its ordinal-seeded RNG."""
-        for ordinal, link in enumerate(self.links):
-            link.impair(impairment, rng=random.Random(impair_seed(self.sim.seed, ordinal)))
-
-    def schedule_faults(self, faults: Sequence[FaultSpec]) -> None:
-        """Schedule faults against CGNs (by ``cgn-<tag>``) and homes (by tag)."""
-        for fault in faults:
-            for segment in self.segments.values():
-                if fault.applies_to(segment.cgn.tag):
-                    segment.cgn.schedule_crash(fault.at, fault.boot)
-                if fault.applies_to(segment.tag):
-                    for home in segment.homes:
-                        home.gateway.schedule_crash(fault.at, fault.boot)
+            dhcp_cascade(self.client, segment.homes, segment.cgn)
+            homes.update((f"{segment.tag}.{home.index}", home) for home in segment.homes)
+        self.settle(homes, timeout, "NAT444")
 
     # -- accessors -----------------------------------------------------------
 

@@ -154,12 +154,15 @@ class ExperimentFamily:
     derived_from: Optional[str] = None
     #: Parent cell -> derived cell (e.g. ``analyze_port_behavior``).
     derive: Optional[Callable[[Any], Any]] = None
-    #: ``knobs -> build(profiles, seed)`` — families that measure something
-    #: other than the paper's Figure-1 topology (the CGN families run a
-    #: NAT444 chain) supply the builder for their own testbed here.  ``None``
-    #: = the standard single-tier :class:`~repro.testbed.testbed.Testbed`.
-    #: Non-device families get the overload ``knobs -> build(subject, seed)``:
-    #: the engine builds one bed per enumerated :class:`Subject`.
+    #: ``knobs -> build(profiles, seed, fastpath=True)`` — families that
+    #: measure something other than the paper's Figure-1 topology (the CGN
+    #: families run a NAT444 chain) supply the builder for their own testbed
+    #: here.  ``None`` = :meth:`~repro.testbed.testbed.Testbed.build`, which
+    #: has the same contract: it returns a brought-up bed whose whole run,
+    #: bring-up included, is pinned to the engine ``fastpath`` names.
+    #: Non-device families get the overload ``build(subject, seed,
+    #: fastpath=True)``: the engine builds one bed per enumerated
+    #: :class:`Subject`.
     testbed_factory: Optional[Callable[[Mapping[str, Any]], Callable]] = None
     #: Included when the caller selects no families explicitly.  The paper's
     #: own menu stays the default; opt-in extensions (CGN) set ``False`` and

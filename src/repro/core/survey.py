@@ -45,7 +45,7 @@ from repro.core.parallel import (
 )
 from repro.core.stats import SimStats
 from repro.core.registry import Subject
-from repro.core.store import CampaignStore, campaign_fingerprint, ensure_distinct_dirnames
+from repro.core.store import CampaignStore, campaign_fingerprint, ensure_distinct_dirnames, subject_dirname
 from repro.devices import catalog_profiles
 from repro.devices.profile import DeviceProfile
 from repro.gateway.faults import FaultSpec
@@ -344,24 +344,22 @@ class SurveyRunner:
         subject: Optional[Subject] = None,
         bed_seed: Optional[int] = None,
     ):
+        # Fault campaigns run the staged engine throughout, bring-up
+        # included: a crash flush must see every queued packet as a
+        # heap-visible entity to drop it the way the paper's power-cycled
+        # gateways do (the eager kernels have already consumed rate tokens
+        # for admitted packets and cannot un-consume them).
         fastpath = self.fastpath and not self.faults
         seed = self.seed if bed_seed is None else bed_seed
-        if family is not None and family.testbed_factory is not None:
-            # The family measures its own topology (e.g. the CGN families
-            # run a NAT444 chain); build it from the same (profiles, seed)
-            # contract so shard determinism carries over unchanged.  The
-            # factory contract predates the engine flag, so it lands on the
-            # built bed below (bring-up there runs eager; harmless, since the
-            # engines are byte-identical and bring-up settles before chaos).
-            # Non-device families use the subject overload: one bed per
-            # enumerated subject, built from (subject, seed).
-            build = family.testbed_factory(self._knobs())
-            if subject is not None and subject.kind != "device":
-                bed = build(subject, seed)
-            else:
-                bed = build(self.profiles, seed)
-        else:
-            bed = Testbed.build(self.profiles, seed=self.seed, fastpath=fastpath)
+        # A family that measures its own topology (e.g. the CGN families run
+        # a NAT444 chain) supplies its builder; the rest run on the paper's
+        # Testbed.  Every builder takes the same (profiles, seed, fastpath)
+        # contract, so shard determinism carries over unchanged; non-device
+        # families use the subject overload, one bed per enumerated subject.
+        factory = family.testbed_factory if family is not None else None
+        build = factory(self._knobs()) if factory is not None else Testbed.build
+        target = subject if subject is not None and subject.kind != "device" else self.profiles
+        bed = build(target, seed, fastpath=fastpath)
         # Chaos goes in *after* bring-up: DHCP configuration stays clean, and
         # impairment/fault clocks are anchored at measurement start, so a
         # fault hits each family at the same virtual offset regardless of
@@ -370,12 +368,6 @@ class SurveyRunner:
             bed.apply_impairment(self.impairment)
         if self.faults:
             bed.schedule_faults(self.faults)
-        # Fault campaigns run the staged engine throughout: a crash flush
-        # must see every queued packet as a heap-visible entity to drop it
-        # the way the paper's power-cycled gateways do (the eager kernels
-        # have already consumed rate tokens for admitted packets and cannot
-        # un-consume them).
-        bed.sim.fastpath = fastpath
         return bed
 
     def _shard_config(self) -> Dict:
@@ -643,11 +635,17 @@ class SurveyRunner:
             store = CampaignStore(self.store_dir, self.store_key or self.fingerprint())
         observer: Optional[ShardObserver] = None
         if self.obs.enabled:
+            obs = self.obs
             if subject is not None:
                 device = subject.tag
+                if subject.kind != "device":
+                    # Every pair bed reuses the link labels a:srv ... b:cli
+                    # and its gateways' tags, so each subject records into
+                    # its own directory.
+                    obs = obs.under(subject_dirname(subject.tag))
             else:
                 device = self.profiles[0].tag if len(self.profiles) == 1 else None
-            observer = ShardObserver(self.obs, device=device)
+            observer = ShardObserver(obs, device=device)
 
         def failure_tag() -> str:
             if subject is not None:

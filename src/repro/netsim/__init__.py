@@ -26,7 +26,6 @@ from repro.netsim.link import Link
 from repro.netsim.node import Interface, Node
 from repro.netsim.queues import DropTailQueue, TokenBucket
 from repro.netsim.switch import VlanSwitch
-from repro.netsim.trace import PacketTrace, TraceEntry
 
 __all__ = [
     "Simulation",
@@ -43,6 +42,4 @@ __all__ = [
     "DropTailQueue",
     "TokenBucket",
     "VlanSwitch",
-    "PacketTrace",
-    "TraceEntry",
 ]

@@ -168,7 +168,6 @@ class LinkEndpoint:
                 bus.emit("link.drop", link=link.label, cause="severed")
             return
         link.frames_carried += 1
-        # NOT inlined: PacketTrace instruments Interface.deliver per instance.
         self.peer.iface.deliver(frame)
 
     def _drain_after_eager(self) -> None:

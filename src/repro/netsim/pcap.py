@@ -1,18 +1,16 @@
-"""Export packet traces as real pcap files.
+"""Classic libpcap files: the wire format of every capture.
 
-A :class:`~repro.netsim.trace.PacketTrace` holds structured frames; this
-module serializes them into the classic libpcap file format (magic
-0xa1b2c3d4, LINKTYPE_ETHERNET), so captures from the simulated testbed open
-directly in Wireshark/tcpdump — handy for debugging gateway behaviour and
-for demonstrating that the wire formats are real.
+:class:`~repro.obs.sinks.PcapSink` writes one of these per link from the
+trace bus's ``link.tx`` events (``--pcap``), serializing each frame to its
+real wire bytes; :func:`read_pcap` parses them back.  Captures open directly
+in Wireshark/tcpdump — handy for debugging gateway behaviour and for
+demonstrating that the wire formats are real.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterable
-
-from repro.netsim.trace import PacketTrace, TraceEntry
+from typing import BinaryIO
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_VERSION = (2, 4)
@@ -44,22 +42,6 @@ def write_pcap_record(stream: BinaryIO, timestamp: float, frame_bytes: bytes, sn
     captured = frame_bytes[:snaplen]
     stream.write(struct.pack("<IIII", seconds, micros, len(captured), len(frame_bytes)))
     stream.write(captured)
-
-
-def dump_entries(stream: BinaryIO, entries: Iterable[TraceEntry], snaplen: int = DEFAULT_SNAPLEN) -> int:
-    """Write a pcap with the given trace entries; returns the record count."""
-    write_pcap_header(stream, snaplen)
-    count = 0
-    for entry in entries:
-        write_pcap_record(stream, entry.timestamp, entry.frame.to_bytes(), snaplen)
-        count += 1
-    return count
-
-
-def save_trace(trace: PacketTrace, path: str, snaplen: int = DEFAULT_SNAPLEN) -> int:
-    """Write a whole trace to ``path``; returns the record count."""
-    with open(path, "wb") as stream:
-        return dump_entries(stream, trace.entries, snaplen)
 
 
 def read_pcap(path: str):

@@ -26,7 +26,7 @@ metrics registry spans the shard and is merged campaign-wide afterwards.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs.bus import TraceBus
@@ -54,6 +54,14 @@ class ObsConfig:
     def enabled(self) -> bool:
         """True when any sink is requested (an observer is worth building)."""
         return bool(self.trace_dir or self.pcap_dir or self.metrics)
+
+    def under(self, name: str) -> "ObsConfig":
+        """The same recording, with its files in subdirectory ``name``."""
+        return replace(
+            self,
+            trace_dir=str(pathlib.Path(self.trace_dir) / name) if self.trace_dir else None,
+            pcap_dir=str(pathlib.Path(self.pcap_dir) / name) if self.pcap_dir else None,
+        )
 
 
 class ShardObserver:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import pathlib
 import statistics
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = ["summarize_trace", "summarize_paths", "render_summary"]
 
@@ -31,8 +31,11 @@ _TRAVERSAL_KINDS = (
 )
 
 
-def summarize_trace(path: PathLike) -> Dict[str, Any]:
-    """Summarize one JSONL trace file into a JSON-safe dict."""
+def summarize_trace(path: PathLike, device: Optional[str] = None) -> Dict[str, Any]:
+    """Summarize one JSONL trace file into a JSON-safe dict.
+
+    ``device`` names the summary (default: the file's stem).
+    """
     events: Dict[str, int] = {}
     drops: Dict[str, int] = {}
     lifetimes: List[float] = []
@@ -70,7 +73,7 @@ def summarize_trace(path: PathLike) -> Dict[str, Any]:
                 span[0] = t if span[0] is None else min(span[0], t)
                 span[1] = t if span[1] is None else max(span[1], t)
     summary: Dict[str, Any] = {
-        "device": pathlib.Path(path).stem,
+        "device": device if device is not None else pathlib.Path(path).stem,
         "records": total,
         "events": dict(sorted(events.items())),
         "families": dict(sorted(families.items())),
@@ -97,21 +100,28 @@ def summarize_trace(path: PathLike) -> Dict[str, Any]:
     return summary
 
 
-def _expand(paths: Iterable[PathLike]) -> List[pathlib.Path]:
-    """Resolve files and directories (sorted ``*.jsonl`` inside) to files."""
-    files: List[pathlib.Path] = []
+def _expand(paths: Iterable[PathLike]) -> List[Tuple[pathlib.Path, str]]:
+    """Resolve files and directories to ``(file, device name)`` pairs.
+
+    A directory contributes its sorted ``*.jsonl`` files and then those one
+    level down: a traced campaign of non-device subjects (traversal pairs)
+    keeps each subject's files in their own subdirectory, and their devices
+    are named ``<subject>/<device>``.
+    """
+    files: List[Tuple[pathlib.Path, str]] = []
     for raw in paths:
         path = pathlib.Path(raw)
         if path.is_dir():
-            files.extend(sorted(path.glob("*.jsonl")))
+            for file in sorted(path.glob("*.jsonl")) + sorted(path.glob("*/*.jsonl")):
+                files.append((file, file.relative_to(path).with_suffix("").as_posix()))
         else:
-            files.append(path)
+            files.append((path, path.stem))
     return files
 
 
 def summarize_paths(paths: Iterable[PathLike]) -> List[Dict[str, Any]]:
     """Summarize every trace file named by ``paths`` (dirs are expanded)."""
-    return [summarize_trace(path) for path in _expand(paths)]
+    return [summarize_trace(path, device) for path, device in _expand(paths)]
 
 
 def render_summary(summaries: List[Dict[str, Any]]) -> str:

@@ -2,30 +2,33 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, List, Optional, Sequence
 
 from repro.devices.profile import DeviceProfile
 from repro.gateway.device import HomeGateway
-from repro.gateway.faults import FaultSpec
-from repro.netsim.addresses import mac_allocator
-from repro.netsim.impair import Impairment, impair_seed
-from repro.netsim.link import Link
 from repro.netsim.sim import Simulation
-from repro.netsim.switch import VlanSwitch
-from repro.protocols.dhcp import DhcpClientService, DhcpServerService
-from repro.protocols.dns import DnsAuthoritativeServer
-from repro.protocols.stack import Host
+from repro.protocols.dhcp import DhcpClientService
+from repro.testbed.wiring import (
+    DEFAULT_ZONE_ANSWER,
+    DEFAULT_ZONE_NAME,
+    LINK_DELAY,
+    LINK_RATE_BPS,
+    Wiring,
+    dhcp_cascade,
+    simulation,
+)
 
-LINK_RATE_BPS = 100e6  # the testbed's 100 Mb/s Ethernet
-LINK_DELAY = 25e-6
-
-#: Default zone served by the testbed's DNS server (the paper's hiit.fi).
-DEFAULT_ZONE_NAME = "test.hiit.fi"
-#: The canonical answer for the default name (TEST-NET-1 documentation space).
-DEFAULT_ZONE_ANSWER = IPv4Address("192.0.2.80")
+#: The wiring constants stay importable from here, where probes look for them.
+__all__ = [
+    "GatewayPort",
+    "Testbed",
+    "DEFAULT_ZONE_ANSWER",
+    "DEFAULT_ZONE_NAME",
+    "LINK_DELAY",
+    "LINK_RATE_BPS",
+]
 
 
 @dataclass
@@ -47,25 +50,19 @@ class GatewayPort:
         return self.profile.tag
 
 
-class Testbed:
-    """The assembled testbed: server, switches, gateways, client."""
+class Testbed(Wiring):
+    """The assembled testbed: server, switches, gateways, client.
+
+    Gateway ``n`` puts its WAN on VLAN ``1000+n`` (``10.0.n.0/24``, server
+    at ``.1``) and its LAN on VLAN ``2000+n`` (``192.168.n.0/24``).
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
     def __init__(self, sim: Simulation, profiles: Sequence[DeviceProfile]):
-        self.sim = sim
-        self.macs = mac_allocator()
-        self.server = Host(sim, "test-server", self.macs)
-        self.client = Host(sim, "test-client", self.macs)
-        # §4.4: some devices share one MAC between WAN and LAN ports, which
-        # forces physically separate switches — so the testbed uses two.
-        self.wan_switch = VlanSwitch(sim, "wan-switch", self.macs)
-        self.lan_switch = VlanSwitch(sim, "lan-switch", self.macs)
+        super().__init__(sim)
+        self.figure1()
         self.ports: Dict[str, GatewayPort] = {}
-        #: Every link in construction order; the ordinal seeds per-link
-        #: impairment RNGs, so it must be deterministic.
-        self.links: List[Link] = []
-        self.dns_zone = DnsAuthoritativeServer(self.server, {DEFAULT_ZONE_NAME: DEFAULT_ZONE_ANSWER})
         for number, profile in enumerate(profiles, start=1):
             self._add_gateway(number, profile)
 
@@ -73,118 +70,37 @@ class Testbed:
     def build(
         cls, profiles: Sequence[DeviceProfile], seed: int = 0, fastpath: bool = True
     ) -> "Testbed":
-        """Construct the testbed and bring every gateway and client VLAN up.
-
-        ``fastpath=False`` pins the whole run — bring-up included — to the
-        staged event engine (the eager kernels' property-test oracle).
-        """
-        sim = Simulation(seed=seed)
-        sim.fastpath = fastpath
-        bed = cls(sim, profiles)
+        """Construct the testbed and bring every gateway and client VLAN up."""
+        bed = cls(simulation(seed, fastpath), profiles)
         bed.bring_up()
         return bed
-
-    # -- construction -----------------------------------------------------
-
-    def _link(self, label: str) -> Link:
-        link = Link(self.sim, LINK_RATE_BPS, LINK_DELAY)
-        link.label = label
-        self.links.append(link)
-        return link
 
     def _add_gateway(self, number: int, profile: DeviceProfile) -> None:
         if profile.tag in self.ports:
             raise ValueError(f"duplicate device tag {profile.tag!r}")
         wan_network = IPv4Network(f"10.0.{number}.0/24")
-        lan_network = IPv4Network(f"192.168.{number}.0/24")
         server_ip = IPv4Address(f"10.0.{number}.1")
-
-        # Server side: one VLAN interface + per-VLAN DHCP service + DNS A record.
-        server_iface = self.server.new_interface()
-        server_iface.configure(server_ip, wan_network)
-        self._link(f"{profile.tag}:srv").attach(
-            server_iface, self.wan_switch.new_port(1000 + number)
+        uplink = (self.wan_switch, 1000 + number)
+        server_iface = self.server_face(number, wan_network, server_ip, uplink, profile.tag)
+        gateway = self.gateway(profile, self.macs, IPv4Network(f"192.168.{number}.0/24"))
+        client_iface_index = self.home(
+            profile.tag, gateway, uplink, (self.lan_switch, 2000 + number), self.client
         )
-        DhcpServerService(
-            self.server,
-            server_iface.index,
-            wan_network,
-            server_ip,
-            router=server_ip,
-            dns_servers=[server_ip],
-            first_offset=2,
-        )
-        self.dns_zone.add_record(f"vlan{number}.{DEFAULT_ZONE_NAME}", server_ip)
-
-        # The gateway between the two switches.
-        gateway = HomeGateway(self.sim, profile, self.macs, lan_network=lan_network)
-        self._link(f"{profile.tag}:wan").attach(
-            gateway.wan_iface, self.wan_switch.new_port(1000 + number)
-        )
-        self._link(f"{profile.tag}:lan").attach(
-            gateway.lan_iface, self.lan_switch.new_port(2000 + number)
-        )
-
-        # Client side: one VLAN interface, configured later by the gateway's
-        # DHCP server (interface-specific routes only).
-        client_iface = self.client.new_interface()
-        self._link(f"{profile.tag}:cli").attach(
-            client_iface, self.lan_switch.new_port(2000 + number)
-        )
-
         self.ports[profile.tag] = GatewayPort(
             index=number,
             profile=profile,
             gateway=gateway,
             wan_network=wan_network,
-            lan_network=lan_network,
+            lan_network=gateway.lan_network,
             server_ip=server_ip,
             server_iface_index=server_iface.index,
-            client_iface_index=client_iface.index,
+            client_iface_index=client_iface_index,
         )
-
-    # -- bring-up -------------------------------------------------------------
 
     def bring_up(self, timeout: float = 60.0) -> None:
         """DHCP-configure every gateway WAN and every client VLAN interface."""
-        for port in self.ports.values():
-            def gateway_ready(gw: HomeGateway, port: GatewayPort = port) -> None:
-                client = DhcpClientService(self.client, port.client_iface_index)
-                port.client_dhcp = client
-                client.start()
-
-            port.gateway.start(on_ready=gateway_ready)
-        deadline = self.sim.now + timeout
-        while self.sim.now < deadline:
-            if all(p.client_dhcp is not None and p.client_dhcp.configured for p in self.ports.values()):
-                break
-            if not self.sim.step():
-                break
-        not_up = [p.tag for p in self.ports.values() if p.client_dhcp is None or not p.client_dhcp.configured]
-        if not_up:
-            raise RuntimeError(f"testbed bring-up failed for: {not_up}")
-
-    # -- chaos ----------------------------------------------------------------
-
-    def apply_impairment(self, impairment: Impairment) -> None:
-        """Install ``impairment`` on every link, each with its own RNG.
-
-        Per-link seeds derive from the simulation seed and the link's
-        construction ordinal (:func:`~repro.netsim.impair.impair_seed`), so
-        the perturbation a device suffers is a pure function of the
-        campaign seed — identical under any ``jobs`` and any device subset.
-        Call after :meth:`bring_up`: DHCP configuration stays clean and any
-        flap window is anchored at measurement start.
-        """
-        for ordinal, link in enumerate(self.links):
-            link.impair(impairment, rng=random.Random(impair_seed(self.sim.seed, ordinal)))
-
-    def schedule_faults(self, faults: Sequence[FaultSpec]) -> None:
-        """Schedule every applicable fault against this testbed's gateways."""
-        for fault in faults:
-            for port in self.ports.values():
-                if fault.applies_to(port.tag):
-                    port.gateway.schedule_crash(fault.at, fault.boot)
+        dhcp_cascade(self.client, self.ports.values())
+        self.settle(self.ports, timeout, "testbed")
 
     # -- accessors ---------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from repro.core.runtime import Future, SimTask, run_tasks
 from repro.obs.bus import RELAY_FALLBACK
 from repro.testbed.testbed import Testbed
 from repro.traversal.holepunch import HolePunchExperiment, HolePunchOutcome
-from repro.traversal.relay import RELAY_CONTROL_PORT, RelayServer, decode, encode_allocate, new_session_id
+from repro.traversal.relay import RELAY_CONTROL_PORT, RelayServer, decode, encode_allocate
 
 RELAY_TIMEOUT = 5.0
 
@@ -62,7 +62,7 @@ class IceLiteSession:
 
     def _relay_pair(self, tag_a: str, tag_b: str) -> bool:
         bed = self.bed
-        session_id = new_session_id()
+        session_id = self.relay.new_session_id()
         port_a, port_b = bed.port(tag_a), bed.port(tag_b)
         sock_a = bed.client.udp.bind(0, port_a.client_iface_index)
         sock_b = bed.client.udp.bind(0, port_b.client_iface_index)

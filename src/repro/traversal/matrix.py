@@ -32,8 +32,7 @@ belongs to its own campaign (CLI ``--matrix``), not the paper's menu.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,17 +44,10 @@ from repro.core.runtime import Future, SimTask, run_tasks
 from repro.devices.cgn_profiles import CgnPolicy
 from repro.devices.profile import DeviceProfile
 from repro.gateway.device import HomeGateway
-from repro.gateway.faults import FaultSpec
-from repro.netsim.addresses import mac_allocator
-from repro.netsim.impair import Impairment, impair_seed
-from repro.netsim.link import Link
 from repro.netsim.sim import Simulation
-from repro.netsim.switch import VlanSwitch
 from repro.obs.bus import PUNCH_RX, PUNCH_TX, RELAY_FALLBACK
-from repro.protocols.dhcp import DhcpClientService, DhcpServerService
-from repro.protocols.dns import DnsAuthoritativeServer
-from repro.protocols.stack import Host
-from repro.testbed.testbed import DEFAULT_ZONE_ANSWER, DEFAULT_ZONE_NAME, LINK_DELAY, LINK_RATE_BPS
+from repro.protocols.dhcp import DhcpClientService
+from repro.testbed.wiring import Wiring, dhcp_cascade, simulation
 
 # The stun/relay siblings are imported lazily (inside the probe): this module
 # is loaded by registry.ensure_loaded(), which can itself be triggered from
@@ -184,21 +176,17 @@ class PairSide:
         return self.profile.tag
 
 
-class PairTopology:
+class PairTopology(Wiring):
     """One ordered pair's testbed: two NAT chains facing one routed server.
 
-    Structurally a two-slot hybrid of :class:`~repro.testbed.testbed.Testbed`
-    and :class:`~repro.cgn.topology.Nat444Topology`: each side gets its own
-    WAN VLAN (``10.0.n.0/24``) with a server interface and DHCP service; a
-    plain side puts its home gateway straight on that VLAN, a CGN side
-    inserts a :class:`~repro.cgn.node.CgnNode` (access network
-    ``100.(64+n).0.0/24``) between the VLAN and the home gateway.  The
-    server routes between the two VLANs (``ip_forwarding``), which is what
-    makes peer-to-peer punching possible at all.
-
-    Satisfies the survey engine's structural testbed contract — ``sim``,
-    ``links``, ``apply_impairment``, ``schedule_faults`` — so pair shards
-    plug into observers, watchdogs and chaos unchanged.
+    Two units of the shared Figure-1 wiring (:mod:`repro.testbed.wiring`):
+    each side gets its own WAN VLAN (``10.0.n.0/24``) with a server
+    interface and DHCP service; a plain side puts its home gateway straight
+    on that VLAN, a CGN side inserts a :class:`~repro.cgn.node.CgnNode`
+    (access network ``100.(64+n).0.0/24``) between the VLAN and the home
+    gateway.  The server routes between the two VLANs (``ip_forwarding``),
+    which is what makes peer-to-peer punching possible at all.  Gateways
+    answer crash faults by device tag, CGNs as ``cgn-<letter>-<tag>``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -211,91 +199,50 @@ class PairTopology:
     ):
         if subject.kind != "pair" or len(subject.profiles) != 2:
             raise ValueError(f"PairTopology needs a pair subject, got {subject!r}")
-        self.sim = sim
+        super().__init__(sim)
         self.subject = subject
         self.cgn_policy = cgn_policy if cgn_policy is not None else CgnPolicy()
-        self.macs = mac_allocator()
-        self.server = Host(sim, "test-server", self.macs)
+        self.figure1(access_switch=True)
         # Peer-to-peer paths cross the server between the two WAN VLANs.
         self.server.ip_forwarding = True
-        self.client = Host(sim, "test-client", self.macs)
-        self.wan_switch = VlanSwitch(sim, "wan-switch", self.macs)
-        self.access_switch = VlanSwitch(sim, "access-switch", self.macs)
-        self.lan_switch = VlanSwitch(sim, "lan-switch", self.macs)
         self.sides: Dict[str, PairSide] = {}
-        #: Every link in construction order; ordinals seed per-link
-        #: impairment RNGs, exactly as in the device testbeds.
-        self.links: List[Link] = []
-        self.dns_zone = DnsAuthoritativeServer(self.server, {DEFAULT_ZONE_NAME: DEFAULT_ZONE_ANSWER})
         for index, (letter, profile) in enumerate(zip("ab", subject.profiles), start=1):
             behind_cgn = bool(subject.param(f"cgn_{letter}", False))
             self._add_side(index, letter, profile, behind_cgn)
 
     @classmethod
     def build(
-        cls, subject: Subject, seed: int = 0, cgn_policy: Optional[CgnPolicy] = None
+        cls,
+        subject: Subject,
+        seed: int = 0,
+        cgn_policy: Optional[CgnPolicy] = None,
+        fastpath: bool = True,
     ) -> "PairTopology":
         """Construct the pair testbed and DHCP both chains up."""
-        bed = cls(Simulation(seed=seed), subject, cgn_policy=cgn_policy)
+        bed = cls(simulation(seed, fastpath), subject, cgn_policy=cgn_policy)
         bed.bring_up()
         return bed
 
-    # -- construction -----------------------------------------------------
-
-    def _link(self, label: str) -> Link:
-        link = Link(self.sim, LINK_RATE_BPS, LINK_DELAY)
-        link.label = label
-        self.links.append(link)
-        return link
-
     def _add_side(self, index: int, letter: str, profile: DeviceProfile, behind_cgn: bool) -> None:
         wan_network = IPv4Network(f"10.0.{index}.0/24")
-        lan_network = IPv4Network(f"192.168.{index}.0/24")
         server_ip = IPv4Address(f"10.0.{index}.1")
-
-        # Server face: one VLAN interface + DHCP service + DNS A record.
-        server_iface = self.server.new_interface()
-        server_iface.configure(server_ip, wan_network)
-        self._link(f"{letter}:srv").attach(server_iface, self.wan_switch.new_port(1000 + index))
-        DhcpServerService(
-            self.server,
-            server_iface.index,
-            wan_network,
-            server_ip,
-            router=server_ip,
-            dns_servers=[server_ip],
-            first_offset=2,
+        uplink = (self.wan_switch, 1000 + index)
+        server_iface = self.server_face(index, wan_network, server_ip, uplink, letter)
+        gateway = self.gateway(
+            profile, self.macs, IPv4Network(f"192.168.{index}.0/24"), name=f"gw-{letter}-{profile.tag}"
         )
-        self.dns_zone.add_record(f"vlan{index}.{DEFAULT_ZONE_NAME}", server_ip)
-
         cgn: Optional[CgnNode] = None
-        gateway = HomeGateway(
-            self.sim, profile, self.macs, lan_network=lan_network, name=f"gw-{letter}-{profile.tag}"
-        )
         if behind_cgn:
             # WAN ─ CGN ─ access network ─ home gateway ─ LAN.
-            access_network = IPv4Network(f"100.{64 + index}.0.0/24")
-            cgn = CgnNode(
-                self.sim, self.cgn_policy, self.macs, access_network, tag=f"cgn-{letter}-{profile.tag}"
+            cgn = self.cgn(
+                letter, self.cgn_policy, self.macs, IPv4Network(f"100.{64 + index}.0.0/24"),
+                f"cgn-{letter}-{profile.tag}", access=(self.access_switch, 2000 + index),
+                wan=uplink, roles=("cgn-wan", "cgn-acc"),
             )
-            self._link(f"{letter}:cgn-wan").attach(
-                cgn.wan_iface, self.wan_switch.new_port(1000 + index)
-            )
-            self._link(f"{letter}:cgn-acc").attach(
-                cgn.lan_iface, self.access_switch.new_port(2000 + index)
-            )
-            self._link(f"{letter}:wan").attach(
-                gateway.wan_iface, self.access_switch.new_port(2000 + index)
-            )
-        else:
-            self._link(f"{letter}:wan").attach(
-                gateway.wan_iface, self.wan_switch.new_port(1000 + index)
-            )
-        self._link(f"{letter}:lan").attach(gateway.lan_iface, self.lan_switch.new_port(3000 + index))
-
-        client_iface = self.client.new_interface()
-        self._link(f"{letter}:cli").attach(client_iface, self.lan_switch.new_port(3000 + index))
-
+            uplink = (self.access_switch, 2000 + index)
+        client_iface_index = self.home(
+            letter, gateway, uplink, (self.lan_switch, 3000 + index), self.client
+        )
         self.sides[letter] = PairSide(
             letter=letter,
             index=index,
@@ -305,61 +252,17 @@ class PairTopology:
             server_ip=server_ip,
             server_iface_index=server_iface.index,
             gateway=gateway,
-            client_iface_index=client_iface.index,
+            client_iface_index=client_iface_index,
             cgn=cgn,
         )
 
-    # -- bring-up ----------------------------------------------------------
-
     def bring_up(self, timeout: float = 120.0) -> None:
-        """Staged DHCP cascade: CGN (if any), then gateway, then client."""
+        """Staged DHCP cascade per side: CGN (if any), then gateway, then client."""
         for side in self.sides.values():
-            def gateway_ready(_gw: HomeGateway, side: PairSide = side) -> None:
-                client = DhcpClientService(self.client, side.client_iface_index)
-                side.client_dhcp = client
-                client.start()
-
-            if side.cgn is not None:
-                def cgn_ready(
-                    _gw: HomeGateway, side: PairSide = side, on_ready=gateway_ready
-                ) -> None:
-                    side.gateway.start(on_ready=on_ready)
-
-                side.cgn.start(on_ready=cgn_ready)
-            else:
-                side.gateway.start(on_ready=gateway_ready)
-        deadline = self.sim.now + timeout
-        while self.sim.now < deadline:
-            if all(
-                side.client_dhcp is not None and side.client_dhcp.configured
-                for side in self.sides.values()
-            ):
-                break
-            if not self.sim.step():
-                break
-        not_up = [
-            f"{side.letter}:{side.tag}"
-            for side in self.sides.values()
-            if side.client_dhcp is None or not side.client_dhcp.configured
-        ]
-        if not_up:
-            raise RuntimeError(f"pair testbed bring-up failed for: {not_up}")
-
-    # -- chaos --------------------------------------------------------------
-
-    def apply_impairment(self, impairment: Impairment) -> None:
-        """Install ``impairment`` on every link with its ordinal-seeded RNG."""
-        for ordinal, link in enumerate(self.links):
-            link.impair(impairment, rng=random.Random(impair_seed(self.sim.seed, ordinal)))
-
-    def schedule_faults(self, faults: Sequence[FaultSpec]) -> None:
-        """Schedule faults against gateways (by device tag) and CGNs."""
-        for fault in faults:
-            for side in self.sides.values():
-                if fault.applies_to(side.tag):
-                    side.gateway.schedule_crash(fault.at, fault.boot)
-                if side.cgn is not None and fault.applies_to(side.cgn.tag):
-                    side.cgn.schedule_crash(fault.at, fault.boot)
+            dhcp_cascade(self.client, [side], side.cgn)
+        self.settle(
+            {f"{side.letter}:{side.tag}": side for side in self.sides.values()}, timeout, "pair testbed"
+        )
 
     # -- accessors -----------------------------------------------------------
 
@@ -499,7 +402,7 @@ class PairProbe:
 
         task = SimTask(
             bed.sim,
-            self._procedure(bed, peer_a, peer_b, cell),
+            self._procedure(bed, relay, peer_a, peer_b, cell),
             name=f"traversal:{subject.tag}",
         )
         run_tasks(bed.sim, [task])
@@ -511,9 +414,8 @@ class PairProbe:
         return {subject.tag: cell}
 
     def _procedure(
-        self, bed: PairTopology, peer_a: _PairPeer, peer_b: _PairPeer, cell: TraversalCell
+        self, bed: PairTopology, relay, peer_a: _PairPeer, peer_b: _PairPeer, cell: TraversalCell
     ) -> Generator:
-        from repro.traversal.relay import new_session_id
         from repro.traversal.stun import STUN_PORT, classify
 
         side_a, side_b = peer_a.side, peer_b.side
@@ -553,7 +455,7 @@ class PairProbe:
             bus = bed.sim.bus
             if bus is not None:
                 bus.emit(RELAY_FALLBACK, pair=cell.pair)
-            session_id = new_session_id()
+            session_id = relay.new_session_id()
             relay_port_a = yield peer_a.allocate_relay(session_id, 0)
             relay_port_b = yield peer_b.allocate_relay(session_id, 1)
             if relay_port_a is None or relay_port_b is None:
@@ -590,11 +492,11 @@ class PairProbe:
 
 
 def pair_factory(knobs: Mapping):
-    """``testbed_factory`` hook (pair overload): knobs -> ``build(subject, seed)``."""
+    """``testbed_factory`` hook (pair overload): knobs -> ``build(subject, seed, fastpath)``."""
     policy = cgn_policy_for(knobs)
 
-    def build(subject: Subject, seed: int) -> PairTopology:
-        return PairTopology.build(subject, seed=seed, cgn_policy=policy)
+    def build(subject: Subject, seed: int, fastpath: bool = True) -> PairTopology:
+        return PairTopology.build(subject, seed=seed, cgn_policy=policy, fastpath=fastpath)
 
     return build
 

@@ -26,8 +26,6 @@ MAGIC = b"RTRN"
 TYPE_ALLOCATE = 1
 TYPE_ALLOCATED = 2
 
-_session_counter = itertools.count(1)
-
 
 def encode_allocate(session_id: int, peer_index: int) -> bytes:
     return MAGIC + bytes([TYPE_ALLOCATE, peer_index]) + session_id.to_bytes(4, "big")
@@ -67,6 +65,11 @@ class RelayServer:
         # (session, peer_index) -> allocation
         self._allocations: Dict[Tuple[int, int], _Allocation] = {}
         self.datagrams_relayed = 0
+        self._sessions = itertools.count(1)
+
+    def new_session_id(self) -> int:
+        """A session id unique on this relay (and independent of any other run)."""
+        return next(self._sessions)
 
     def _on_control(self, payload: bytes, src_ip: IPv4Address, src_port: int) -> None:
         decoded = decode(payload)
@@ -102,6 +105,3 @@ class RelayServer:
             allocation.socket.close()
         self._allocations.clear()
 
-
-def new_session_id() -> int:
-    return next(_session_counter)

@@ -38,8 +38,6 @@ TYPE_REQUEST = 1
 TYPE_RESPONSE = 2
 FLAG_REPLY_FROM_ALT_PORT = 0x01
 
-_txid_counter = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class MappedAddress:
@@ -150,6 +148,9 @@ class StunClient:
         self.host = host
         self.socket = host.udp.bind(local_port, iface_index)
         self._waiters: Dict[int, Future] = {}
+        # Per client, so a request's bytes never depend on what else ran in
+        # the process (e.g. the pair shards before it at jobs=1).
+        self._txids = itertools.count(1)
         self.socket.on_receive = self._on_datagram
 
     @property
@@ -179,7 +180,7 @@ class StunClient:
     ) -> Future:
         """Send one binding request; the Future resolves to a
         :class:`MappedAddress` (or None on timeout/filtering)."""
-        txid = next(_txid_counter)
+        txid = next(self._txids)
         future = Future(timeout=timeout)
         self._waiters[txid] = future
         flags = FLAG_REPLY_FROM_ALT_PORT if reply_from_alt_port else 0

@@ -306,8 +306,11 @@ class TestAttackCampaign:
     def test_staged_engine_writes_identical_cells(self, clean, tmp_path):
         _results, clean_out = clean
         out = tmp_path / "staged"
-        _attack_runner(jobs=1, fastpath=False, store_dir=str(out)).run(tests=ATTACK_FAMILIES)
+        staged = _attack_runner(jobs=1, fastpath=False, store_dir=str(out)).run(tests=ATTACK_FAMILIES)
         assert _tree(out) == _tree(clean_out)
+        # --no-fastpath pins every bed, bring-up included, to the staged engine.
+        assert staged.stats.fastpath_events_saved == 0
+        assert staged.stats.fastpath_windows == 0
 
     def test_report_renders_attack_section_without_simulation(self, clean):
         from repro.analysis import render_report

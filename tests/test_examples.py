@@ -49,3 +49,15 @@ def test_keepalive_advisor_rejects_unknown_tags(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["keepalive_advisor.py", "nosuch"])
     with pytest.raises(SystemExit, match="unknown device tags"):
         _load("keepalive_advisor").main()
+
+
+def test_packet_capture_writes_readable_pcaps(capsys, monkeypatch, tmp_path):
+    from repro.netsim.pcap import read_pcap
+
+    monkeypatch.setattr(sys, "argv", ["packet_capture.py", str(tmp_path)])
+    _load("packet_capture").main()
+    out = capsys.readouterr().out
+    assert "WAN protocol mix" in out
+    records = read_pcap(str(tmp_path / "bu1.wan.pcap"))
+    assert len(records) > 0
+    assert all(len(raw) > 14 for _t, raw in records)

@@ -96,20 +96,30 @@ def test_jobs_sharding_preserves_fastpath_determinism(tmp_path):
     assert serial == parallel
 
 
-@pytest.mark.parametrize("family", ["cgn_timeouts", "cgn_exhaustion"])
+#: Family -> (tags, knobs) of the factory-built beds' engine-parity runs.
+FACTORY_BEDS = {
+    "cgn_timeouts": (("dl1", "bu1"), {"cgn_subscribers": 4}),
+    "cgn_exhaustion": (("dl1", "bu1"), {"cgn_subscribers": 4}),
+    # Every ordered pair of TAGS in all four CGN variants: 24 pair beds.
+    "traversal_matrix": (TAGS, {"matrix_cgn": True}),
+}
+
+
+@pytest.mark.parametrize("family", list(FACTORY_BEDS))
 def test_cgn_families_cells_identical_across_engines(tmp_path, family):
-    fast, _ = _run_store(
-        tmp_path, "fast", fastpath=True, families=[family], tags=("dl1", "bu1"),
-        cgn_subscribers=4,
-    )
-    slow, _ = _run_store(
-        tmp_path, "slow", fastpath=False, families=[family], tags=("dl1", "bu1"),
-        cgn_subscribers=4,
+    tags, knobs = FACTORY_BEDS[family]
+    fast, _ = _run_store(tmp_path, "fast", fastpath=True, families=[family], tags=tags, **knobs)
+    slow, slow_results = _run_store(
+        tmp_path, "slow", fastpath=False, families=[family], tags=tags, **knobs
     )
     assert fast == slow
+    # --no-fastpath pins every bed, bring-up included, to the staged engine.
+    assert slow_results.stats.fastpath_events_saved == 0
+    assert slow_results.stats.fastpath_windows == 0
 
 
 def test_fault_campaigns_pin_the_staged_engine(tmp_path):
+    from repro.core import registry
     from repro.gateway.faults import FaultSpec
 
     runner = SurveyRunner(
@@ -117,10 +127,14 @@ def test_fault_campaigns_pin_the_staged_engine(tmp_path):
         fastpath=True,
         faults=[FaultSpec(at=5.0, boot=2.0, device="dl1")],
     )
-    bed = runner._fresh_testbed()
-    # A crash flush cannot unwind eagerly-consumed rate tokens, so chaos
-    # campaigns must run every packet through the staged engine.
-    assert bed.sim.fastpath is False
+    # The default Testbed and a factory-built NAT444 bed.
+    for family in (None, registry.family("cgn_timeouts")):
+        bed = runner._fresh_testbed(family)
+        # A crash flush cannot unwind eagerly-consumed rate tokens, so chaos
+        # campaigns must run every packet through the staged engine — from
+        # bring-up on.
+        assert bed.sim.fastpath is False
+        assert bed.sim.fastpath_windows == 0
 
 
 def test_fastpath_counters_account_for_elided_work():

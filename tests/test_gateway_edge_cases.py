@@ -10,8 +10,9 @@ from repro.devices.profile import (
     TcpTimeoutPolicy,
     UdpTimeoutPolicy,
 )
-from repro.netsim import PacketTrace
-from repro.packets import PROTO_TCP, PROTO_UDP, TcpSegment, UdpDatagram
+from repro.netsim.pcap import read_pcap
+from repro.obs import PcapSink, TraceBus
+from repro.packets import PROTO_UDP, EthernetFrame, IPv4Packet, UdpDatagram
 from repro.protocols import DnsStubResolver
 from repro.testbed import Testbed
 from tests.conftest import make_profile
@@ -168,22 +169,28 @@ class TestUdpTimerSemantics:
 
 
 class TestTracing:
-    def test_trace_on_gateway_wan_shows_translation(self):
+    def test_trace_on_gateway_wan_shows_translation(self, tmp_path):
         profile = make_profile("gw")
         bed = Testbed.build([profile])
         port = bed.port("gw")
-        trace = PacketTrace.on(port.gateway.wan_iface)
+        bus = TraceBus.attach(bed.sim)
+        capture = bus.subscribe(PcapSink(tmp_path))
         sink = bed.server.udp.bind(7000)
         sink.on_receive = lambda *a: None
         sock = bed.client.udp.bind(44444, port.client_iface_index)
         sock.send_to(b"q", port.server_ip, 7000)
         bed.sim.run(until=bed.sim.now + 2)
+        bus.detach()
+        capture.close()
+        frames = [
+            EthernetFrame.from_bytes(raw, payload_parser=IPv4Packet.from_bytes)
+            for _t, raw in read_pcap(str(tmp_path / "gw.wan.pcap"))
+        ]
         tx_udp = [
-            entry.frame.payload
-            for entry in trace.select(direction="tx")
-            if entry.frame.payload.protocol == PROTO_UDP
+            frame.payload
+            for frame in frames
+            if frame.src == port.gateway.wan_iface.mac and frame.payload.protocol == PROTO_UDP
         ]
         assert tx_udp
         assert tx_udp[0].src == port.gateway.wan_ip  # translated on the wire
         assert tx_udp[0].payload.src_port == 44444  # port preserved
-        trace.detach()

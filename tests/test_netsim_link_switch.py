@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import Link, Node, PacketTrace, Simulation, VlanSwitch, mac_allocator
+from repro.netsim import Link, Node, VlanSwitch
 from repro.netsim.addresses import BROADCAST_MAC
 from repro.packets import EthernetFrame
 
@@ -149,30 +149,3 @@ class TestVlanSwitch:
         i0.transmit(EthernetFrame(i1.mac, i0.mac, b"y"))
         sim.run()
         assert switch.frames_flooded == flooded + 1
-
-
-class TestPacketTrace:
-    def test_captures_both_directions(self, sim, macs):
-        a, b, ia, ib, _link = _pair(sim, macs)
-        trace = PacketTrace.on(ia)
-        ia.transmit(EthernetFrame(ib.mac, ia.mac, b"ping"))
-        ib.transmit(EthernetFrame(ia.mac, ib.mac, b"pong"))
-        sim.run()
-        assert [e.direction for e in trace.entries] == ["tx", "rx"]
-
-    def test_detach_stops_capture(self, sim, macs):
-        a, b, ia, ib, _link = _pair(sim, macs)
-        trace = PacketTrace.on(ia)
-        trace.detach()
-        ia.transmit(EthernetFrame(ib.mac, ia.mac, b"x"))
-        sim.run()
-        assert len(trace) == 0
-
-    def test_select_filters(self, sim, macs):
-        a, b, ia, ib, _link = _pair(sim, macs)
-        trace = PacketTrace.on(ia)
-        ia.transmit(EthernetFrame(ib.mac, ia.mac, b"aa"))
-        ia.transmit(EthernetFrame(ib.mac, ia.mac, b"bb"))
-        sim.run()
-        only_bb = trace.select(direction="tx", predicate=lambda f: f.payload == b"bb")
-        assert len(only_bb) == 1

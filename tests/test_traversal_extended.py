@@ -5,8 +5,8 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy
-from repro.netsim import PacketTrace
-from repro.netsim.pcap import read_pcap, save_trace
+from repro.netsim.pcap import read_pcap
+from repro.obs import PcapSink, TraceBus
 from repro.testbed import Testbed
 from repro.traversal import IceLiteSession, RelayServer, TcpHolePunchExperiment
 from tests.conftest import make_profile
@@ -104,22 +104,40 @@ class TestTcpHolePunch:
         assert not outcome.success
 
 
+class _Tap:
+    """Every ``link.tx`` on one link, as (virtual time, wire bytes)."""
+
+    def __init__(self, label):
+        self.label = label
+        self.records = []
+
+    def handle(self, t, kind, fields):
+        if kind == "link.tx" and fields["link"] == self.label:
+            self.records.append((t, fields["_frame"].to_bytes()))
+
+
+def _capture_wan(tmp_path, payload, seconds):
+    """Send ``payload`` through gateway ``a``; capture its WAN link both ways."""
+    bed = Testbed.build([cone("a")])
+    port = bed.port("a")
+    bus = TraceBus.attach(bed.sim)
+    capture = bus.subscribe(PcapSink(tmp_path))
+    tap = bus.subscribe(_Tap("a:wan"))
+    sink = bed.server.udp.bind(7000)
+    sink.on_receive = lambda *args: None
+    sock = bed.client.udp.bind(0, port.client_iface_index)
+    sock.send_to(payload, port.server_ip, 7000)
+    bed.sim.run(until=bed.sim.now + seconds)
+    bus.detach()
+    capture.close()
+    return port, tap.records, read_pcap(str(tmp_path / "a.wan.pcap"))
+
+
 class TestPcap:
     def test_roundtrip_through_file(self, tmp_path):
-        bed = Testbed.build([cone("a")])
-        port = bed.port("a")
-        trace = PacketTrace.on(port.gateway.wan_iface)
-        sink = bed.server.udp.bind(7000)
-        sink.on_receive = lambda *args: None
-        sock = bed.client.udp.bind(0, port.client_iface_index)
-        sock.send_to(b"capture-me", port.server_ip, 7000)
-        bed.sim.run(until=bed.sim.now + 2)
-        trace.detach()
-        path = tmp_path / "wan.pcap"
-        count = save_trace(trace, str(path))
-        assert count == len(trace.entries) > 0
-        records = read_pcap(str(path))
-        assert len(records) == count
+        port, tapped, records = _capture_wan(tmp_path, b"capture-me", 2)
+        assert len(records) == len(tapped) > 0
+        assert [raw for _t, raw in records] == [raw for _t, raw in tapped]
         # The raw frame must parse back into the translated packet.
         from repro.packets import EthernetFrame, IPv4Packet
 
@@ -128,20 +146,10 @@ class TestPcap:
         assert b"capture-me" in frame.payload.payload.payload
 
     def test_timestamps_preserved_to_microseconds(self, tmp_path):
-        bed = Testbed.build([cone("a")])
-        port = bed.port("a")
-        trace = PacketTrace.on(port.gateway.wan_iface)
-        sink = bed.server.udp.bind(7000)
-        sink.on_receive = lambda *args: None
-        sock = bed.client.udp.bind(0, port.client_iface_index)
-        sock.send_to(b"t", port.server_ip, 7000)
-        bed.sim.run(until=bed.sim.now + 1)
-        trace.detach()
-        path = tmp_path / "t.pcap"
-        save_trace(trace, str(path))
-        records = read_pcap(str(path))
-        for entry, (timestamp, _raw) in zip(trace.entries, records):
-            assert timestamp == pytest.approx(entry.timestamp, abs=1e-6)
+        _port, tapped, records = _capture_wan(tmp_path, b"t", 1)
+        assert len(records) == len(tapped) > 0
+        for (expected, _raw), (timestamp, _raw2) in zip(tapped, records):
+            assert timestamp == pytest.approx(expected, abs=1e-6)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pcap"

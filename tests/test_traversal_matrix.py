@@ -191,3 +191,60 @@ class TestCgnVariant:
         assert pair_subject(al, be1, cgn_a=True).tag == "al+be1.cgn-a"
         assert pair_subject(al, be1, cgn_b=True).tag == "al+be1.cgn-b"
         assert pair_subject(al, be1, cgn_a=True, cgn_b=True).tag == "al+be1.cgn-ab"
+
+
+class TestTracedMatrix:
+    """A traced, pcap'd matrix keeps every pair's files, the same under any ``jobs``."""
+
+    TAGS = ("al", "be1", "ng1")
+
+    @staticmethod
+    def _files(root):
+        root = pathlib.Path(root)
+        return {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        trees = {}
+        for jobs in (1, 2):
+            root = tmp_path_factory.mktemp(f"traced-jobs{jobs}")
+            runner = SurveyRunner(
+                _profiles(self.TAGS), jobs=jobs,
+                trace_dir=str(root / "trace"), pcap_dir=str(root / "pcap"),
+            )
+            results = runner.run(tests=["traversal_matrix"])
+            assert results.complete, results.errors
+            trees[jobs] = (self._files(root / "trace"), self._files(root / "pcap"))
+        return trees
+
+    def test_one_set_of_files_per_pair(self, recorded):
+        traces, pcaps = recorded[1]
+        pairs = sorted(subject.tag for subject in matrix_subjects(_profiles(self.TAGS), {}))
+        for tree in (traces, pcaps):
+            assert sorted({name.split("/", 1)[0] for name in tree}) == pairs
+            assert all("/" in name for name in tree)
+        for pair in pairs:
+            tag_a, tag_b = pair.split("+")
+            for name in ("a", "b", tag_a, tag_b):
+                assert traces[f"{pair}/{name}.jsonl"]
+            for side in "ab":
+                for role in ("srv", "wan", "lan", "cli"):
+                    assert pcaps[f"{pair}/{side}.traversal_matrix.{role}.pcap"]
+
+    def test_jobs_2_writes_the_same_bytes(self, recorded):
+        assert recorded[2] == recorded[1]
+
+    def test_repro_trace_reads_every_pair(self, recorded, tmp_path):
+        from repro.obs import summarize_paths
+
+        traces, _pcaps = recorded[1]
+        for name, data in traces.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_bytes(data)
+        devices = [summary["device"] for summary in summarize_paths([tmp_path])]
+        assert sorted(devices) == sorted(name[: -len(".jsonl")] for name in traces)
+        assert "al+be1/a" in devices

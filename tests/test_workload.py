@@ -331,12 +331,15 @@ class TestWorkloadCampaign:
     def test_staged_oracle_matches_fastpath(self, clean, tmp_path):
         _results, clean_out = clean
         out = tmp_path / "oracle"
-        _workload_runner(jobs=1, fastpath=False, store_dir=str(out)).run(
+        oracle = _workload_runner(jobs=1, fastpath=False, store_dir=str(out)).run(
             tests=WORKLOAD_FAMILIES
         )
         clean_cells = {k: v for k, v in _tree(clean_out).items() if k != "campaign.json"}
         oracle_cells = {k: v for k, v in _tree(out).items() if k != "campaign.json"}
         assert clean_cells == oracle_cells
+        # --no-fastpath pins every bed, bring-up included, to the staged engine.
+        assert oracle.stats.fastpath_events_saved == 0
+        assert oracle.stats.fastpath_windows == 0
 
     def test_report_renders_workload_section_without_simulation(self, clean):
         from repro.analysis import render_report
