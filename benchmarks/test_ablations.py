@@ -8,7 +8,6 @@
 
 import pytest
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 
 from repro.core import ThroughputProbe, UdpTimeoutProbe

@@ -4,8 +4,6 @@ Paper: "most devices use a timeout scheme that is independent of the server
 port.  Notable exception is dl8, which uses a shorter timeout for DNS."
 """
 
-import pytest
-
 from bench_common import fresh_testbed, series_of
 from conftest import write_artifact
 

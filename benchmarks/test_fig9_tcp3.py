@@ -10,7 +10,6 @@ paper's 291/400 ms.
 
 import pytest
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 from test_fig8_tcp2 import run_throughput
 

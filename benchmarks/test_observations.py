@@ -5,7 +5,6 @@ import pytest
 from bench_common import fresh_testbed
 from conftest import write_artifact
 
-from repro import paperdata
 from repro.compliance import check_device, population_summary
 from repro.core import IcmpTranslationTest, TcpTimeoutProbe, UdpTimeoutProbe
 

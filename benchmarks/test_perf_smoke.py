@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import pathlib
 
-import pytest
-
 from repro.core.stats import write_bench_json
 from repro.core.store import SCHEMA_VERSION, campaign_fingerprint
 from repro.core.throughput import ThroughputProbe

@@ -59,7 +59,7 @@ def main() -> None:
                         censored_label=">24h"))
 
     print("\n== TCP-2/TCP-3 throughput and delay (Figures 8-9) ==")
-    throughput = ThroughputProbe(transfer_bytes=runner.transfer_bytes).run_all(runner._fresh_testbed())
+    throughput = ThroughputProbe(transfer_bytes=runner.knobs["transfer_bytes"]).run_all(runner._fresh_testbed())
     tp_probe = ThroughputProbe()
     fig8 = {
         "down": tp_probe.throughput_series(throughput, "download"),

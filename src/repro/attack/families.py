@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Mapping, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.attack.node import AttackerNode
-from repro.cgn.families import jain_fairness, nat444_factory
+from repro.cgn.families import Nat444Knobs, jain_fairness, nat444_factory
 from repro.cgn.topology import Nat444Topology
 from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
@@ -69,6 +69,8 @@ __all__ = [
     "AttackKeepaliveProbe",
     "AttackRstResult",
     "AttackRstProbe",
+    "AttackKnobs",
+    "FloodKnobs",
 ]
 
 #: Victim/innocent measurement services (distinct from the CGN families'
@@ -677,11 +679,20 @@ class AttackRstProbe:
 # ---------------------------------------------------------------------------
 
 
-def _attack_knobs(knobs: Mapping) -> Dict[str, float]:
-    return {
-        "rate": float(knobs.get("attack_rate", DEFAULT_ATTACK_RATE)),
-        "duration": float(knobs.get("attack_duration", DEFAULT_ATTACK_DURATION)),
-    }
+@dataclass(frozen=True)
+class AttackKnobs(Nat444Knobs):
+    """A NAT444 bed whose attacker paces its packets."""
+
+    attack_rate: float = registry.knob(DEFAULT_ATTACK_RATE, "--attack-rate",
+                                       help="attacker packet rate in pkt/s (default: 50)")
+
+
+@dataclass(frozen=True)
+class FloodKnobs(AttackKnobs):
+    """The binding-exhaustion flood: a paced attack of fixed duration."""
+
+    attack_duration: float = registry.knob(DEFAULT_ATTACK_DURATION, "--attack-duration",
+                                           help="flood duration in seconds (default: 20)")
 
 
 def _onset_text(onset: Optional[float]) -> str:
@@ -765,10 +776,8 @@ registry.register_family(registry.ExperimentFamily(
     order=300,
     cell_type=AttackPortfloodResult,
     description="NAT444 binding-exhaustion flood: per-tier onset + innocent collateral",
-    probe_factory=lambda knobs: AttackPortfloodProbe(
-        rate=_attack_knobs(knobs)["rate"],
-        duration=_attack_knobs(knobs)["duration"],
-    ).run_all,
+    knobs=FloodKnobs,
+    probe_factory=lambda knobs: AttackPortfloodProbe(rate=knobs.attack_rate, duration=knobs.attack_duration).run_all,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -778,6 +787,7 @@ registry.register_family(registry.ExperimentFamily(
     order=310,
     cell_type=AttackKeepaliveResult,
     description="Spoofed inbound keepalives refreshing/evicting victim bindings",
+    knobs=Nat444Knobs,
     probe_factory=lambda knobs: AttackKeepaliveProbe().run_all,
     testbed_factory=nat444_factory,
     default_selected=False,
@@ -788,9 +798,8 @@ registry.register_family(registry.ExperimentFamily(
     order=320,
     cell_type=AttackRstResult,
     description="Off-path RST binding teardown through the NAT444 chain",
-    probe_factory=lambda knobs: AttackRstProbe(
-        rate=_attack_knobs(knobs)["rate"],
-    ).run_all,
+    knobs=AttackKnobs,
+    probe_factory=lambda knobs: AttackRstProbe(rate=knobs.attack_rate).run_all,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Mapping, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.cgn.topology import Nat444Topology
 from repro.core import registry
@@ -43,6 +43,7 @@ __all__ = [
     "CgnTimeoutProbe",
     "CgnExhaustionResult",
     "CgnExhaustionProbe",
+    "Nat444Knobs",
     "cgn_policy_for",
     "nat444_factory",
 ]
@@ -363,7 +364,16 @@ class CgnExhaustionProbe:
 # ---------------------------------------------------------------------------
 
 
-def cgn_policy_for(knobs: Mapping) -> CgnPolicy:
+@dataclass(frozen=True)
+class Nat444Knobs:
+    """The NAT444 population of every CGN-tier bed; the other tiers' knob classes extend it."""
+
+    cgn_subscribers: int = registry.knob(8, "--subscribers", help="home gateways behind each CGN (default: 8)")
+    cgn_block_size: int = registry.knob(16, "--block-size",
+                                        help="external ports per CGN allocation block (default: 16)")
+
+
+def cgn_policy_for(knobs: Nat444Knobs) -> CgnPolicy:
     """The campaign's CGN policy, derived from the survey knobs.
 
     The pool is sized at two blocks per subscriber — half the default
@@ -371,22 +381,16 @@ def cgn_policy_for(knobs: Mapping) -> CgnPolicy:
     contention CGN deployments actually hit) rather than an artifact of the
     per-subscriber cap.
     """
-    subscribers = int(knobs.get("cgn_subscribers", 8))
-    block_size = int(knobs.get("cgn_block_size", 16))
-    return CgnPolicy(
-        block_size=block_size,
-        pool_ports=2 * subscribers * block_size,
-    )
+    return CgnPolicy(block_size=knobs.cgn_block_size, pool_ports=2 * knobs.cgn_subscribers * knobs.cgn_block_size)
 
 
-def nat444_factory(knobs: Mapping):
+def nat444_factory(knobs: Nat444Knobs):
     """``testbed_factory`` hook: knobs -> ``build(profiles, seed, fastpath)``."""
-    subscribers = int(knobs.get("cgn_subscribers", 8))
     policy = cgn_policy_for(knobs)
 
     def build(profiles, seed, fastpath=True):
         return Nat444Topology.build(
-            profiles, seed=seed, subscribers=subscribers, cgn_policy=policy, fastpath=fastpath
+            profiles, seed=seed, subscribers=knobs.cgn_subscribers, cgn_policy=policy, fastpath=fastpath
         )
 
     return build
@@ -447,6 +451,7 @@ registry.register_family(registry.ExperimentFamily(
     order=200,
     cell_type=CgnTimeoutResult,
     description="NAT444 effective end-to-end binding timeouts (UDP-1/TCP-1 through two tiers)",
+    knobs=Nat444Knobs,
     probe_factory=lambda knobs: CgnTimeoutProbe().run_all,
     testbed_factory=nat444_factory,
     default_selected=False,
@@ -457,6 +462,7 @@ registry.register_family(registry.ExperimentFamily(
     order=210,
     cell_type=CgnExhaustionResult,
     description="NAT444 per-subscriber port-block exhaustion ramp (onset + fairness)",
+    knobs=Nat444Knobs,
     probe_factory=lambda knobs: CgnExhaustionProbe().run_all,
     testbed_factory=nat444_factory,
     default_selected=False,

@@ -45,8 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cgn.families import Nat444Knobs
 from repro.core import registry
 from repro.devices.cgn_profiles import CgnPolicy
 from repro.devices.profile import DeviceProfile
@@ -67,8 +68,7 @@ __all__ = [
     "MetroLoadProbe",
     "MetroPartitionHooks",
     "metro_policy_for",
-    "metro_plan_for",
-    "metro_factory",
+    "MetroKnobs",
 ]
 
 #: UDP port of the core's stateless echo responder.
@@ -567,46 +567,25 @@ class MetroSegmentIsland(_MetroWiring):
 # ---------------------------------------------------------------------------
 
 
-def metro_policy_for(knobs: Mapping) -> CgnPolicy:
+@dataclass(frozen=True)
+class MetroKnobs(Nat444Knobs):
+    """``metro_load``: the NAT444 population, its echo load and an optional core-link flap."""
+
+    metro_requests: int = registry.knob(8, "--metro-requests", help="echo requests per metro subscriber (default: 8)")
+    metro_idle: float = registry.knob(0.0, "--metro-idle", help="idle seconds spliced into the middle of each metro "
+                                      "subscriber's schedule (drives NAT bindings through expiry; default: 0)")
+    metro_flap: str = registry.knob("", "--metro-flap", metavar="SPEC",
+                                    help="flap one segment's core link, e.g. tag=al,at=30.1,for=0.2")
+
+
+def metro_policy_for(knobs: Nat444Knobs) -> CgnPolicy:
     """Carrier policy for metro runs: pool sized so load never refuses.
 
     ``metro_load`` measures delivered load and binding churn, not
     exhaustion — the pool gets four blocks' worth of ports per subscriber
     so refusals cannot leak scheduling noise into the cells.
     """
-    subscribers = int(knobs.get("cgn_subscribers", 8))
-    block_size = int(knobs.get("cgn_block_size", 16))
-    return CgnPolicy(block_size=block_size, pool_ports=4 * subscribers * block_size)
-
-
-def metro_plan_for(knobs: Mapping) -> MetroLoadPlan:
-    """The load schedule implied by the campaign knobs."""
-    return MetroLoadPlan(
-        subscribers=int(knobs.get("cgn_subscribers", 8)),
-        requests=int(knobs.get("metro_requests", 8)),
-        idle=float(knobs.get("metro_idle", 0.0)),
-    )
-
-
-def metro_factory(knobs: Mapping):
-    """``testbed_factory`` hook: knobs -> ``build(profiles, seed, fastpath)``."""
-    subscribers = int(knobs.get("cgn_subscribers", 8))
-    policy = metro_policy_for(knobs)
-    plan = metro_plan_for(knobs)
-    flap = MetroFlap.parse(str(knobs.get("metro_flap", "")))
-
-    def build(profiles, seed, fastpath=True):
-        return MetroTopology.build(
-            profiles,
-            seed=seed,
-            subscribers=subscribers,
-            cgn_policy=policy,
-            plan=plan,
-            flap=flap,
-            fastpath=fastpath,
-        )
-
-    return build
+    return CgnPolicy(block_size=knobs.cgn_block_size, pool_ports=4 * knobs.cgn_subscribers * knobs.cgn_block_size)
 
 
 class MetroLoadProbe:
@@ -624,14 +603,14 @@ class MetroPartitionHooks:
 
     One instance is built per run from the campaign knobs (and rebuilt
     identically inside each worker — everything here is a pure function of
-    the knob mapping, which travels over the pipe as a plain dict).
+    the :class:`MetroKnobs`, which travel over the pipe as plain data).
     """
 
-    def __init__(self, knobs: Mapping):
-        self.subscribers = int(knobs.get("cgn_subscribers", 8))
+    def __init__(self, knobs: MetroKnobs):
+        self.subscribers = knobs.cgn_subscribers
         self.policy = metro_policy_for(knobs)
-        self.plan = metro_plan_for(knobs)
-        self.flap = MetroFlap.parse(str(knobs.get("metro_flap", "")))
+        self.plan = MetroLoadPlan(knobs.cgn_subscribers, knobs.metro_requests, knobs.metro_idle)
+        self.flap = MetroFlap.parse(knobs.metro_flap)
         #: Conservative sync slack: the boundary links' propagation delay.
         self.lookahead = CORE_DELAY
         #: The hub stops granting windows once the global event floor
@@ -712,10 +691,11 @@ registry.register_family(registry.ExperimentFamily(
     order=220,
     cell_type=MetroLoadResult,
     description="Metro-scale NAT444 echo load (partitionable: --partitions N)",
+    knobs=MetroKnobs,
     probe_factory=lambda knobs: MetroLoadProbe().run_all,
-    testbed_factory=metro_factory,
+    testbed_factory=lambda knobs: MetroPartitionHooks(knobs).build_full,
     default_selected=False,
-    partition_factory=lambda knobs: MetroPartitionHooks(knobs),
+    partition_factory=MetroPartitionHooks,
 ))
 
 registry.register_section(registry.ReportSection(

@@ -23,24 +23,22 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis import render_series, render_table1, series_to_csv
 from repro.analysis.figures import timeout_series
 from repro.compliance import check_device, population_summary
 from repro.core import (
     BindingRateProbe,
-    DnsProxyTest,
     IcmpTranslationTest,
     OptionsTest,
     TcpBindingCapacityProbe,
     TcpTimeoutProbe,
     ThroughputProbe,
-    TransportSupportTest,
     UdpTimeoutProbe,
     registry,
 )
-from repro.core.results import DeviceSeries, Summary
+from repro.core.results import DeviceSeries
 from repro.devices import CATALOG, catalog_profiles
 from repro.obs import ObsConfig, ShardObserver, render_summary, summarize_paths
 from repro.testbed import Testbed
@@ -136,6 +134,11 @@ def _report_errors(results, out) -> None:
             out(f"  {error}")
 
 
+def _knob_values(args) -> Dict[str, Any]:
+    """The parsed knob flags as runner keywords (each flag's dest is its knob's name)."""
+    return {name: value for name, value in vars(args).items() if name in registry.knobs()}
+
+
 def _family_selection(args) -> Optional[List[str]]:
     """Resolve ``--families udp1,tcp2`` (preferred) or legacy ``--tests``."""
     families = getattr(args, "families", None)
@@ -179,7 +182,7 @@ def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[
 def _run_probe(
     name: str,
     tags: Sequence[str],
-    repetitions: int,
+    knobs: Dict[str, Any],
     seed: int,
     out,
     observer: Optional[ShardObserver] = None,
@@ -187,30 +190,29 @@ def _run_probe(
 ) -> Optional[DeviceSeries]:
     bed = _build_bed(tags, seed, fastpath=fastpath)
     if observer is None:
-        return _dispatch_probe(name, bed, repetitions, out)
+        return _dispatch_probe(name, bed, knobs, out)
     # Flight recorder on: trace the family like a survey shard would.
     observer.begin(bed, name)
     try:
-        return _dispatch_probe(name, bed, repetitions, out)
+        return _dispatch_probe(name, bed, knobs, out)
     finally:
         observer.finish(bed, name)
 
 
-def _dispatch_probe(name: str, bed: Testbed, repetitions: int, out) -> Optional[DeviceSeries]:
+def _dispatch_probe(name: str, bed: Testbed, knobs: Dict[str, Any], out) -> Optional[DeviceSeries]:
+    """Run one probe on ``bed`` and print it; a registry family's probe is built from ``knobs``."""
+    family = registry.get(name)
+    if family is not None:
+        results = family.probe_factory(family.knobs_of(knobs))(bed)
     if name in ("udp1", "udp2", "udp3"):
-        maker = getattr(UdpTimeoutProbe, name)
-        results = maker(repetitions=repetitions).run_all(bed)
         series = timeout_series(results, name)
         out(render_series(series, f"{name.upper()} binding timeouts [s]"))
         return series
     if name == "tcp1":
-        probe = TcpTimeoutProbe()
-        results = probe.run_all(bed)
-        series = probe.series(results)
+        series = TcpTimeoutProbe().series(results)
         out(render_series(series, "TCP-1 binding timeouts [s]", log_scale=True, censored_label=">24h"))
         return series
     if name == "tcp2":
-        results = ThroughputProbe().run_all(bed)
         probe = ThroughputProbe()
         series = probe.throughput_series(results, "download")
         out(render_series(series, "TCP-2 download throughput [Mb/s]"))
@@ -218,13 +220,10 @@ def _dispatch_probe(name: str, bed: Testbed, repetitions: int, out) -> Optional[
         out(render_series(delay, "TCP-3 download queuing delay [ms]"))
         return series
     if name == "tcp4":
-        probe = TcpBindingCapacityProbe()
-        results = probe.run_all(bed)
-        series = probe.series(results)
+        series = TcpBindingCapacityProbe().series(results)
         out(render_series(series, "TCP-4 max bindings", log_scale=True))
         return series
     if name == "icmp":
-        results = IcmpTranslationTest().run_all(bed)
         for tag in sorted(results):
             result = results[tag]
             out(
@@ -235,7 +234,6 @@ def _dispatch_probe(name: str, bed: Testbed, repetitions: int, out) -> Optional[
             )
         return None
     if name == "transports":
-        results = TransportSupportTest().run_all(bed)
         for tag in sorted(results):
             sctp = results[tag]["sctp"]
             dccp = results[tag]["dccp"]
@@ -243,7 +241,6 @@ def _dispatch_probe(name: str, bed: Testbed, repetitions: int, out) -> Optional[
                 f"dccp:{'pass' if dccp.supported else 'fail'}")
         return None
     if name == "dns":
-        results = DnsProxyTest().run_all(bed)
         for tag in sorted(results):
             result = results[tag]
             out(f"{tag:>5}  udp:{result.answers_udp}  accepts-tcp:{result.accepts_tcp}  "
@@ -285,8 +282,8 @@ def cmd_probe(args, out) -> int:
     obs = _obs_config(args)
     observer = ShardObserver(obs) if obs.enabled else None
     try:
-        _run_probe(args.test, tags, args.repetitions, args.seed, out, observer=observer,
-                   fastpath=not args.no_fastpath)
+        _run_probe(args.test, tags, registry.resolve_knobs(_knob_values(args)), args.seed, out,
+                   observer=observer, fastpath=not args.no_fastpath)
     finally:
         if observer is not None:
             observer.close()
@@ -305,10 +302,11 @@ def cmd_survey(args, out) -> int:
         csv_dir.mkdir(parents=True, exist_ok=True)
     obs = _obs_config(args)
     observer = ShardObserver(obs) if obs.enabled else None
+    knobs = registry.resolve_knobs(_knob_values(args))
     try:
         for name in args.tests or DEFAULT_SURVEY_TESTS:
             out(f"\n=== {name} ===")
-            series = _run_probe(name, tags, args.repetitions, args.seed, out, observer=observer,
+            series = _run_probe(name, tags, knobs, args.seed, out, observer=observer,
                                 fastpath=not args.no_fastpath)
             if series is not None and csv_dir:
                 (csv_dir / f"{name}.csv").write_text(series_to_csv(series) + "\n")
@@ -333,24 +331,10 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
 
     impairment, faults = _parse_chaos(args)
     flags = vars(args)
-    budget = {key: flags[key] for key in ("tcp1_cutoff", "transfer_bytes") if key in flags}
     try:
         runner = SurveyRunner(
             profiles=catalog_profiles(tags),
             seed=args.seed,
-            udp_repetitions=args.repetitions,
-            cgn_subscribers=args.subscribers,
-            cgn_block_size=args.block_size,
-            attack_rate=args.attack_rate,
-            attack_duration=args.attack_duration,
-            metro_requests=args.metro_requests,
-            metro_idle=args.metro_idle,
-            metro_flap=args.metro_flap,
-            matrix_pairs=args.matrix_pairs,
-            matrix_cgn=args.matrix_cgn,
-            workload_mix=args.workload_mix,
-            workload_ramp=args.load_ramp,
-            fw_rules=args.fw_rules,
             jobs=args.jobs,
             partitions=flags.get("partitions"),
             fastpath=not args.no_fastpath,
@@ -361,7 +345,7 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
             metrics=args.metrics,
             store_dir=flags.get("out"),
             resume=flags.get("resume", False),
-            **budget,
+            **_knob_values(args),
         )
         results = runner.run(tests=list(selected))
     except (ValueError, StoreError, PartitionError) as exc:
@@ -488,7 +472,7 @@ def cmd_bench(args, out) -> int:
             "config_hash": runner.fingerprint(),
             # Every fingerprinted knob, so a dump explains its config hash.
             "campaign": dict(
-                runner._knobs(),
+                runner.knobs,
                 devices=len(tags),
                 tests=list(selected),
                 seed=runner.seed,
@@ -602,59 +586,36 @@ def cmd_compliance(args, out) -> int:
     return 0
 
 
-def _add_cgn_flags(parser: argparse.ArgumentParser) -> None:
-    """The NAT444 + adversarial campaign flags shared by survey/report/bench."""
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """The family-group shortcuts and knob flags shared by survey/report/bench."""
     parser.add_argument("--cgn", action="store_true",
                         help="run the NAT444 families (cgn_timeouts, cgn_exhaustion) "
                         "behind a carrier-grade NAT; appends to --families if given")
-    parser.add_argument("--subscribers", type=int, default=8,
-                        help="home gateways behind each CGN (default: 8)")
-    parser.add_argument("--block-size", type=int, default=16, dest="block_size",
-                        help="external ports per CGN allocation block (default: 16)")
     parser.add_argument("--attack", action="store_true",
                         help="run the adversarial NAT-abuse families (attack_portflood, "
                         "attack_keepalive, attack_rst) through the NAT444 chain; "
                         "appends to --families if given")
-    parser.add_argument("--attack-rate", type=float, default=50.0, dest="attack_rate",
-                        help="attacker packet rate in pkt/s (default: 50)")
-    parser.add_argument("--attack-duration", type=float, default=20.0, dest="attack_duration",
-                        help="flood duration in seconds (default: 20)")
     parser.add_argument("--metro", action="store_true",
                         help="run the metro-scale NAT444 family (metro_load): one "
                         "CGN segment per device tag behind a shared core; "
                         "appends to --families if given")
-    parser.add_argument("--metro-requests", type=int, default=8, dest="metro_requests",
-                        help="echo requests per metro subscriber (default: 8)")
-    parser.add_argument("--metro-idle", type=float, default=0.0, dest="metro_idle",
-                        help="idle seconds spliced into the middle of each metro "
-                        "subscriber's schedule (drives NAT bindings through "
-                        "expiry; default: 0)")
-    parser.add_argument("--metro-flap", default="", dest="metro_flap", metavar="SPEC",
-                        help="flap one segment's core link, e.g. tag=al,at=30.1,for=0.2")
     parser.add_argument("--matrix", action="store_true",
                         help="run the pairwise NAT-traversal family (traversal_matrix): "
                         "STUN + hole punch + relay fallback + keepalive ladder for "
                         "every ordered device pair; appends to --families if given")
-    parser.add_argument("--pairs", default="", dest="matrix_pairs", metavar="A+B,C+D",
-                        help="restrict --matrix to an explicit pair list, e.g. "
-                        "al+be1,dl5+al (default: every ordered pair)")
-    parser.add_argument("--matrix-cgn", action="store_true", dest="matrix_cgn",
-                        help="with --matrix: also run each pair with NAT444 on one "
-                        "side, the other, and both (.cgn-a/.cgn-b/.cgn-ab variants)")
     parser.add_argument("--workload", action="store_true",
                         help="run the subscriber-workload families (workload_mix, "
                         "fwcost_scaling) through the NAT444 chain; appends to "
                         "--families if given")
-    parser.add_argument("--mix", default="residential", dest="workload_mix",
-                        choices=("residential", "streaming", "p2p-heavy"),
-                        help="application mix driving workload_mix (default: residential)")
-    parser.add_argument("--load-ramp", default="", dest="load_ramp", metavar="N,N,...",
-                        help="active-subscriber counts per workload_mix load point, "
-                        "e.g. 1,2,4,8 (default: powers of two up to --subscribers)")
-    parser.add_argument("--rules", default="", dest="fw_rules", metavar="N,N,...",
-                        help="firewall rule counts (and, in a second curve, conntrack "
-                        "sizes) for fwcost_scaling, e.g. 0,256,1024,4096 "
-                        "(default: 0,256,1024,4096)")
+    _add_knob_flags(parser)
+
+
+def _add_knob_flags(parser: argparse.ArgumentParser, families: Sequence[str] = FAMILY_CHOICES) -> None:
+    """The declared flag of each knob the registry ``families`` read; its dest is the knob's name."""
+    for knob in registry.knobs(tuple(filter(None, map(registry.get, families)))).values():
+        if knob.flag is not None:
+            kind = {"action": "store_true"} if knob.type is bool else {"type": knob.type, "default": knob.default}
+            parser.add_argument(knob.flag, dest=knob.name, **kind, **knob.argparse)
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -683,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe = sub.add_parser("probe", help="run one measurement family")
     probe.add_argument("--test", required=True, choices=PROBE_CHOICES)
     probe.add_argument("--tags", nargs="*", help="device tags (default: all 34)")
-    probe.add_argument("--repetitions", type=int, default=3)
+    _add_knob_flags(probe, PROBE_CHOICES)
     probe.add_argument("--seed", type=int, default=0)
     _add_obs_flags(probe)
     probe.set_defaults(func=cmd_probe)
@@ -695,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"comma-joined campaign families ({','.join(FAMILY_CHOICES)}); "
                         "implies the durable campaign path")
     survey.add_argument("--tags", nargs="*")
-    survey.add_argument("--repetitions", type=int, default=3)
     survey.add_argument("--seed", type=int, default=0)
     survey.add_argument("--csv-dir", help="export each series as CSV here")
     survey.add_argument("--jobs", type=int, default=1, help="shard devices across N worker processes")
@@ -708,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persist every (device, family) cell into a campaign store at DIR")
     survey.add_argument("--resume", action="store_true",
                         help="with --out: skip cells already in the store, run only the missing ones")
-    _add_cgn_flags(survey)
+    _add_campaign_flags(survey)
     _add_obs_flags(survey)
     survey.set_defaults(func=cmd_survey)
 
@@ -725,14 +685,13 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--from", dest="from_dir", metavar="DIR",
                         help="render from a campaign store written by `survey --out` (no simulation)")
     report.add_argument("--tags", nargs="*")
-    report.add_argument("--repetitions", type=int, default=3)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--output", help="write the markdown here instead of stdout")
     report.add_argument("--jobs", type=int, default=1, help="shard devices across N worker processes")
     report.add_argument("--impair", help="link impairment, e.g. loss=0.01,reorder=5ms,dup=0.001")
     report.add_argument("--fault", action="append",
                         help="gateway fault, e.g. crash@t=30,boot=never,device=dl8 (repeatable)")
-    _add_cgn_flags(report)
+    _add_campaign_flags(report)
     _add_obs_flags(report)
     report.set_defaults(func=cmd_report)
 
@@ -742,10 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--families", metavar="F1,F2",
                        help=f"comma-joined campaign families ({','.join(FAMILY_CHOICES)})")
     bench.add_argument("--tags", nargs="*")
-    bench.add_argument("--repetitions", type=int, default=1)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--tcp1-cutoff", type=float, default=600.0)
-    bench.add_argument("--transfer-bytes", type=int, default=512 * 1024)
+    bench.add_argument("--tcp1-cutoff", type=float, dest="tcp1_cutoff")
+    bench.add_argument("--transfer-bytes", type=int, dest="transfer_bytes")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--partitions", type=int, default=None, metavar="N",
                        help="run partitionable families on N worker processes "
@@ -754,9 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--fault", action="append",
                        help="gateway fault, e.g. crash@t=30,boot=never,device=dl8 (repeatable)")
     bench.add_argument("--output", help="write BENCH_survey.json here")
-    _add_cgn_flags(bench)
+    _add_campaign_flags(bench)
     _add_obs_flags(bench)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, udp_repetitions=1, tcp1_cutoff=600.0, transfer_bytes=512 * 1024)
 
     trace = sub.add_parser("trace", help="summarize JSONL trace files from --trace")
     trace.add_argument("paths", nargs="+",

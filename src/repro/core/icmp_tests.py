@@ -19,7 +19,6 @@ Graded observables, per (transport × error kind):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core import registry

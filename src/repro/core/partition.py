@@ -68,7 +68,7 @@ class _WorkerSpec:
     """
 
     family: str
-    knobs: Dict[str, Any]
+    knobs: Any
     #: ``(global segment index, profile)`` pairs, contiguous, ascending.
     numbered: List[Tuple[int, DeviceProfile]]
     worker: int
@@ -247,7 +247,7 @@ class _Hub:
     def __init__(
         self,
         family: registry.ExperimentFamily,
-        knobs: Mapping[str, Any],
+        knobs: Any,
         numbered: Sequence[Tuple[int, DeviceProfile]],
         seed: int,
         partitions: int,
@@ -255,7 +255,7 @@ class _Hub:
         family_timeout: Optional[float],
     ):
         self.family = family
-        self.knobs = dict(knobs)
+        self.knobs = knobs
         self.numbered = list(numbered)
         self.seed = seed
         self.partitions = partitions
@@ -395,7 +395,7 @@ class _Hub:
 
 def _run_single(
     family: registry.ExperimentFamily,
-    knobs: Mapping[str, Any],
+    knobs: Any,
     profiles: Sequence[DeviceProfile],
     seed: int,
     fastpath: bool,
@@ -414,14 +414,14 @@ def _run_single(
 
 def run_partitioned(
     family: registry.ExperimentFamily,
-    knobs: Mapping[str, Any],
+    knobs: Any,
     numbered: Sequence[Tuple[int, DeviceProfile]],
     seed: int,
     partitions: int,
     fastpath: bool,
     family_timeout: Optional[float],
 ) -> _PartitionedOutcome:
-    """Run one partitionable family once over its ``numbered`` segments.
+    """Run one partitionable family, with its knob instance, once over its ``numbered`` segments.
 
     ``numbered`` pairs each profile with its 1-based position in the
     campaign population, the global index boundary channels are named by,

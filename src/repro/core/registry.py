@@ -6,9 +6,9 @@ five separate layers — the survey runner's dispatch, the results container,
 the CLI's choice lists, and every analysis module.  This module replaces
 all of that with a single registry:
 
-* :class:`ExperimentFamily` describes one family end to end — how to build
-  its probe from the campaign knobs, the type of one stored cell (which
-  :mod:`~repro.core.codec` turns to and from JSON for the on-disk
+* :class:`ExperimentFamily` describes one family end to end — the knobs
+  it reads, how to build its probe from them, the type of one stored cell
+  (which :mod:`~repro.core.codec` turns to and from JSON for the on-disk
   :mod:`campaign store <repro.core.store>`), and how its results merge
   across per-device shards.
 * :class:`ReportSection` is a render hook: a block of the markdown survey
@@ -16,10 +16,16 @@ all of that with a single registry:
   these instead of enumerating family attributes, so a family added here
   appears in reports without touching ``analysis/`` again.
 
+Each family declares its knobs once, as the typed fields of a frozen
+dataclass (``ExperimentFamily.knobs``) that families reading the same knob
+share.  The runner coerces its knob keywords against their union
+(:func:`knobs`, :func:`resolve_knobs`); the CLI generates its flags from it.
+
 Each core measurement module registers its families at import time with
 :func:`register_family` / :func:`register_section`; consumers call
-:func:`families`, :func:`runnable_names` or :func:`report_sections`, all
-of which lazily import the family modules first (:func:`ensure_loaded`).
+:func:`families`, :func:`runnable_names`, :func:`knobs` or
+:func:`report_sections`, all of which lazily import the family modules
+first (:func:`ensure_loaded`).
 
 Derived families — UDP-4 is an *analysis* of UDP-1's observed ports, not a
 measurement of its own — carry ``derived_from``/``derive`` instead of a
@@ -29,8 +35,11 @@ parent family's cells.
 
 from __future__ import annotations
 
+import functools
 import importlib
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import codec
@@ -40,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = [
     "Subject",
+    "NoKnobs",
+    "Knob",
+    "knob",
     "ExperimentFamily",
     "ReportSection",
     "register_family",
@@ -52,13 +64,15 @@ __all__ = [
     "default_names",
     "family_names",
     "derived_families",
+    "knobs",
+    "resolve_knobs",
     "report_sections",
 ]
 
 #: Modules that register experiment families as an import side effect.
 #: Adding a new family module here is the *only* central edit a new
 #: experiment needs; everything else (survey dispatch, store cells,
-#: report sections, CLI choices) follows from its registrations.
+#: report sections, CLI choices and knob flags) follows from its registrations.
 FAMILY_MODULES = (
     "repro.core.udp_timeouts",
     "repro.core.tcp_binding",
@@ -118,6 +132,32 @@ class Subject:
 
 
 @dataclass(frozen=True)
+class NoKnobs:
+    """The knob class of a family whose hooks read no campaign knob."""
+
+
+def knob(default: Any, flag: Optional[str] = None, selects: bool = False, **argparse: Any) -> Any:
+    """A knob-class field with a CLI ``flag`` and its ``argparse`` keywords (``help`` …).
+
+    A ``selects`` knob only picks which subjects run: it stays out of the campaign fingerprint.
+    """
+    return field(default=default, metadata={"flag": flag, "selects": selects, "argparse": argparse})
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One knob of the union: its declared type and default, declaring class and CLI spelling."""
+
+    name: str
+    type: type
+    default: Any
+    owner: type
+    flag: Optional[str] = None
+    selects: bool = False
+    argparse: Mapping[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class ExperimentFamily:
     """Everything the campaign machinery needs to know about one family.
 
@@ -139,10 +179,13 @@ class ExperimentFamily:
     cell_type: Any
     #: One-line description for CLI help and error messages.
     description: str = ""
-    #: ``knobs -> run_all(bed)`` — builds the probe from the campaign's
-    #: knob mapping and returns its population entry point.  ``None`` for
+    #: Frozen dataclass whose typed fields are exactly the knobs the hooks
+    #: read; every hook below that takes ``knobs`` gets an instance of it.
+    knobs: type = NoKnobs
+    #: ``knobs -> run_all(bed)`` — builds the probe from the family's knob
+    #: instance and returns its population entry point.  ``None`` for
     #: derived families.
-    probe_factory: Optional[Callable[[Mapping[str, Any]], Callable]] = None
+    probe_factory: Optional[Callable[[Any], Callable]] = None
     #: Canonical family mapping -> ``{device_tag: cell}`` (default: identity).
     cells: Optional[Callable[[Mapping[str, Any]], Dict[str, Any]]] = None
     #: Insert one device cell into a canonical mapping (default: ``m[tag]=c``).
@@ -163,7 +206,7 @@ class ExperimentFamily:
     #: Non-device families get the overload ``build(subject, seed,
     #: fastpath=True)``: the engine builds one bed per enumerated
     #: :class:`Subject`.
-    testbed_factory: Optional[Callable[[Mapping[str, Any]], Callable]] = None
+    testbed_factory: Optional[Callable[[Any], Callable]] = None
     #: Included when the caller selects no families explicitly.  The paper's
     #: own menu stays the default; opt-in extensions (CGN) set ``False`` and
     #: run only when named (or via ``--cgn``).
@@ -178,14 +221,14 @@ class ExperimentFamily:
     #: Must be deterministic in its inputs: the enumeration order defines
     #: shard order, store meta and resume bookkeeping.  ``None`` for device
     #: families (one :meth:`Subject.device` per profile).
-    subjects: Optional[Callable[[Sequence["DeviceProfile"], Mapping[str, Any]], List["Subject"]]] = None
+    subjects: Optional[Callable[[Sequence["DeviceProfile"], Any], List["Subject"]]] = None
     #: ``knobs -> PartitionHooks`` — families whose topology can be cut at
     #: boundary links and run across worker processes supply the hooks
     #: :func:`~repro.core.partition.run_partitioned` drives when the
     #: campaign sets ``partitions`` (island builders, lookahead, stop
     #: horizon).  ``None`` = the family always runs in the per-device shard
     #: schedule.
-    partition_factory: Optional[Callable[[Mapping[str, Any]], Any]] = None
+    partition_factory: Optional[Callable[[Any], Any]] = None
 
     @property
     def partitionable(self) -> bool:
@@ -197,14 +240,16 @@ class ExperimentFamily:
         """True when the family runs a probe (False for derived families)."""
         return self.probe_factory is not None
 
-    def subjects_of(
-        self, profiles: Sequence["DeviceProfile"], knobs: Mapping[str, Any]
-    ) -> List["Subject"]:
+    def knobs_of(self, campaign_knobs: Mapping[str, Any]) -> Any:
+        """This family's knob instance, picked from :func:`resolve_knobs` output."""
+        return codec.decode(self.knobs, campaign_knobs)
+
+    def subjects_of(self, profiles: Sequence["DeviceProfile"], knobs: Any) -> List["Subject"]:
         """Enumerate this family's subjects over ``profiles``.
 
         Device families yield one :meth:`Subject.device` per profile (in
         population order — the pre-refactor shard order, exactly); families
-        with a ``subjects`` hook delegate to it.
+        with a ``subjects`` hook delegate to it, with their knob instance.
         """
         if self.subjects is not None:
             return list(self.subjects(profiles, knobs))
@@ -274,6 +319,7 @@ def register_family(descriptor: ExperimentFamily) -> ExperimentFamily:
     if descriptor.derived_from is not None and descriptor.derive is None:
         raise ValueError(f"derived family {descriptor.name!r} needs a derive hook")
     _FAMILIES[descriptor.name] = descriptor
+    knobs.cache_clear()
     return descriptor
 
 
@@ -337,6 +383,33 @@ def family_names() -> Tuple[str, ...]:
 def derived_families(parent: str) -> List[ExperimentFamily]:
     """Families derived from ``parent``, in order."""
     return [f for f in families() if f.derived_from == parent]
+
+
+@functools.lru_cache(maxsize=None)
+def knobs(descriptors: Optional[Tuple[ExperimentFamily, ...]] = None) -> Mapping[str, Knob]:
+    """The knobs ``descriptors`` (default: every family) read, once each; ``TypeError`` if two classes declare one."""
+    union: Dict[str, Knob] = {}
+    # Each class once, however many families share it.
+    for cls in dict.fromkeys(d.knobs for d in (families() if descriptors is None else descriptors)):
+        hints = typing.get_type_hints(cls)
+        for spec in fields(cls):
+            owner = next(base for base in cls.__mro__ if spec.name in vars(base).get("__annotations__", {}))
+            tp = hints[spec.name]
+            known = union.setdefault(spec.name, Knob(spec.name, tp, codec.decode(tp, spec.default), owner,
+                                                     **spec.metadata))
+            if known.owner is not owner:
+                raise TypeError(f"knob {spec.name!r} is declared by both {known.owner.__qualname__} "
+                                f"and {owner.__qualname__}; declare it once, in a class both extend")
+    return types.MappingProxyType(union)
+
+
+def resolve_knobs(given: Mapping[str, Any]) -> Dict[str, Any]:
+    """Every knob of the union: ``given`` coerced to its declared type (``600`` is ``600.0``), the rest defaulted."""
+    union = knobs()
+    unknown = sorted(given.keys() - union.keys())
+    if unknown:
+        raise TypeError(f"unknown campaign knob(s) {unknown}; known knobs: {', '.join(union)}")
+    return {name: codec.decode(k.type, given[name]) if name in given else k.default for name, k in union.items()}
 
 
 def report_sections() -> List[ReportSection]:

@@ -56,8 +56,6 @@ from repro.testbed.testbed import Testbed
 if TYPE_CHECKING:  # pragma: no cover - the partition engine is imported lazily
     from repro.core.partition import PartitionStats
 
-registry.ensure_loaded()
-
 #: Default per-family virtual-time watchdog: far beyond any legitimate
 #: family (TCP-1 caps at 24 h + margin), tight enough to catch a simulation
 #: that a pathological impairment has sent spinning.
@@ -70,7 +68,7 @@ class SurveyResults:
     Family results live in one generic container — ``families`` maps each
     registered family name to its canonical result mapping (device-keyed
     for most families, service-first for UDP-5).  The historical per-family
-    attributes (``results.udp1`` …) remain as properties over that
+    attributes (``results.udp1`` …) remain as attributes over that
     container, so existing callers and tests read unchanged.
 
     ``stats``/``metrics`` carry the run's performance counters; they are
@@ -108,6 +106,19 @@ class SurveyResults:
         #: what was measured.
         self.metrics: Optional[MetricsRegistry] = metrics
 
+    def __getattr__(self, name: str) -> Dict:
+        # Resolved on use: importing this module must load no family module,
+        # or a family module imported first would import itself half-initialised.
+        if not name.startswith("_") and registry.get(name) is not None:
+            return self.families.setdefault(name, {})
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if not name.startswith("_") and registry.get(name) is not None:
+            self.families[name] = value if isinstance(value, dict) else dict(value)
+        else:
+            object.__setattr__(self, name, value)
+
     def family(self, name: str) -> Dict:
         """One family's canonical result mapping (empty when absent)."""
         return self.families.get(name, {})
@@ -134,30 +145,16 @@ class SurveyResults:
         return f"SurveyResults({populated or 'empty'}, errors={len(self.errors)})"
 
 
-def _family_property(name: str) -> property:
-    def getter(self: SurveyResults) -> Dict:
-        """Read the family mapping (creating it empty on first access)."""
-        return self.families.setdefault(name, {})
-
-    def setter(self: SurveyResults, value: Mapping) -> None:
-        """Replace the family mapping."""
-        self.families[name] = value if isinstance(value, dict) else dict(value)
-
-    return property(getter, setter, doc=f"Back-compat accessor for families[{name!r}].")
-
-
-for _family in registry.families():
-    setattr(SurveyResults, _family.name, _family_property(_family.name))
-
-
 class SurveyRunner:
     """Configurable full-campaign driver.
 
     One instance describes a whole measurement campaign: the device
-    population, the campaign seed, per-family knobs (repetitions, cutoffs,
-    transfer sizes), the chaos configuration (``impairment``/``faults``),
-    the execution schedule (``jobs``, and ``partitions`` for families whose
-    topology can be cut across processes), the durable result store
+    population, the campaign seed, per-family knobs (flat keywords such as
+    ``udp_repetitions=1``, each declared once by the families that read it
+    — see :func:`repro.core.registry.knobs`), the chaos configuration
+    (``impairment``/``faults``), the execution schedule (``jobs``, and
+    ``partitions`` for families whose topology can be cut across
+    processes), the durable result store
     (``store_dir``/``resume`` — see :mod:`repro.core.store`), and what the
     flight recorder should capture (``trace_dir``/``pcap_dir``/``metrics``
     — see :mod:`repro.obs`).  :meth:`run` executes the selected families
@@ -177,30 +174,11 @@ class SurveyRunner:
         # later, after a crash: resume=True re-runs only missing cells
     """
 
-    #: Every directly runnable experiment family, in execution order
-    #: (registry-driven; kept as an attribute for back-compat).
-    ALL_TESTS = registry.runnable_names()
-
     def __init__(
         self,
         profiles: Optional[Sequence[DeviceProfile]] = None,
         seed: int = 0,
-        udp_repetitions: int = 3,
-        udp5_repetitions: int = 1,
-        tcp1_cutoff: float = 24 * 3600.0,
-        transfer_bytes: int = 2 * 1024 * 1024,
-        cgn_subscribers: int = 8,
-        cgn_block_size: int = 16,
-        attack_rate: float = 50.0,
-        attack_duration: float = 20.0,
-        metro_requests: int = 8,
-        metro_idle: float = 0.0,
-        metro_flap: str = "",
-        matrix_pairs: str = "",
-        matrix_cgn: bool = False,
-        workload_mix: str = "residential",
-        workload_ramp: str = "",
-        fw_rules: str = "",
+        *,
         jobs: int = 1,
         partitions: Optional[int] = None,
         fastpath: bool = True,
@@ -214,46 +192,15 @@ class SurveyRunner:
         store_dir: Optional[str] = None,
         resume: bool = False,
         store_key: Optional[str] = None,
+        **knobs: Any,
     ):
         self.profiles = list(profiles if profiles is not None else catalog_profiles())
         tags = [profile.tag for profile in self.profiles]
         if len(set(tags)) != len(tags):
             raise ValueError(f"duplicate device tags in survey population: {tags}")
         self.seed = seed
-        self.udp_repetitions = udp_repetitions
-        self.udp5_repetitions = udp5_repetitions
-        self.tcp1_cutoff = tcp1_cutoff
-        self.transfer_bytes = transfer_bytes
-        #: NAT444 population knobs (the ``cgn_*`` families): homes behind
-        #: each carrier-grade NAT, and external ports per allocated block.
-        self.cgn_subscribers = cgn_subscribers
-        self.cgn_block_size = cgn_block_size
-        #: Adversarial-tier knobs (the ``attack_*`` families): attacker
-        #: packet rate [pkt/s] and flood duration [s].
-        self.attack_rate = float(attack_rate)
-        self.attack_duration = float(attack_duration)
-        #: Metro-tier knobs (the partitionable ``metro_load`` family):
-        #: echo requests per subscriber, mid-schedule idle gap [s] (drives
-        #: NAT bindings through expiry), and a core-link flap spec
-        #: (``"tag=al,at=35,for=0.5"``; empty = no flap).
-        self.metro_requests = int(metro_requests)
-        self.metro_idle = float(metro_idle)
-        self.metro_flap = str(metro_flap)
-        #: Traversal-matrix *selection* knobs: an explicit pair list
-        #: (``"al+be1,dl5+al"``; empty = every ordered pair) and whether to
-        #: add the NAT444-sided variants.  These select which subjects run —
-        #: like a family selection, not a measurement parameter — so they
-        #: stay outside the campaign fingerprint (a sliced matrix campaign
-        #: resumes into, and stays comparable with, the full one).
-        self.matrix_pairs = str(matrix_pairs)
-        self.matrix_cgn = bool(matrix_cgn)
-        #: Workload-tier knobs (the ``workload_mix``/``fwcost_scaling``
-        #: families): the application mix name, the active-subscriber ramp
-        #: (``"1,2,4,8"``; empty = powers of two up to ``cgn_subscribers``)
-        #: and the firewall rule/conntrack ramp (empty = the family default).
-        self.workload_mix = str(workload_mix)
-        self.workload_ramp = str(workload_ramp)
-        self.fw_rules = str(fw_rules)
+        #: Every family's knobs, flat and coerced (:func:`~repro.core.registry.resolve_knobs`).
+        self.knobs: Dict[str, Any] = registry.resolve_knobs(knobs)
         self.jobs = max(1, int(jobs))
         if partitions is not None and (impairment is not None or faults):
             from repro.core.partition import PartitionError
@@ -303,37 +250,10 @@ class SurveyRunner:
         #: when none ran): sync rounds, boundary frames, CPU per island.
         self.last_partition: Optional[PartitionStats] = None
 
-    def _knobs(self) -> Dict[str, Any]:
-        """The per-family measurement knobs, as the registry factories see them."""
-        return {
-            "udp_repetitions": self.udp_repetitions,
-            "udp5_repetitions": self.udp5_repetitions,
-            "tcp1_cutoff": self.tcp1_cutoff,
-            "transfer_bytes": self.transfer_bytes,
-            "cgn_subscribers": self.cgn_subscribers,
-            "cgn_block_size": self.cgn_block_size,
-            "attack_rate": self.attack_rate,
-            "attack_duration": self.attack_duration,
-            "metro_requests": self.metro_requests,
-            "metro_idle": self.metro_idle,
-            "metro_flap": self.metro_flap,
-            "matrix_pairs": self.matrix_pairs,
-            "matrix_cgn": self.matrix_cgn,
-            "workload_mix": self.workload_mix,
-            "workload_ramp": self.workload_ramp,
-            "fw_rules": self.fw_rules,
-        }
-
-    #: Knobs that select *which subjects run* rather than how anything is
-    #: measured: excluded from the fingerprint so a pair subset and the full
-    #: matrix share one store (exactly like a ``--families`` subset does).
-    SELECTION_KNOBS = ("matrix_pairs", "matrix_cgn")
-
     def fingerprint(self) -> str:
-        """Content hash of everything that determines this campaign's cells."""
-        knobs = dict(self._knobs(), family_timeout=self.family_timeout)
-        for name in self.SELECTION_KNOBS:
-            knobs.pop(name, None)
+        """Content hash of everything that determines this campaign's cells (subject selections excluded)."""
+        knobs = {name: value for name, value in self.knobs.items() if not registry.knobs()[name].selects}
+        knobs["family_timeout"] = self.family_timeout
         return campaign_fingerprint(
             self.profiles, self.seed, knobs, impairment=self.impairment, faults=self.faults
         )
@@ -357,7 +277,7 @@ class SurveyRunner:
         # contract, so shard determinism carries over unchanged; non-device
         # families use the subject overload, one bed per enumerated subject.
         factory = family.testbed_factory if family is not None else None
-        build = factory(self._knobs()) if factory is not None else Testbed.build
+        build = factory(family.knobs_of(self.knobs)) if factory is not None else Testbed.build
         target = subject if subject is not None and subject.kind != "device" else self.profiles
         bed = build(target, seed, fastpath=fastpath)
         # Chaos goes in *after* bring-up: DHCP configuration stays clean, and
@@ -372,7 +292,7 @@ class SurveyRunner:
 
     def _shard_config(self) -> Dict:
         return dict(
-            self._knobs(),
+            self.knobs,
             fastpath=self.fastpath,
             impairment=self.impairment,
             faults=self.faults,
@@ -411,7 +331,7 @@ class SurveyRunner:
             else [profile.tag for profile in self.profiles],
             "seed": self.seed,
             "families": list(selected),
-            "knobs": self._knobs(),
+            "knobs": dict(self.knobs),
             "impairment": self.impairment.describe() if self.impairment is not None else None,
             "faults": [fault.describe() for fault in self.faults],
         }
@@ -437,9 +357,8 @@ class SurveyRunner:
         if device_families:
             for profile in self.profiles:
                 plan.append((Subject.device(profile), list(device_families)))
-        knobs = self._knobs()
         for descriptor in other_families:
-            for subject in descriptor.subjects_of(self.profiles, knobs):
+            for subject in descriptor.subjects_of(self.profiles, descriptor.knobs_of(self.knobs)):
                 plan.append((subject, [descriptor.name]))
         return plan
 
@@ -566,7 +485,7 @@ class SurveyRunner:
         started = time.perf_counter()
         outcome = run_partitioned(
             family,
-            self._knobs(),
+            family.knobs_of(self.knobs),
             numbered,
             self.seed,
             self.partitions,
@@ -682,10 +601,11 @@ class SurveyRunner:
 
         def measure(family: registry.ExperimentFamily) -> Optional[Dict]:
             """One family's result mapping for this shard (None = not ours)."""
+            knobs = family.knobs_of(self.knobs)
             if family.subject_kind == "device":
                 if subject is not None and subject.kind != "device":
                     return None
-                return timed(family, family.probe_factory(self._knobs()))
+                return timed(family, family.probe_factory(knobs))
             # Non-device family: one fresh testbed per enumerated subject.
             if subject is not None:
                 if subject.kind != family.subject_kind:
@@ -698,9 +618,9 @@ class SurveyRunner:
                 # campaign scheduler would, so results match the sharded run.
                 enumerated = [
                     (sub, shard_seed(self.seed, sub.tag))
-                    for sub in family.subjects_of(self.profiles, self._knobs())
+                    for sub in family.subjects_of(self.profiles, knobs)
                 ]
-            probe = family.probe_factory(self._knobs())
+            probe = family.probe_factory(knobs)
             mapping: Dict[str, Any] = {}
             for sub, bed_seed in enumerated:
                 family.merge_into(

@@ -281,12 +281,20 @@ def _render_tcp4(results) -> Optional[str]:
     ])
 
 
+@dataclass(frozen=True)
+class TcpTimeoutKnobs:
+    """TCP-1: the idle time [s] past which a binding counts as censored."""
+
+    tcp1_cutoff: float = DEFAULT_TCP_CUTOFF
+
+
 registry.register_family(registry.ExperimentFamily(
     name="tcp1",
     order=50,
     cell_type=TcpTimeoutResult,
     description="TCP-1 idle binding timeout (Figure 7)",
-    probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs.get("tcp1_cutoff", DEFAULT_TCP_CUTOFF)).run_all,
+    knobs=TcpTimeoutKnobs,
+    probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs.tcp1_cutoff).run_all,
 ))
 
 registry.register_family(registry.ExperimentFamily(

@@ -260,14 +260,20 @@ def _render_tcp2(results) -> Optional[str]:
     ])
 
 
+@dataclass(frozen=True)
+class ThroughputKnobs:
+    """TCP-2/TCP-3: bytes moved by each bulk transfer."""
+
+    transfer_bytes: int = DEFAULT_TRANSFER_BYTES
+
+
 registry.register_family(registry.ExperimentFamily(
     name="tcp2",
     order=60,
     cell_type=ThroughputResult,
     description="TCP-2/TCP-3 throughput and queuing delay (Figures 8-9)",
-    probe_factory=lambda knobs: ThroughputProbe(
-        transfer_bytes=knobs.get("transfer_bytes", DEFAULT_TRANSFER_BYTES)
-    ).run_all,
+    knobs=ThroughputKnobs,
+    probe_factory=lambda knobs: ThroughputProbe(transfer_bytes=knobs.transfer_bytes).run_all,
 ))
 
 registry.register_section(registry.ReportSection(

@@ -490,13 +490,19 @@ def _render_udp5(results) -> Optional[str]:
     ])
 
 
-def _udp_probe_factory(variant: str):
-    def factory(knobs):
-        """Build the probe entry point bound to one UDP variant."""
-        maker = getattr(UdpTimeoutProbe, variant)
-        return maker(repetitions=knobs.get("udp_repetitions", 3)).run_all
+@dataclass(frozen=True)
+class UdpKnobs:
+    """UDP-1…3: binding-timeout searches per device."""
 
-    return factory
+    udp_repetitions: int = registry.knob(3, "--repetitions",
+                                         help="timeout-family repetitions (default: %(default)s)")
+
+
+@dataclass(frozen=True)
+class UdpServiceKnobs:
+    """UDP-5: binding-timeout searches per device and service."""
+
+    udp5_repetitions: int = 1
 
 
 for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure 4"), ("udp3", 30, "Figure 5")):
@@ -505,7 +511,8 @@ for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure
         order=_order,
         cell_type=UdpTimeoutResult,
         description=f"UDP-{_variant[-1]} binding timeout ({_figure})",
-        probe_factory=_udp_probe_factory(_variant),
+        knobs=UdpKnobs,
+        probe_factory=lambda knobs, name=_variant: UdpTimeoutProbe(name, repetitions=knobs.udp_repetitions).run_all,
     ))
 
 registry.register_family(registry.ExperimentFamily(
@@ -522,7 +529,8 @@ registry.register_family(registry.ExperimentFamily(
     order=40,
     cell_type=Dict[str, UdpTimeoutResult],
     description="UDP-5 per-service binding timeouts (Figure 6)",
-    probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs.get("udp5_repetitions", 1)).run_all,
+    knobs=UdpServiceKnobs,
+    probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs.udp5_repetitions).run_all,
     cells=_udp5_cells,
     insert_cell=_udp5_insert,
     merge_cells=_udp5_merge,

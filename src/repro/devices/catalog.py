@@ -39,7 +39,6 @@ from repro.devices.profile import (
     ICMP_KINDS,
     MappingBehavior,
     NatPolicy,
-    PortAllocation,
     QuirkPolicy,
     TcpTimeoutPolicy,
     UdpTimeoutPolicy,

@@ -15,10 +15,9 @@ grades three behaviours, all configurable via
 from __future__ import annotations
 
 from ipaddress import IPv4Address
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.devices.profile import DnsProxyPolicy
-from repro.packets.dns_codec import unframe_tcp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gateway.device import HomeGateway

@@ -9,7 +9,7 @@ binds one socket per home-gateway VLAN.
 from __future__ import annotations
 
 from ipaddress import IPv4Address
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.netsim.node import Interface
 from repro.packets.icmp import IcmpMessage

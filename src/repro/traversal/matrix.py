@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cgn.families import cgn_policy_for
+from repro.cgn.families import Nat444Knobs, cgn_policy_for
 from repro.cgn.node import CgnNode
 from repro.core import registry
 from repro.core.registry import Subject
@@ -61,6 +61,7 @@ __all__ = [
     "PairProbe",
     "pair_subject",
     "matrix_subjects",
+    "MatrixKnobs",
     "pair_factory",
     "KEEPALIVE_RUNGS",
 ]
@@ -100,9 +101,21 @@ def pair_subject(
     )
 
 
-def matrix_subjects(
-    profiles: Sequence[DeviceProfile], knobs: Mapping
-) -> List[Subject]:
+@dataclass(frozen=True)
+class MatrixKnobs(Nat444Knobs):
+    """``traversal_matrix``: the CGN policy of the NAT444 variants, and which pairs run.
+
+    The pair knobs select subjects, so a sliced matrix campaign resumes
+    into, and stays comparable with, the full one.
+    """
+
+    matrix_pairs: str = registry.knob("", "--pairs", selects=True, metavar="A+B,C+D", help="restrict --matrix to an "
+                                      "explicit pair list, e.g. al+be1,dl5+al (default: every ordered pair)")
+    matrix_cgn: bool = registry.knob(False, "--matrix-cgn", selects=True, help="with --matrix: also run each pair "
+                                     "with NAT444 on one side, the other, and both (.cgn-a/.cgn-b/.cgn-ab variants)")
+
+
+def matrix_subjects(profiles: Sequence[DeviceProfile], knobs: MatrixKnobs) -> List[Subject]:
     """Enumerate the campaign's pair subjects (the ``subjects`` hook).
 
     With no ``matrix_pairs`` knob, every ordered pair ``(a, b)`` with
@@ -113,7 +126,7 @@ def matrix_subjects(
     each pair by the three NAT444-sided variants.
     """
     by_tag = {profile.tag: profile for profile in profiles}
-    spec = str(knobs.get("matrix_pairs", "") or "").strip()
+    spec = knobs.matrix_pairs.strip()
     pairs: List[Tuple[DeviceProfile, DeviceProfile]] = []
     if spec:
         for token in spec.split(","):
@@ -141,7 +154,7 @@ def matrix_subjects(
             if profile_a.tag != profile_b.tag
         ]
     variants: Tuple[Tuple[bool, bool], ...] = ((False, False),)
-    if bool(knobs.get("matrix_cgn", False)):
+    if knobs.matrix_cgn:
         variants = ((False, False), (True, False), (False, True), (True, True))
     return [
         pair_subject(profile_a, profile_b, cgn_a, cgn_b)
@@ -491,7 +504,7 @@ class PairProbe:
 # ---------------------------------------------------------------------------
 
 
-def pair_factory(knobs: Mapping):
+def pair_factory(knobs: MatrixKnobs):
     """``testbed_factory`` hook (pair overload): knobs -> ``build(subject, seed, fastpath)``."""
     policy = cgn_policy_for(knobs)
 
@@ -583,6 +596,7 @@ registry.register_family(registry.ExperimentFamily(
     order=400,
     cell_type=TraversalCell,
     description="pairwise STUN/hole-punch/relay success and keepalive-cost matrix",
+    knobs=MatrixKnobs,
     probe_factory=lambda knobs: PairProbe().run_all,
     testbed_factory=pair_factory,
     default_selected=False,

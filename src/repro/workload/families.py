@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cgn.families import nat444_factory
+from repro.cgn.families import Nat444Knobs, nat444_factory
 from repro.cgn.topology import Nat444Topology
 from repro.core import codec, registry
 from repro.gateway.forwarding import PER_ENTRY_COST, PER_RULE_COST, REFERENCE_RATE_BPS
@@ -39,7 +39,7 @@ from repro.workload.generator import (
     WorkloadServer,
     echo_request,
 )
-from repro.workload.mixes import mix_for
+from repro.workload.mixes import MIXES, mix_for
 
 __all__ = [
     "LoadPoint",
@@ -48,6 +48,8 @@ __all__ = [
     "RulePoint",
     "FwCostResult",
     "FwCostProbe",
+    "WorkloadMixKnobs",
+    "FwCostKnobs",
     "parse_points",
     "default_load_ramp",
     "scaling_curves",
@@ -455,15 +457,33 @@ def _render_workload(results) -> Optional[str]:
     return "\n\n".join(parts)
 
 
+@dataclass(frozen=True)
+class WorkloadMixKnobs(Nat444Knobs):
+    """``workload_mix``: the NAT444 population, its application mix and load ramp."""
+
+    workload_mix: str = registry.knob("residential", "--mix", choices=tuple(MIXES),
+                                      help="application mix driving workload_mix (default: residential)")
+    workload_ramp: str = registry.knob("", "--load-ramp", metavar="N,N,...",
+                                       help="active-subscriber counts per workload_mix load point, e.g. 1,2,4,8 "
+                                       "(default: powers of two up to --subscribers)")
+
+
+@dataclass(frozen=True)
+class FwCostKnobs(Nat444Knobs):
+    """``fwcost_scaling``: the NAT444 population and the firewall rule / conntrack ramp."""
+
+    fw_rules: str = registry.knob("", "--rules", metavar="N,N,...",
+                                  help="firewall rule counts (and, in a second curve, conntrack sizes) for "
+                                  "fwcost_scaling, e.g. 0,256,1024,4096 (default: 0,256,1024,4096)")
+
+
 registry.register_family(registry.ExperimentFamily(
     name="workload_mix",
     order=230,
     cell_type=WorkloadMixResult,
     description="subscriber application-mix load ramp (goodput, FCT, NAT occupancy, block pressure)",
-    probe_factory=lambda knobs: WorkloadMixProbe(
-        mix_name=str(knobs.get("workload_mix", "residential")),
-        ramp_spec=str(knobs.get("workload_ramp", "")),
-    ).run_all,
+    knobs=WorkloadMixKnobs,
+    probe_factory=lambda knobs: WorkloadMixProbe(mix_name=knobs.workload_mix, ramp_spec=knobs.workload_ramp).run_all,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -473,9 +493,8 @@ registry.register_family(registry.ExperimentFamily(
     order=240,
     cell_type=FwCostResult,
     description="forwarding throughput and per-packet cost vs. rule count / conntrack size",
-    probe_factory=lambda knobs: FwCostProbe(
-        ramp_spec=str(knobs.get("fw_rules", "")),
-    ).run_all,
+    knobs=FwCostKnobs,
+    probe_factory=lambda knobs: FwCostProbe(ramp_spec=knobs.fw_rules).run_all,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))

@@ -22,7 +22,7 @@ from repro.attack.families import (
     AttackRstProbe,
     AttackRstResult,
 )
-from repro.cgn.families import nat444_factory
+from repro.cgn.families import Nat444Knobs, nat444_factory
 from repro.core import registry
 from repro.core.store import CampaignStore
 from repro.core.survey import SurveyRunner
@@ -42,7 +42,7 @@ ATTACK_FAMILIES = ["attack_portflood", "attack_keepalive", "attack_rst"]
 #: Small, fast knobs: 2 subscribers and an 8-port block give the CGN a
 #: 32-port pool whose entirety fits inside one subscriber's block quota —
 #: the regime where the flood drains the shared pool.
-KNOBS = {"cgn_subscribers": 2, "cgn_block_size": 8}
+KNOBS = Nat444Knobs(cgn_subscribers=2, cgn_block_size=8)
 
 
 def _bed(profiles, seed=7):

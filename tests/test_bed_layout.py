@@ -18,6 +18,7 @@ import pytest
 from repro.cgn.metro import (
     LOAD_START,
     MetroCoreIsland,
+    MetroKnobs,
     MetroLoadPlan,
     MetroSegmentIsland,
     MetroTopology,
@@ -72,7 +73,7 @@ def _pair(variant: str):
 
 
 def _metro_policy():
-    return metro_policy_for({"cgn_subscribers": SUBSCRIBERS})
+    return metro_policy_for(MetroKnobs(cgn_subscribers=SUBSCRIBERS))
 
 
 def _metro_plan():

@@ -10,12 +10,13 @@ import json
 
 import pytest
 
-from repro.cgn import CgnNode, CgnPolicy, Nat444Topology, PortBlockAllocator, cgn_device_profile
+from repro.cgn import CgnPolicy, Nat444Topology, PortBlockAllocator, cgn_device_profile
 from repro.cgn.families import (
     CgnExhaustionProbe,
     CgnExhaustionResult,
     CgnTimeoutProbe,
     CgnTimeoutResult,
+    Nat444Knobs,
     cgn_policy_for,
     jain_fairness,
     nat444_factory,
@@ -23,7 +24,7 @@ from repro.cgn.families import (
 from repro.core import registry
 from repro.core.store import CampaignStore
 from repro.core.survey import SurveyRunner
-from repro.devices.profile import NatPolicy, TcpTimeoutPolicy, UdpTimeoutPolicy
+from repro.devices.profile import TcpTimeoutPolicy, UdpTimeoutPolicy
 from repro.gateway.nat import NatEngine
 from repro.netsim.sim import Simulation
 from tests.conftest import make_profile
@@ -231,7 +232,7 @@ class TestRegistryWiring:
             assert name not in registry.default_names()
 
     def test_policy_derived_from_knobs_is_pool_bound(self):
-        policy = cgn_policy_for({"cgn_subscribers": 4, "cgn_block_size": 8})
+        policy = cgn_policy_for(Nat444Knobs(cgn_subscribers=4, cgn_block_size=8))
         assert policy.block_size == 8
         assert policy.pool_ports == 2 * 4 * 8
         # Two blocks per subscriber on average, under a four-block quota:

@@ -10,8 +10,6 @@ addressed to its own external IP (deployed CGNs usually do not).
 from ipaddress import IPv4Address
 from typing import Generator
 
-import pytest
-
 from repro.cgn import CgnPolicy, Nat444Topology
 from repro.core.runtime import Future, SimTask, run_tasks
 from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy

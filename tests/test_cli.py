@@ -5,11 +5,25 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import SimStats, SurveyResults, SurveyRunner, UdpTimeoutProbe, registry
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def _record_udp_repetitions(monkeypatch):
+    """Record the repetitions of every UDP timeout probe that runs."""
+    seen = []
+    run_all = UdpTimeoutProbe.run_all
+
+    def recording(self, *args, **kwargs):
+        seen.append(self.repetitions)
+        return run_all(self, *args, **kwargs)
+
+    monkeypatch.setattr(UdpTimeoutProbe, "run_all", recording)
+    return seen
 
 
 def test_list_devices(capsys):
@@ -19,11 +33,13 @@ def test_list_devices(capsys):
     assert out.count("D-Link") == 10
 
 
-def test_probe_udp1_subset(capsys):
+def test_probe_udp1_subset(capsys, monkeypatch):
+    repetitions = _record_udp_repetitions(monkeypatch)
     code, out = run_cli(capsys, "probe", "--test", "udp1", "--tags", "je", "ed", "--repetitions", "1")
     assert code == 0
     assert "UDP1 binding timeouts" in out
     assert "je" in out and "ed" in out
+    assert repetitions == [1]
 
 
 def test_probe_dns(capsys):
@@ -38,12 +54,14 @@ def test_probe_transports(capsys):
     assert "sctp:pass" in out and "dccp:fail" in out
 
 
-def test_survey_with_csv_export(capsys, tmp_path):
+def test_survey_with_csv_export(capsys, tmp_path, monkeypatch):
+    repetitions = _record_udp_repetitions(monkeypatch)
     code, out = run_cli(
         capsys, "survey", "--tests", "udp1", "--tags", "je", "--repetitions", "1",
         "--csv-dir", str(tmp_path),
     )
     assert code == 0
+    assert repetitions == [1]
     csv = (tmp_path / "udp1.csv").read_text()
     assert csv.splitlines()[0] == "tag,median,q1,q3,samples,censored_at"
     assert "je," in csv
@@ -168,3 +186,63 @@ def test_bench_history_labels_rows_with_the_latest_pr(tmp_path):
     assert row["jobs"] == 3
     assert row["partitions"] == 2
     assert "sync_rounds" not in row  # no partitioned family ran
+
+
+#: Every campaign knob that declares a CLI flag.
+FLAGGED_KNOBS = [knob for knob in registry.knobs().values() if knob.flag is not None]
+
+#: Each campaign command, routed to ``SurveyRunner`` on one device.
+CAMPAIGN_COMMANDS = {
+    "survey": ["survey", "--families", "udp1", "--tags", "je"],
+    "report": ["report", "--tests", "udp1", "--tags", "je"],
+    "bench": ["bench", "--tests", "udp1", "--tags", "je"],
+}
+
+
+def _built_runner(monkeypatch, capsys, argv):
+    """Run one CLI command with ``SurveyRunner.run`` stubbed out; the runner it built."""
+    built = []
+
+    def run(self, tests=None):
+        built.append(self)
+        self.last_elapsed = 0.0
+        return SurveyResults(stats=SimStats())
+
+    monkeypatch.setattr(SurveyRunner, "run", run)
+    code, _out = run_cli(capsys, *argv)
+    assert code == 0
+    (runner,) = built
+    return runner
+
+
+def _off_default(knob):
+    """Flag arguments that move ``knob`` off its declared default, and the value they set."""
+    if knob.type is bool:
+        return [knob.flag], True
+    if "choices" in knob.argparse:
+        value = next(choice for choice in knob.argparse["choices"] if choice != knob.default)
+    elif knob.type is str:
+        value = "1,2"
+    else:
+        value = knob.default + knob.type(3)
+    return [knob.flag, str(value)], value
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGN_COMMANDS))
+@pytest.mark.parametrize("knob", FLAGGED_KNOBS, ids=lambda knob: knob.name)
+def test_every_knob_flag_reaches_the_runner(monkeypatch, capsys, command, knob):
+    argv, value = _off_default(knob)
+    runner = _built_runner(monkeypatch, capsys, CAMPAIGN_COMMANDS[command] + argv)
+    assert runner.knobs[knob.name] == value
+
+
+def test_campaign_commands_start_from_the_declared_defaults(monkeypatch, capsys):
+    declared = {name: knob.default for name, knob in registry.knobs().items()}
+    for command in ("survey", "report"):
+        assert _built_runner(monkeypatch, capsys, CAMPAIGN_COMMANDS[command]).knobs == declared
+    # bench: quick-run budgets unless its own budget flags say otherwise.
+    quick = dict(declared, udp_repetitions=1, tcp1_cutoff=600.0, transfer_bytes=512 * 1024)
+    assert _built_runner(monkeypatch, capsys, CAMPAIGN_COMMANDS["bench"]).knobs == quick
+    budget = ["--tcp1-cutoff", "900", "--transfer-bytes", "4096"]
+    runner = _built_runner(monkeypatch, capsys, CAMPAIGN_COMMANDS["bench"] + budget)
+    assert runner.knobs == dict(quick, tcp1_cutoff=900.0, transfer_bytes=4096)

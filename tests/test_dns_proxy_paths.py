@@ -1,7 +1,5 @@
 """Remaining DNS-proxy code paths and survey-runner details."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro.core import SurveyRunner

@@ -1,11 +1,8 @@
 """Failure injection: cut cables, kill services, saturate tables."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro.devices.profile import NatPolicy, UdpTimeoutPolicy
-from repro.netsim import Link
 from repro.testbed import Testbed
 from tests.conftest import make_profile
 

@@ -1,24 +1,16 @@
 """The HomeGateway device end to end, on a minimal testbed."""
 
-from ipaddress import IPv4Address
-
-import pytest
-
 from repro.devices.profile import (
     DnsProxyPolicy,
     FallbackBehavior,
-    IcmpPolicy,
     NatPolicy,
     QuirkPolicy,
-    icmp_actions,
 )
 from repro.packets import (
-    ICMP_ECHO_REQUEST,
     PROTO_ICMP,
     PROTO_UDP,
     IcmpMessage,
     IPv4Packet,
-    RecordRouteOption,
     UdpDatagram,
 )
 from repro.testbed import Testbed

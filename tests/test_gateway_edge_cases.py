@@ -1,9 +1,5 @@
 """Gateway corner cases: proxy upstream paths, caps, timers, traces."""
 
-from ipaddress import IPv4Address
-
-import pytest
-
 from repro.devices.profile import (
     DnsProxyPolicy,
     NatPolicy,

@@ -7,7 +7,6 @@ import pytest
 from repro.devices.profile import IcmpAction, IcmpPolicy, icmp_actions
 from repro.gateway.icmp_translation import IcmpTranslationEngine, classify_error
 from repro.gateway.nat import NatEngine
-from repro.netsim import Simulation
 from repro.packets import (
     ICMP_DEST_UNREACH,
     ICMP_ECHO_REQUEST,

@@ -5,7 +5,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.core import PmtuBlackholeTest, attach_far_host
-from repro.core.pmtu import FAR_HOST_IP, FAR_PORT
+from repro.core.pmtu import FAR_HOST_IP
 from repro.devices.profile import IcmpPolicy, icmp_actions
 from repro.testbed import Testbed
 from tests.conftest import make_profile
@@ -60,7 +60,7 @@ class TestRouterFragNeeded:
 
         host = Host(sim, "h", macs)
         host.new_interface()
-        from repro.protocols.tcp import TcpConnection, TcpManager
+        from repro.protocols.tcp import TcpConnection
 
         conn = TcpConnection(host.tcp, IPv4Address("10.0.0.1"), 1, IPv4Address("10.0.0.2"), 2)
         conn.mss = 500

@@ -9,7 +9,6 @@ from repro.devices.profile import (
     DnsProxyPolicy,
     ForwardingPolicy,
     IcmpAction,
-    NatPolicy,
     UdpTimeoutPolicy,
     icmp_actions,
 )

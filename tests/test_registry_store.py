@@ -12,6 +12,8 @@ import dataclasses
 import json
 import math
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,9 @@ from repro.core.store import (
     subject_dirname,
 )
 from repro.core.survey import SurveyRunner
+from repro.devices import catalog_profiles
 from repro.devices.profile import NatPolicy, UdpTimeoutPolicy
+from repro.netsim.impair import Impairment
 from repro.netsim.sim import Simulation
 from tests.conftest import make_profile
 
@@ -99,6 +103,94 @@ class TestRegistry:
         assert orders == sorted(orders)
         keys = {section.key for section in sections}
         assert "udp_timeouts" in keys and "table2" in keys
+
+    @pytest.mark.parametrize("module", registry.FAMILY_MODULES + ("repro.cli",))
+    def test_module_imports_first_in_a_fresh_interpreter(self, module):
+        src = pathlib.Path(registry.__file__).resolve().parents[2]
+        code = f"import {module}\nfrom repro.core import registry\nassert 'udp1' in registry.family_names()"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+#: Campaign fingerprints pinned when the knobs moved into the registry:
+#: declaring them there must not change a single stored cell's stamp.
+#: The workload rows are the benchmark's campaigns at seed 42.
+PINNED_FINGERPRINTS = {
+    "default": ({}, None, "f91fbd1122cc89fc"),
+    "paper_survey": ({"transfer_bytes": 256 * 1024}, None, "53b45a7b0952378f"),
+    "chaos_staged": (
+        {"transfer_bytes": 256 * 1024, "impairment": "reorder=5ms,dup=0.001"},
+        ("ap", "be2", "dl10", "dl4", "dl7", "ed", "ls2", "ng1", "ng4", "owrt", "to"),
+        "f3617f7e99bab3e6",
+    ),
+    "nat444_load": ({}, ("al", "be2", "dl2", "dl6", "ed", "ls3", "ng3", "owrt", "we"), "f3cdfdca1f00db25"),
+    "pair_matrix": (
+        {"matrix_cgn": True},
+        ("al", "as1", "be2", "dl1", "dl2", "dl4", "dl6", "dl8", "ed",
+         "ls1", "ls3", "ng1", "ng3", "ng5", "owrt", "te", "we"),
+        "3f60b1cdedd71f1c",
+    ),
+}
+
+
+class TestKnobs:
+    def test_union_is_the_campaign_knobs(self):
+        union = registry.knobs()
+        assert set(union) == {
+            "udp_repetitions", "udp5_repetitions", "tcp1_cutoff", "transfer_bytes",
+            "cgn_subscribers", "cgn_block_size", "attack_rate", "attack_duration",
+            "metro_requests", "metro_idle", "metro_flap", "matrix_pairs", "matrix_cgn",
+            "workload_mix", "workload_ramp", "fw_rules",
+        }
+        assert {name for name, knob in union.items() if knob.selects} == {"matrix_pairs", "matrix_cgn"}
+        # The NAT444 tier declares its population once for every family that reads it.
+        owners = {registry.family(name).knobs for name in (
+            "cgn_timeouts", "attack_portflood", "metro_load", "traversal_matrix", "workload_mix",
+        )}
+        assert all(issubclass(owner, union["cgn_subscribers"].owner) for owner in owners)
+
+    def test_union_refuses_a_knob_two_classes_declare(self):
+        @dataclasses.dataclass(frozen=True)
+        class First:
+            shared: int = 1
+
+        @dataclasses.dataclass(frozen=True)
+        class Second:
+            shared: int = 1
+
+        descriptors = [
+            registry.ExperimentFamily(name=name, order=0, cell_type=int, knobs=knobs)
+            for name, knobs in (("first", First), ("second", Second))
+        ]
+        with pytest.raises(TypeError, match="'shared' is declared by both"):
+            registry.knobs(tuple(descriptors))
+
+    def test_unknown_knob_names_the_known_ones(self):
+        with pytest.raises(TypeError, match=r"\['udp_repetiton'\]; known knobs: .*udp_repetitions"):
+            SurveyRunner(udp_repetiton=1)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprints_pinned(self, name):
+        extra, tags, fingerprint = PINNED_FINGERPRINTS[name]
+        seed, kwargs = 0, {}
+        if name != "default":
+            seed = 42
+            kwargs = dict(udp_repetitions=1, udp5_repetitions=1, tcp1_cutoff=600.0, **extra)
+            if "impairment" in kwargs:
+                kwargs["impairment"] = Impairment.parse(kwargs["impairment"])
+        runner = SurveyRunner(catalog_profiles(tags), seed=seed, **kwargs)
+        assert runner.fingerprint() == fingerprint
+
+    def test_int_and_float_cutoff_are_one_campaign(self, tmp_path):
+        assert SurveyRunner(tcp1_cutoff=600).fingerprint() == "3de3526a8495c7ec"
+        assert SurveyRunner(tcp1_cutoff=600.0).fingerprint() == "3de3526a8495c7ec"
+        for cutoff in (600, 600.0):
+            runner = SurveyRunner(_make_profiles()[:1], tcp1_cutoff=cutoff, store_dir=str(tmp_path / repr(cutoff)))
+            assert type(runner.knobs["tcp1_cutoff"]) is float
+            runner.run(["tcp1"])
+        assert _tree(tmp_path / "600") == _tree(tmp_path / "600.0")
 
 
 class TestCellCodecs:

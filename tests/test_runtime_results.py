@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.core.results import DeviceSeries, Summary, median, population_stats, quantile
 from repro.core.runtime import Future, SimTask, run_tasks
-from repro.netsim import Simulation
 
 
 class TestRuntime:

@@ -5,7 +5,7 @@ from ipaddress import IPv4Address, IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim import Link, Simulation, mac_allocator
+from repro.netsim import Simulation, mac_allocator
 from repro.packets import IPv4Packet, PROTO_UDP, UdpDatagram
 from repro.protocols import Host
 from repro.protocols.stack import Route

@@ -3,9 +3,9 @@
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.netsim import Link, Simulation, mac_allocator
+from repro.netsim import Link
 from repro.protocols import Host
 from repro.protocols.tcp import seq_add, seq_lt, seq_le, seq_sub
 

@@ -2,9 +2,7 @@
 
 from ipaddress import IPv4Address, IPv4Network
 
-import pytest
-
-from repro.netsim import Link, Simulation, mac_allocator
+from repro.netsim import Link, Simulation
 from repro.protocols import Host
 
 SERVER_IP = IPv4Address("10.0.0.2")

@@ -2,8 +2,6 @@
 
 from ipaddress import IPv4Address
 
-import pytest
-
 from repro.core.runtime import SimTask, run_tasks
 from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy
 from repro.testbed import Testbed

@@ -1,7 +1,5 @@
 """TURN-style relay, ICE-lite, TCP hole punching, and pcap export."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy

@@ -18,6 +18,7 @@ from repro.core.store import CampaignStore
 from repro.core.survey import SurveyRunner
 from repro.devices.catalog import catalog_profiles
 from repro.traversal.matrix import (
+    MatrixKnobs,
     TraversalCell,
     matrix_subjects,
     pair_subject,
@@ -45,7 +46,7 @@ def _tree(root):
 class TestSubjectEnumeration:
     def test_default_is_every_ordered_pair(self):
         profiles = _profiles(("al", "be1", "ng1"))
-        subjects = matrix_subjects(profiles, {})
+        subjects = matrix_subjects(profiles, MatrixKnobs())
         assert [subject.tag for subject in subjects] == [
             "al+be1", "al+ng1", "be1+al", "be1+ng1", "ng1+al", "ng1+be1",
         ]
@@ -53,26 +54,26 @@ class TestSubjectEnumeration:
 
     def test_full_catalog_is_about_1200_pairs(self):
         profiles = catalog_profiles()
-        subjects = matrix_subjects(profiles, {})
+        subjects = matrix_subjects(profiles, MatrixKnobs())
         n = len(profiles)
         assert len(subjects) == n * (n - 1) == 1122
 
     def test_explicit_pairs_slice(self):
-        subjects = matrix_subjects(_profiles(), {"matrix_pairs": "al+be1, ng1+smc"})
+        subjects = matrix_subjects(_profiles(), MatrixKnobs(matrix_pairs="al+be1, ng1+smc"))
         assert [subject.tag for subject in subjects] == ["al+be1", "ng1+smc"]
         # Explicit self-pairs are allowed (excluded only from the default).
-        subjects = matrix_subjects(_profiles(), {"matrix_pairs": "al+al"})
+        subjects = matrix_subjects(_profiles(), MatrixKnobs(matrix_pairs="al+al"))
         assert [subject.tag for subject in subjects] == ["al+al"]
 
     def test_bad_pair_tokens_raise(self):
         with pytest.raises(ValueError, match="expected '<tag>\\+<tag>'"):
-            matrix_subjects(_profiles(), {"matrix_pairs": "albe1"})
+            matrix_subjects(_profiles(), MatrixKnobs(matrix_pairs="albe1"))
         with pytest.raises(ValueError, match="unknown device"):
-            matrix_subjects(_profiles(), {"matrix_pairs": "al+zz9"})
+            matrix_subjects(_profiles(), MatrixKnobs(matrix_pairs="al+zz9"))
 
     def test_cgn_variants_quadruple_each_pair(self):
         subjects = matrix_subjects(
-            _profiles(), {"matrix_pairs": "al+be1", "matrix_cgn": True}
+            _profiles(), MatrixKnobs(matrix_pairs="al+be1", matrix_cgn=True)
         )
         assert [subject.tag for subject in subjects] == [
             "al+be1", "al+be1.cgn-a", "al+be1.cgn-b", "al+be1.cgn-ab",
@@ -85,7 +86,7 @@ class TestSubjectEnumeration:
         fam = registry.family("traversal_matrix")
         assert fam.subject_kind == "pair"
         assert not fam.default_selected
-        subjects = fam.subjects_of(_profiles(), {"matrix_pairs": PAIR_SLICE})
+        subjects = fam.subjects_of(_profiles(), MatrixKnobs(matrix_pairs=PAIR_SLICE))
         assert len(subjects) == 4
 
 
@@ -223,7 +224,7 @@ class TestTracedMatrix:
 
     def test_one_set_of_files_per_pair(self, recorded):
         traces, pcaps = recorded[1]
-        pairs = sorted(subject.tag for subject in matrix_subjects(_profiles(self.TAGS), {}))
+        pairs = sorted(subject.tag for subject in matrix_subjects(_profiles(self.TAGS), MatrixKnobs()))
         for tree in (traces, pcaps):
             assert sorted({name.split("/", 1)[0] for name in tree}) == pairs
             assert all("/" in name for name in tree)

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.core import registry
-from repro.cgn.families import nat444_factory
+from repro.cgn.families import Nat444Knobs, nat444_factory
 from repro.core.store import CampaignStore
 from repro.core.survey import SurveyRunner
 from repro.devices.profile import ForwardingPolicy
@@ -87,7 +87,7 @@ class TestMixes:
 
 class TestGeneratorState:
     def _bed(self, seed=7):
-        return nat444_factory({"cgn_subscribers": 2})([make_profile("dev")], seed)
+        return nat444_factory(Nat444Knobs(cgn_subscribers=2))([make_profile("dev")], seed)
 
     def test_flow_ids_and_rngs_are_instance_state(self):
         bed = self._bed()
@@ -131,7 +131,7 @@ class TestGeneratorState:
 
 class TestWorkloadMixProbe:
     def _run(self, seed=7, **probe_kwargs):
-        bed = nat444_factory({"cgn_subscribers": 4})([make_profile("dev")], seed)
+        bed = nat444_factory(Nat444Knobs(cgn_subscribers=4))([make_profile("dev")], seed)
         return WorkloadMixProbe(ramp_spec="1,2,4", **probe_kwargs).run_all(bed)["dev"]
 
     def test_ramp_shape_and_scaling_signals(self):
@@ -166,7 +166,7 @@ class TestWorkloadMixProbe:
 
 class TestFwCostProbe:
     def _run(self, ramp="0,512,2048", seed=7, profile=None):
-        bed = nat444_factory({"cgn_subscribers": 2})([profile or make_profile("dev")], seed)
+        bed = nat444_factory(Nat444Knobs(cgn_subscribers=2))([profile or make_profile("dev")], seed)
         return FwCostProbe(ramp_spec=ramp).run_all(bed)["dev"]
 
     def test_throughput_declines_monotonically_with_rules(self):
@@ -253,7 +253,7 @@ class TestRegistryWiring:
         assert set(WORKLOAD_FAMILIES).isdisjoint(registry.default_names())
 
     def test_report_section_renders_scaling_tables(self):
-        bed = nat444_factory({"cgn_subscribers": 2})([make_profile("dev")], 7)
+        bed = nat444_factory(Nat444Knobs(cgn_subscribers=2))([make_profile("dev")], 7)
         cell = WorkloadMixProbe(ramp_spec="1,2").run_all(bed)["dev"]
 
         class FakeResults:
