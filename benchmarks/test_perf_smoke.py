@@ -1,16 +1,16 @@
 """Simulator-core performance smoke bench.
 
 Times a canned single-device TCP bulk transfer — the hot path the survey
-spends most of its wall-clock in — and records events/sec plus scheduler
-health counters to ``BENCH_core.json`` so future changes have a trajectory
-to compare against.  Unlike the figure benches this one asserts nothing
-about the paper; it only guards the engine's throughput.
+spends most of its wall-clock in — and dumps events/sec plus scheduler
+health counters as a ``BENCH_core.json`` payload under the test's
+temporary directory, so a run leaves the tree untouched.  Unlike the
+figure benches this one asserts nothing about the paper; it only guards
+the engine's throughput.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.core.stats import write_bench_json
 from repro.core.store import SCHEMA_VERSION, campaign_fingerprint
@@ -18,7 +18,6 @@ from repro.core.throughput import ThroughputProbe
 from repro.devices import catalog_profiles
 from repro.testbed import Testbed
 
-BENCH_CORE_PATH = pathlib.Path(__file__).parent.parent / "BENCH_core.json"
 TRANSFER_BYTES = 512 * 1024
 
 
@@ -31,7 +30,7 @@ def _run_transfer():
     return bed.sim, results[profile.tag]
 
 
-def test_tcp_transfer_event_rate(benchmark):
+def test_tcp_transfer_event_rate(benchmark, tmp_path):
     sim_holder = {}
 
     def run():
@@ -64,5 +63,6 @@ def test_tcp_transfer_event_rate(benchmark):
         "stale_entries_purged": sim.stale_entries_purged,
         "throughput_mbps": result.as_mbps(),
     }
-    write_bench_json(BENCH_CORE_PATH, payload)
-    assert json.loads(BENCH_CORE_PATH.read_text())["events_processed"] > 0
+    dump = tmp_path / "BENCH_core.json"
+    write_bench_json(dump, payload)
+    assert json.loads(dump.read_text())["events_processed"] > 0

@@ -94,28 +94,6 @@ def code_block(text: str) -> str:
     return "```\n" + text + "\n```"
 
 
-def timeout_series(
-    results: Dict[str, object],
-    name: str,
-    unit: str = "s",
-    cutoff: Optional[float] = None,
-) -> DeviceSeries:
-    """A :class:`DeviceSeries` from per-device timeout-style results.
-
-    Works for any result type with ``samples``/``summary()`` (UDP and TCP
-    timeout families); devices without samples are censored at ``cutoff``
-    when one is given, else omitted.  Shared by the registry's report hooks
-    and the CLI's probe renderers.
-    """
-    series = DeviceSeries(name, unit)
-    for tag, result in results.items():
-        if result.samples:
-            series.add(tag, result.summary())
-        elif cutoff is not None:
-            series.add_censored(tag, cutoff)
-    return series
-
-
 def series_to_csv(series: DeviceSeries) -> str:
     """Machine-readable export: tag, median, q1, q3, n, censored."""
     rows: List[str] = ["tag,median,q1,q3,samples,censored_at"]

@@ -11,6 +11,9 @@ Commands:
   (``BENCH_survey.json``); ``--jobs N`` shards devices across processes.
 * ``trace`` — summarize JSONL trace files produced by ``--trace``.
 
+Every command that measures runs one ``SurveyRunner`` campaign and renders
+its results; ``probe`` and ``classify`` print a family's ``view``.
+
 ``probe``, ``survey``, ``report`` and ``bench`` all accept the flight-recorder
 flags ``--trace DIR`` (per-device JSONL event traces), ``--pcap DIR``
 (per-link pcap captures) and ``--metrics`` (campaign counters/histograms);
@@ -25,39 +28,19 @@ import pathlib
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis import render_series, render_table1, series_to_csv
-from repro.analysis.figures import timeout_series
-from repro.compliance import check_device, population_summary
-from repro.core import (
-    BindingRateProbe,
-    IcmpTranslationTest,
-    OptionsTest,
-    TcpBindingCapacityProbe,
-    TcpTimeoutProbe,
-    ThroughputProbe,
-    UdpTimeoutProbe,
-    registry,
-)
-from repro.core.results import DeviceSeries
+from repro import compliance
+from repro.analysis import render_table1, series_to_csv
+from repro.core import registry
 from repro.devices import CATALOG, catalog_profiles
-from repro.obs import ObsConfig, ShardObserver, render_summary, summarize_paths
-from repro.testbed import Testbed
+from repro.obs import render_summary, summarize_paths
 
 #: Campaign families, straight from the experiment registry — a family
 #: registered by a core module is a valid ``--tests``/``--families`` value
 #: everywhere without touching this file.
 FAMILY_CHOICES = registry.runnable_names()
 
-#: The single-probe menu: every registry family the probe renderer handles,
-#: plus the diagnostic probes that are not campaign families.  Opt-in
-#: families (``default_selected=False``, e.g. the NAT444 pair) run their own
-#: topology through the campaign path and are excluded here.
-PROBE_CHOICES = tuple(
-    name for name in FAMILY_CHOICES
-    if name != "udp5" and registry.get(name).default_selected
-) + (
-    "options", "binding-rate", "pmtu",
-)
+#: The single-probe menu: every registry family that declares a terminal view.
+PROBE_CHOICES = tuple(family.name for family in registry.families() if family.view is not None)
 
 #: The families ``--cgn`` adds to (or selects for) a campaign.
 CGN_FAMILIES = ("cgn_timeouts", "cgn_exhaustion")
@@ -94,10 +77,6 @@ def _resolve_tags(tags: Optional[Sequence[str]]) -> List[str]:
     return list(tags)
 
 
-def _build_bed(tags: Sequence[str], seed: int, fastpath: bool = True) -> Testbed:
-    return Testbed.build(catalog_profiles(tags), seed=seed, fastpath=fastpath)
-
-
 def _parse_chaos(args):
     """Parse ``--impair``/``--fault`` flags into campaign chaos config."""
     from repro.gateway.faults import FaultSpec
@@ -112,19 +91,15 @@ def _parse_chaos(args):
     return impairment, faults
 
 
-def _obs_config(args) -> ObsConfig:
-    """Build the flight-recorder config from ``--trace/--pcap/--metrics``."""
-    return ObsConfig(
-        trace_dir=getattr(args, "trace", None),
-        pcap_dir=getattr(args, "pcap", None),
-        metrics=bool(getattr(args, "metrics", False)),
-    )
+def _family_name(text: str) -> str:
+    """A ``--test``/``--tests`` value as its family name (``binding-rate`` is ``binding_rate``)."""
+    return text.replace("-", "_")
 
 
-def _emit_metrics(observer: Optional[ShardObserver], out) -> None:
-    """Print the collected metrics registry as JSON (probe/survey)."""
-    if observer is not None and observer.registry is not None:
-        out(json.dumps(observer.registry.as_dict(), indent=2, sort_keys=True))
+def _emit_metrics(results, out) -> None:
+    """Print the campaign's merged metrics registry as JSON (probe/survey ``--metrics``)."""
+    if results.metrics is not None:
+        out(json.dumps(results.metrics.as_dict(), indent=2, sort_keys=True))
 
 
 def _report_errors(results, out) -> None:
@@ -179,151 +154,56 @@ def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[
     return base + [name for name in extra if name not in base]
 
 
-def _run_probe(
-    name: str,
-    tags: Sequence[str],
-    knobs: Dict[str, Any],
-    seed: int,
-    out,
-    observer: Optional[ShardObserver] = None,
-    fastpath: bool = True,
-) -> Optional[DeviceSeries]:
-    bed = _build_bed(tags, seed, fastpath=fastpath)
-    if observer is None:
-        return _dispatch_probe(name, bed, knobs, out)
-    # Flight recorder on: trace the family like a survey shard would.
-    observer.begin(bed, name)
-    try:
-        return _dispatch_probe(name, bed, knobs, out)
-    finally:
-        observer.finish(bed, name)
-
-
-def _dispatch_probe(name: str, bed: Testbed, knobs: Dict[str, Any], out) -> Optional[DeviceSeries]:
-    """Run one probe on ``bed`` and print it; a registry family's probe is built from ``knobs``."""
-    family = registry.get(name)
-    if family is not None:
-        results = family.probe_factory(family.knobs_of(knobs))(bed)
-    if name in ("udp1", "udp2", "udp3"):
-        series = timeout_series(results, name)
-        out(render_series(series, f"{name.upper()} binding timeouts [s]"))
-        return series
-    if name == "tcp1":
-        series = TcpTimeoutProbe().series(results)
-        out(render_series(series, "TCP-1 binding timeouts [s]", log_scale=True, censored_label=">24h"))
-        return series
-    if name == "tcp2":
-        probe = ThroughputProbe()
-        series = probe.throughput_series(results, "download")
-        out(render_series(series, "TCP-2 download throughput [Mb/s]"))
-        delay = probe.delay_series(results, "download")
-        out(render_series(delay, "TCP-3 download queuing delay [ms]"))
-        return series
-    if name == "tcp4":
-        series = TcpBindingCapacityProbe().series(results)
-        out(render_series(series, "TCP-4 max bindings", log_scale=True))
-        return series
-    if name == "icmp":
-        for tag in sorted(results):
-            result = results[tag]
-            out(
-                f"{tag:>5}  udp:{len(result.forwarded_kinds('udp')):>2}/10  "
-                f"tcp:{len(result.forwarded_kinds('tcp')):>2}/10  "
-                f"embedded-rewrite:{result.translates_embedded_transport()}  "
-                f"ip-cksum:{result.fixes_embedded_ip_checksum()}"
-            )
-        return None
-    if name == "transports":
-        for tag in sorted(results):
-            sctp = results[tag]["sctp"]
-            dccp = results[tag]["dccp"]
-            out(f"{tag:>5}  sctp:{'pass' if sctp.supported else 'fail':<4} ({sctp.wire_view})  "
-                f"dccp:{'pass' if dccp.supported else 'fail'}")
-        return None
-    if name == "dns":
-        for tag in sorted(results):
-            result = results[tag]
-            out(f"{tag:>5}  udp:{result.answers_udp}  accepts-tcp:{result.accepts_tcp}  "
-                f"answers-tcp:{result.answers_tcp}  upstream:{result.upstream_transport_for_tcp}")
-        return None
-    if name == "options":
-        results = OptionsTest().run_all(bed)
-        for tag in sorted(results):
-            result = results[tag]
-            out(f"{tag:>5}  ip-options:{result.ip_options_pass}  "
-                f"record-route:{result.record_route_recorded}  "
-                f"tcp-options:{result.tcp_options_preserved}")
-        return None
-    if name == "binding-rate":
-        probe = BindingRateProbe()
-        results = probe.run_all(bed)
-        series = probe.series(results)
-        out(render_series(series, "Binding setup rate [bindings/s]"))
-        return series
-    if name == "pmtu":
-        from repro.core import PmtuBlackholeTest
-
-        results = PmtuBlackholeTest().run_all(bed)
-        for tag in sorted(results):
-            result = results[tag]
-            verdict = f"ok in {result.duration:.2f}s (mss {result.mss_after})" if result.completed else "BLACK HOLE"
-            out(f"{tag:>5}  {verdict}")
-        return None
-    raise SystemExit(f"unknown probe {name!r}")
-
-
 def cmd_list_devices(args, out) -> int:
     out(render_table1(catalog_profiles()))
     return 0
 
 
 def cmd_probe(args, out) -> int:
-    tags = _resolve_tags(args.tags)
-    obs = _obs_config(args)
-    observer = ShardObserver(obs) if obs.enabled else None
-    try:
-        _run_probe(args.test, tags, registry.resolve_knobs(_knob_values(args)), args.seed, out,
-                   observer=observer, fastpath=not args.no_fastpath)
-    finally:
-        if observer is not None:
-            observer.close()
-    _emit_metrics(observer, out)
-    return 0
+    """Run one family as a campaign and print its terminal view (``classify`` is ``--test stun_classify``)."""
+    _runner, results = _run_campaign(args, _resolve_tags(args.tags), [args.test])
+    text, _series = registry.family(args.test).view(results.family(args.test))
+    out(text)
+    _emit_metrics(results, out)
+    _report_errors(results, out)
+    return 0 if results.complete else 1
 
 
 def cmd_survey(args, out) -> int:
+    """Run the selected families as a durable campaign: store, resume, CSV export."""
+    if args.resume and not args.out:
+        raise SystemExit("--resume needs --out DIR (the store to resume from)")
     tags = _resolve_tags(args.tags)
-    if (args.families or args.cgn or args.attack or args.metro or args.matrix
-            or args.workload or args.out or args.resume or args.jobs > 1
-            or args.partitions is not None):
-        return _run_campaign_survey(args, tags, out)
-    csv_dir = pathlib.Path(args.csv_dir) if args.csv_dir else None
-    if csv_dir:
+    selected = _cgn_selection(args, _family_selection(args), DEFAULT_SURVEY_TESTS)
+    runner, results = _run_campaign(args, tags, selected)
+    for name, mapping in results.families.items():
+        descriptor = registry.family(name)
+        out(f"{name:>10}: {len(descriptor.cells_of(mapping))} {descriptor.subject_kind}(s)")
+    if runner.last_partition is not None:
+        out(_partition_line(runner.last_partition))
+    if args.out:
+        skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
+        out(f"store: {args.out}{skipped}")
+    if args.csv_dir:
+        csv_dir = pathlib.Path(args.csv_dir)
         csv_dir.mkdir(parents=True, exist_ok=True)
-    obs = _obs_config(args)
-    observer = ShardObserver(obs) if obs.enabled else None
-    knobs = registry.resolve_knobs(_knob_values(args))
-    try:
-        for name in args.tests or DEFAULT_SURVEY_TESTS:
-            out(f"\n=== {name} ===")
-            series = _run_probe(name, tags, knobs, args.seed, out, observer=observer,
-                                fastpath=not args.no_fastpath)
-            if series is not None and csv_dir:
+        for name in selected:
+            view = registry.family(name).view
+            series = view(results.family(name))[1] if view is not None else None
+            if series is not None:
                 (csv_dir / f"{name}.csv").write_text(series_to_csv(series) + "\n")
                 out(f"[wrote {csv_dir / f'{name}.csv'}]")
-    finally:
-        if observer is not None:
-            observer.close()
-    _emit_metrics(observer, out)
-    return 0
+    _emit_metrics(results, out)
+    _report_errors(results, out)
+    return 0 if results.complete else 1
 
 
 def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
     """Build the command's ``SurveyRunner`` from its flags and run ``selected``.
 
-    ``survey``, ``report`` and ``bench`` share it; a flag a command lacks
-    (``--out`` outside ``survey``, ``--impair`` outside ``report``/``bench``
-    …) leaves the runner's default in place.
+    Every measuring command shares it; a flag a command lacks (``--out``
+    outside ``survey``, ``--impair`` outside ``report``/``bench``, ``--jobs``
+    on ``probe`` …) leaves the runner's default in place.
     """
     from repro.core import SurveyRunner
     from repro.core.partition import PartitionError
@@ -335,14 +215,14 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
         runner = SurveyRunner(
             profiles=catalog_profiles(tags),
             seed=args.seed,
-            jobs=args.jobs,
+            jobs=flags.get("jobs", 1),
             partitions=flags.get("partitions"),
-            fastpath=not args.no_fastpath,
+            fastpath=not flags.get("no_fastpath", False),
             impairment=impairment,
             faults=faults,
-            trace_dir=args.trace,
-            pcap_dir=args.pcap,
-            metrics=args.metrics,
+            trace_dir=flags.get("trace"),
+            pcap_dir=flags.get("pcap"),
+            metrics=flags.get("metrics", False),
             store_dir=flags.get("out"),
             resume=flags.get("resume", False),
             **_knob_values(args),
@@ -359,45 +239,6 @@ def _partition_line(run) -> str:
             f"boundary frames: {run.boundary_frames}")
 
 
-def _run_campaign_survey(args, tags: Sequence[str], out) -> int:
-    """The durable campaign path: SurveyRunner + optional store/resume."""
-    if args.resume and not args.out:
-        raise SystemExit("--resume needs --out DIR (the store to resume from)")
-    selected = _cgn_selection(args, _family_selection(args), DEFAULT_SURVEY_TESTS)
-    runner, results = _run_campaign(args, tags, selected)
-    for name, mapping in results.families.items():
-        descriptor = registry.get(name)
-        cells = descriptor.cells_of(mapping) if descriptor is not None else mapping
-        unit = descriptor.subject_kind if descriptor is not None else "device"
-        out(f"{name:>10}: {len(cells)} {unit}(s)")
-    if runner.last_partition is not None:
-        out(_partition_line(runner.last_partition))
-    if args.out:
-        skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
-        out(f"store: {args.out}{skipped}")
-    _report_errors(results, out)
-    return 0 if results.complete else 1
-
-
-def cmd_classify(args, out) -> int:
-    from repro.core.runtime import SimTask, run_tasks
-    from repro.traversal import StunClient, StunServer, classify
-
-    tags = _resolve_tags(args.tags)
-    bed = _build_bed(tags, args.seed)
-    server = StunServer(bed.server)
-    for tag in tags:
-        port = bed.port(tag)
-        client = StunClient(bed.client, iface_index=port.client_iface_index)
-        task = SimTask(bed.sim, classify(client, port.server_ip), name=f"stun:{tag}")
-        run_tasks(bed.sim, [task])
-        client.close()
-        verdict = task.result
-        out(f"{tag:>5}  {verdict.rfc3489_type:<22} port-preserved:{verdict.preserves_port}")
-    server.close()
-    return 0
-
-
 def cmd_report(args, out) -> int:
     from repro.analysis import render_report
 
@@ -409,19 +250,13 @@ def cmd_report(args, out) -> int:
             results = store.load_results()
         except StoreError as exc:
             raise SystemExit(str(exc)) from None
-        title = f"Home gateway survey ({len(store.devices())} devices)"
-        report = render_report(results, title=title)
-        if args.output:
-            pathlib.Path(args.output).write_text(report)
-            out(f"wrote {args.output}")
-        else:
-            out(report)
-        return 0
-
-    tags = _resolve_tags(args.tags)
-    selected = _cgn_selection(args, _family_selection(args), DEFAULT_REPORT_TESTS)
-    _runner, results = _run_campaign(args, tags, selected)
-    report = render_report(results, title=f"Home gateway survey ({len(tags)} devices)")
+        devices = len(store.devices())
+    else:
+        tags = _resolve_tags(args.tags)
+        selected = _cgn_selection(args, _family_selection(args), DEFAULT_REPORT_TESTS)
+        _runner, results = _run_campaign(args, tags, selected)
+        devices = len(tags)
+    report = render_report(results, title=f"Home gateway survey ({devices} devices)")
     if args.output:
         pathlib.Path(args.output).write_text(report)
         out(f"wrote {args.output}")
@@ -566,24 +401,10 @@ def cmd_trace(args, out) -> int:
 
 
 def cmd_compliance(args, out) -> int:
-    tags = _resolve_tags(args.tags)
-    udp1 = UdpTimeoutProbe.udp1(repetitions=args.repetitions).run_all(_build_bed(tags, args.seed))
-    tcp1 = TcpTimeoutProbe().run_all(_build_bed(tags, args.seed))
-    icmp = IcmpTranslationTest().run_all(_build_bed(tags, args.seed))
-    reports = {tag: check_device(tag, udp1=udp1[tag], tcp1=tcp1[tag], icmp=icmp[tag]) for tag in tags}
-    for tag in tags:
-        report = reports[tag]
-        failures = report.failures()
-        status = "PASS" if not failures else f"FAIL ({len(failures)})"
-        out(f"{tag:>5}  {status}")
-        for failure in failures:
-            out(f"        {failure}")
-    summary = population_summary(reports)
-    out("")
-    out(f"below RFC4787 120s: {summary['udp_below_required']:.0%}   "
-        f"below RFC5382 124min: {summary['tcp_below_minimum']:.0%}   "
-        f"RFC5508 compliant: {summary['icmp_compliant']:.0%}")
-    return 0
+    _runner, results = _run_campaign(args, _resolve_tags(args.tags), compliance.FAMILIES)
+    out(compliance.render_compliance(results))
+    _report_errors(results, out)
+    return 0 if results.complete else 1
 
 
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
@@ -642,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-devices", help="print the Table 1 inventory").set_defaults(func=cmd_list_devices)
 
     probe = sub.add_parser("probe", help="run one measurement family")
-    probe.add_argument("--test", required=True, choices=PROBE_CHOICES)
+    probe.add_argument("--test", required=True, type=_family_name, choices=PROBE_CHOICES)
     probe.add_argument("--tags", nargs="*", help="device tags (default: all 34)")
     _add_knob_flags(probe, PROBE_CHOICES)
     probe.add_argument("--seed", type=int, default=0)
@@ -650,14 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     probe.set_defaults(func=cmd_probe)
 
     survey = sub.add_parser("survey", help="run several families")
-    survey.add_argument("--tests", nargs="+", default=None, choices=PROBE_CHOICES,
+    survey.add_argument("--tests", nargs="+", default=None, type=_family_name, choices=FAMILY_CHOICES,
                         help="families to run (default: udp1 tcp1 tcp4)")
     survey.add_argument("--families", metavar="F1,F2",
-                        help=f"comma-joined campaign families ({','.join(FAMILY_CHOICES)}); "
-                        "implies the durable campaign path")
+                        help=f"comma-joined campaign families ({','.join(FAMILY_CHOICES)})")
     survey.add_argument("--tags", nargs="*")
     survey.add_argument("--seed", type=int, default=0)
-    survey.add_argument("--csv-dir", help="export each series as CSV here")
+    survey.add_argument("--csv-dir", help="export each selected family's series as CSV here")
     survey.add_argument("--jobs", type=int, default=1, help="shard devices across N worker processes")
     survey.add_argument("--partitions", type=int, default=None, metavar="N",
                         help="cut each partitionable family's topology into N islands "
@@ -675,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     stun = sub.add_parser("classify", help="STUN-style classification")
     stun.add_argument("--tags", nargs="*")
     stun.add_argument("--seed", type=int, default=0)
-    stun.set_defaults(func=cmd_classify)
+    stun.set_defaults(func=cmd_probe, test="stun_classify")
 
     report = sub.add_parser("report", help="full markdown survey report")
     report.add_argument("--tests", nargs="+", default=None, choices=FAMILY_CHOICES,
@@ -724,9 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compliance", help="grade against the IETF BCPs")
     comp.add_argument("--tags", nargs="*")
-    comp.add_argument("--repetitions", type=int, default=1)
+    _add_knob_flags(comp, compliance.FAMILIES)
     comp.add_argument("--seed", type=int, default=0)
-    comp.set_defaults(func=cmd_compliance)
+    comp.set_defaults(func=cmd_compliance, udp_repetitions=1)
 
     return parser
 

@@ -10,23 +10,28 @@ The paper repeatedly grades devices against three BCPs:
 
 :func:`check_device` turns one device's *measured* results into a
 :class:`ComplianceReport`; :func:`population_summary` reproduces the §4
-population claims ("more than half of the tested devices do not conform…").
+population claims ("more than half of the tested devices do not conform…");
+:func:`render_compliance` grades a campaign: ``repro compliance`` prints it.
 """
 
 from repro.compliance.checker import (
+    FAMILIES,
     ComplianceReport,
     RFC4787_REQUIRED_S,
     RFC4787_RECOMMENDED_S,
     RFC5382_MINIMUM_S,
     check_device,
     population_summary,
+    render_compliance,
 )
 
 __all__ = [
+    "FAMILIES",
     "ComplianceReport",
     "RFC4787_REQUIRED_S",
     "RFC4787_RECOMMENDED_S",
     "RFC5382_MINIMUM_S",
     "check_device",
     "population_summary",
+    "render_compliance",
 ]

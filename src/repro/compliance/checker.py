@@ -13,6 +13,9 @@ RFC4787_REQUIRED_S = 120.0
 RFC4787_RECOMMENDED_S = 600.0
 RFC5382_MINIMUM_S = 124 * 60.0
 
+#: The campaign families a grade reads, one per BCP.
+FAMILIES = ("udp1", "tcp1", "icmp")
+
 #: The ICMP kinds RFC 5508 REQ-3/REQ-4 most cares about for active flows.
 RFC5508_KEY_KINDS = ("port_unreach", "host_unreach", "net_unreach", "ttl_exceeded", "frag_needed")
 
@@ -98,3 +101,24 @@ def population_summary(reports: Mapping[str, ComplianceReport]) -> Dict[str, flo
         "tcp_below_minimum": fraction("tcp_meets_minimum", False),
         "icmp_compliant": fraction("icmp_compliant", True),
     }
+
+
+def render_compliance(results) -> str:
+    """Grade every device a campaign over :data:`FAMILIES` measured: one verdict each, then the §4 shares."""
+    udp1, tcp1, icmp = (results.family(name) for name in FAMILIES)
+    tags = dict.fromkeys([*udp1, *tcp1, *icmp])
+    reports = {tag: check_device(tag, udp1=udp1.get(tag), tcp1=tcp1.get(tag), icmp=icmp.get(tag)) for tag in tags}
+    lines = []
+    for tag, report in reports.items():
+        failures = report.failures()
+        status = "PASS" if not failures else f"FAIL ({len(failures)})"
+        lines.append(f"{tag:>5}  {status}")
+        lines.extend(f"        {failure}" for failure in failures)
+    summary = population_summary(reports)
+    lines.append("")
+    lines.append(
+        f"below RFC4787 120s: {summary['udp_below_required']:.0%}   "
+        f"below RFC5382 124min: {summary['tcp_below_minimum']:.0%}   "
+        f"RFC5508 compliant: {summary['icmp_compliant']:.0%}"
+    )
+    return "\n".join(lines)

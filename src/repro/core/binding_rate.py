@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.core import registry
 from repro.core.results import DeviceSeries, Summary
 from repro.core.runtime import SimTask, run_tasks
 from repro.testbed.testbed import Testbed
@@ -69,7 +70,8 @@ class BindingRateProbe:
     ):
         if burst_count < 10:
             raise ValueError("burst_count too small to estimate a rate")
-        self.offered_rates = list(offered_rates)
+        # Floats, as ``RateStep.offered_rate`` declares: a stored cell decodes to the live one.
+        self.offered_rates = [float(rate) for rate in offered_rates]
         self.burst_count = burst_count
         self.server_port = server_port
 
@@ -131,3 +133,16 @@ class BindingRateProbe:
             result.steps.append(RateStep(offered_rate=rate, achieved_rate=len(seen) / window))
             # Let the burst's bindings age out of the rate bucket's horizon.
             yield SETTLE_SECONDS
+
+
+registry.register_family(registry.ExperimentFamily(
+    name="binding_rate",
+    order=120,
+    cell_type=BindingRateResult,
+    description="binding-creation rate sweep (§5)",
+    probe_factory=lambda knobs: BindingRateProbe().run_all,
+    default_selected=False,
+    view=registry.series_view(lambda results: BindingRateProbe().series(results), "Binding setup rate [bindings/s]"),
+))
+
+registry.register_view_section("binding_rate", 84, "Binding creation rate (§5)")

@@ -133,4 +133,8 @@ registry.register_family(registry.ExperimentFamily(
     cell_type=DnsProxyResult,
     description="DNS proxy behaviour over UDP/TCP (Table 2)",
     probe_factory=lambda knobs: DnsProxyTest().run_all,
+    view=registry.row_view(lambda result: (
+        f"udp:{result.answers_udp}  accepts-tcp:{result.accepts_tcp}  "
+        f"answers-tcp:{result.answers_tcp}  upstream:{result.upstream_transport_for_tcp}"
+    )),
 ))

@@ -370,6 +370,10 @@ registry.register_family(registry.ExperimentFamily(
     cell_type=IcmpTestResult,
     description="ICMP error translation battery (Table 2)",
     probe_factory=lambda knobs: IcmpTranslationTest().run_all,
+    view=registry.row_view(lambda result: (
+        f"udp:{len(result.forwarded_kinds('udp')):>2}/10  tcp:{len(result.forwarded_kinds('tcp')):>2}/10  "
+        f"embedded-rewrite:{result.translates_embedded_transport()}  ip-cksum:{result.fixes_embedded_ip_checksum()}"
+    )),
 ))
 
 registry.register_section(registry.ReportSection(

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Sequence
 
+from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
 from repro.packets import IPv4Packet, PROTO_TCP, PROTO_UDP, TcpSegment, UdpDatagram
 from repro.packets.tcp import TCPOPT_SACK_PERMITTED, TCPOPT_TIMESTAMP, TCPOPT_WSCALE, TcpOption
@@ -120,3 +121,19 @@ class OptionsTest:
             kinds = {option.kind for option in observed.payload.options}
             result.tcp_options_preserved = all(kind in kinds for kind in PROBE_OPTION_KINDS)
         return None
+
+
+registry.register_family(registry.ExperimentFamily(
+    name="options",
+    order=110,
+    cell_type=OptionsResult,
+    description="IP Record Route and TCP SYN option handling (§5)",
+    probe_factory=lambda knobs: OptionsTest().run_all,
+    default_selected=False,
+    view=registry.row_view(lambda result: (
+        f"ip-options:{result.ip_options_pass}  record-route:{result.record_route_recorded}  "
+        f"tcp-options:{result.tcp_options_preserved}"
+    )),
+))
+
+registry.register_view_section("options", 82, "TCP and IP option handling (§5)")

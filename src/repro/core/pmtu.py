@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, Generator, Optional, Sequence
 
+from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
 from repro.netsim.link import Link
 from repro.protocols.stack import Host
@@ -79,7 +80,6 @@ class PmtuBlackholeTest:
         """Run the constrained-path transfer behind every device."""
         tags = list(tags if tags is not None else bed.tags())
         far = attach_far_host(bed, self.path_mtu)
-        received: Dict[str, int] = {}
 
         def on_accept(conn) -> None:
             conn.on_data = lambda data: None  # byte counting happens client-side
@@ -125,3 +125,18 @@ class PmtuBlackholeTest:
             conn.abort()
         # Drain stragglers before the next device runs.
         yield 2.0
+
+
+registry.register_family(registry.ExperimentFamily(
+    name="pmtu",
+    order=130,
+    cell_type=PmtuResult,
+    description="path-MTU black hole behind a thin far link (RFC 2923)",
+    probe_factory=lambda knobs: PmtuBlackholeTest().run_all,
+    default_selected=False,
+    view=registry.row_view(
+        lambda result: f"ok in {result.duration:.2f}s (mss {result.mss_after})" if result.completed else "BLACK HOLE"
+    ),
+))
+
+registry.register_view_section("pmtu", 86, "Path-MTU black holes (RFC 2923)")

@@ -67,12 +67,16 @@ __all__ = [
     "knobs",
     "resolve_knobs",
     "report_sections",
+    "row_view",
+    "series_view",
+    "register_view_section",
 ]
 
 #: Modules that register experiment families as an import side effect.
 #: Adding a new family module here is the *only* central edit a new
 #: experiment needs; everything else (survey dispatch, store cells,
-#: report sections, CLI choices and knob flags) follows from its registrations.
+#: report sections, CLI choices, the probe menu and knob flags) follows
+#: from its registrations.
 FAMILY_MODULES = (
     "repro.core.udp_timeouts",
     "repro.core.tcp_binding",
@@ -85,6 +89,10 @@ FAMILY_MODULES = (
     "repro.cgn.metro",
     "repro.traversal.matrix",
     "repro.workload.families",
+    "repro.core.options_tests",
+    "repro.core.binding_rate",
+    "repro.core.pmtu",
+    "repro.traversal.stun",
 )
 
 
@@ -229,6 +237,10 @@ class ExperimentFamily:
     #: horizon).  ``None`` = the family always runs in the per-device shard
     #: schedule.
     partition_factory: Optional[Callable[[Any], Any]] = None
+    #: Canonical family mapping -> ``(text, series)``: the terminal view ``repro probe``
+    #: prints, and the ``DeviceSeries`` that ``survey --csv-dir`` writes (``None`` when
+    #: there is none).  The probe menu is the set of families that declare one.
+    view: Optional[Callable[[Mapping[str, Any]], Tuple[str, Any]]] = None
 
     @property
     def partitionable(self) -> bool:
@@ -416,3 +428,32 @@ def report_sections() -> List[ReportSection]:
     """All registered report sections, in report order."""
     ensure_loaded()
     return sorted(_SECTIONS.values(), key=lambda s: (s.order, s.key))
+
+
+def row_view(row: Callable[[Any], str], order: Callable[[Mapping[str, Any]], Any] = sorted) -> Callable:
+    """A terminal view with one ``row(cell)`` line per device tag, tags in ``order`` (default: sorted)."""
+    return lambda results: ("\n".join(f"{tag:>5}  {row(results[tag])}" for tag in order(results)), None)
+
+
+def series_view(series_of: Callable[[Mapping[str, Any]], Any], title: str, **render: Any) -> Callable:
+    """A terminal view drawing ``series_of(results)`` as one figure (``render_series`` keywords in ``render``)."""
+
+    def view(results: Mapping[str, Any]) -> Tuple[str, Any]:
+        from repro.analysis.figures import render_series
+
+        series = series_of(results)
+        return render_series(series, title, **render), series
+
+    return view
+
+
+def register_view_section(name: str, order: int, heading: str) -> ReportSection:
+    """Register a report section that shows family ``name``'s terminal view under ``heading``."""
+
+    def render(results: Any) -> str:
+        from repro.analysis.figures import code_block
+
+        text, _series = family(name).view(results.family(name))
+        return f"## {heading}\n\n{code_block(text)}"
+
+    return register_section(ReportSection(key=name, order=order, families=(name,), render=render))

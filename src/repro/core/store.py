@@ -284,10 +284,6 @@ class CampaignStore:
         """Path of one ``(subject, family)`` cell file."""
         return self.root / self.CELL_DIR / subject_dirname(subject) / f"{family}.json"
 
-    def has_cell(self, subject: str, family: str) -> bool:
-        """Whether a durable cell exists for ``(subject, family)``."""
-        return self.cell_path(subject, family).exists()
-
     def completed_families(self, subject: str) -> Set[str]:
         """Family names with a durable cell for ``subject``."""
         subject_dir = self.root / self.CELL_DIR / subject_dirname(subject)
@@ -378,13 +374,15 @@ class CampaignStore:
 
         subjects = list(tags if tags is not None else self.subjects())
         wanted = set(families) if families is not None else None
+        # One directory listing per subject, not a stat per (subject, registered family).
+        present = {subject: self.completed_families(subject) for subject in subjects}
         results = SurveyResults()
         for fam in registry.families():
             if wanted is not None and fam.name not in wanted and fam.derived_from not in wanted:
                 continue
             mapping: Dict[str, Any] = {}
             for subject in subjects:
-                if not self.has_cell(subject, fam.name):
+                if fam.name not in present[subject]:
                     continue
                 payload = self.load_cell(subject, fam.name)
                 try:

@@ -267,14 +267,11 @@ def _render_tcp1(results) -> Optional[str]:
 def _render_tcp4(results) -> Optional[str]:
     from repro import paperdata
     from repro.analysis.figures import code_block, render_series
-    from repro.core.results import DeviceSeries, Summary
 
     data = results.family("tcp4")
     if not data:
         return None
-    series = DeviceSeries("TCP-4", "bindings")
-    for tag, result in data.items():
-        series.add(tag, Summary.of([float(result.max_bindings)]))
+    series = TcpBindingCapacityProbe().series(data)
     return "\n\n".join([
         f"## TCP-4: binding capacity ({paperdata.FAMILY_FIGURES['tcp4']})",
         code_block(render_series(series, "max TCP bindings", log_scale=True)),
@@ -295,6 +292,8 @@ registry.register_family(registry.ExperimentFamily(
     description="TCP-1 idle binding timeout (Figure 7)",
     knobs=TcpTimeoutKnobs,
     probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs.tcp1_cutoff).run_all,
+    view=registry.series_view(lambda results: TcpTimeoutProbe().series(results), "TCP-1 binding timeouts [s]",
+                              log_scale=True, censored_label=">24h"),
 ))
 
 registry.register_family(registry.ExperimentFamily(
@@ -303,6 +302,8 @@ registry.register_family(registry.ExperimentFamily(
     cell_type=TcpBindingCapacityResult,
     description="TCP-4 binding capacity (Figure 10)",
     probe_factory=lambda knobs: TcpBindingCapacityProbe().run_all,
+    view=registry.series_view(lambda results: TcpBindingCapacityProbe().series(results), "TCP-4 max bindings",
+                              log_scale=True),
 ))
 
 registry.register_section(registry.ReportSection(

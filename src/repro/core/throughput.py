@@ -260,6 +260,18 @@ def _render_tcp2(results) -> Optional[str]:
     ])
 
 
+def _view_tcp2(results):
+    from repro.analysis.figures import render_series
+
+    probe = ThroughputProbe()
+    series = probe.throughput_series(results, "download")
+    delay = probe.delay_series(results, "download")
+    return "\n".join([
+        render_series(series, "TCP-2 download throughput [Mb/s]"),
+        render_series(delay, "TCP-3 download queuing delay [ms]"),
+    ]), series
+
+
 @dataclass(frozen=True)
 class ThroughputKnobs:
     """TCP-2/TCP-3: bytes moved by each bulk transfer."""
@@ -274,6 +286,7 @@ registry.register_family(registry.ExperimentFamily(
     description="TCP-2/TCP-3 throughput and queuing delay (Figures 8-9)",
     knobs=ThroughputKnobs,
     probe_factory=lambda knobs: ThroughputProbe(transfer_bytes=knobs.transfer_bytes).run_all,
+    view=_view_tcp2,
 ))
 
 registry.register_section(registry.ReportSection(

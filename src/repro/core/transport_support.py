@@ -176,4 +176,8 @@ registry.register_family(registry.ExperimentFamily(
     cell_type=Dict[str, TransportSupportResult],
     description="SCTP/DCCP transport support (Table 2)",
     probe_factory=lambda knobs: TransportSupportTest().run_all,
+    view=registry.row_view(lambda cell: (
+        f"sctp:{'pass' if cell['sctp'].supported else 'fail':<4} ({cell['sctp'].wire_view})  "
+        f"dccp:{'pass' if cell['dccp'].supported else 'fail'}"
+    )),
 ))

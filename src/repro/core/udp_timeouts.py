@@ -438,9 +438,18 @@ def _udp5_merge(target: Dict, mapping: Dict) -> None:
         target.setdefault(service, {}).update(per_device)
 
 
+def timeout_series(results: Dict[str, UdpTimeoutResult], name: str) -> DeviceSeries:
+    """Per-device binding timeouts in seconds, as one figure's series (devices without samples omitted)."""
+    series = DeviceSeries(name, "s")
+    for tag, result in results.items():
+        if result.samples:
+            series.add(tag, result.summary())
+    return series
+
+
 def _render_udp_timeouts(results) -> Optional[str]:
     from repro import paperdata
-    from repro.analysis.figures import code_block, render_series_multi, timeout_series
+    from repro.analysis.figures import code_block, render_series_multi
 
     series = {}
     for label, name in (("UDP-1", "udp1"), ("UDP-2", "udp2"), ("UDP-3", "udp3")):
@@ -475,7 +484,7 @@ def _render_udp4(results) -> Optional[str]:
 
 def _render_udp5(results) -> Optional[str]:
     from repro import paperdata
-    from repro.analysis.figures import code_block, render_series_multi, timeout_series
+    from repro.analysis.figures import code_block, render_series_multi
 
     per_service = {
         service: timeout_series(data, service)
@@ -513,6 +522,8 @@ for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure
         description=f"UDP-{_variant[-1]} binding timeout ({_figure})",
         knobs=UdpKnobs,
         probe_factory=lambda knobs, name=_variant: UdpTimeoutProbe(name, repetitions=knobs.udp_repetitions).run_all,
+        view=registry.series_view(lambda results, name=_variant: timeout_series(results, name),
+                                  f"{_variant.upper()} binding timeouts [s]"),
     ))
 
 registry.register_family(registry.ExperimentFamily(

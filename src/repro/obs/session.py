@@ -3,9 +3,9 @@
 :class:`ObsConfig` is the picklable description of what to record — it rides
 inside the survey's shard config across the process-pool boundary, exactly
 like :class:`~repro.netsim.impair.Impairment` does for chaos.
-:class:`ShardObserver` is the live counterpart a shard (or a CLI command)
-builds from it: it owns the JSONL/pcap/metrics sinks for one device-or-
-testbed's sequence of measurement families and attaches a fresh
+:class:`ShardObserver` is the live counterpart a campaign shard builds
+from it: it owns the JSONL/pcap/metrics sinks for one subject's sequence
+of measurement families and attaches a fresh
 :class:`~repro.obs.bus.TraceBus` to each family's simulation.
 
 Lifecycle for one shard::
@@ -65,7 +65,7 @@ class ObsConfig:
 
 
 class ShardObserver:
-    """Live observability session for one shard (or one CLI testbed)."""
+    """Live observability session for one campaign shard."""
 
     def __init__(self, config: ObsConfig, device: Optional[str] = None):
         self.config = config

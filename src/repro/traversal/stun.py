@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.runtime import Future
+from repro.core import registry
+from repro.core.runtime import Future, SimTask, run_tasks
 from repro.obs.bus import STUN_REQUEST, STUN_RESPONSE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.stack import Host
+    from repro.testbed.testbed import Testbed
 
 STUN_PORT = 3478
 STUN_ALT_PORT = 3479
@@ -228,3 +230,33 @@ def classify(
         filtering,
         preserves_port=first.port == client.local_port,
     )
+
+
+def classify_all(bed: "Testbed") -> Dict[str, StunClassification]:
+    """Classify every device of ``bed``, one at a time, against one STUN server."""
+    server = StunServer(bed.server)
+    results: Dict[str, StunClassification] = {}
+    for tag in bed.tags():
+        port = bed.port(tag)
+        client = StunClient(bed.client, iface_index=port.client_iface_index)
+        task = SimTask(bed.sim, classify(client, port.server_ip), name=f"stun:{tag}")
+        run_tasks(bed.sim, [task])
+        client.close()
+        results[tag] = task.result
+    server.close()
+    return results
+
+
+registry.register_family(registry.ExperimentFamily(
+    name="stun_classify",
+    order=140,
+    cell_type=StunClassification,
+    description="RFC 3489 STUN classification",
+    probe_factory=lambda knobs: classify_all,
+    default_selected=False,
+    # In campaign order: `repro classify` lists devices as they were given.
+    view=registry.row_view(lambda verdict: f"{verdict.rfc3489_type:<22} port-preserved:{verdict.preserves_port}",
+                           order=list),
+))
+
+registry.register_view_section("stun_classify", 88, "STUN classification (RFC 3489)")

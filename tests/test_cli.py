@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import SimStats, SurveyResults, SurveyRunner, UdpTimeoutProbe, registry
+from repro.core import OptionsTest, SimStats, SurveyResults, SurveyRunner, UdpTimeoutProbe, registry
 
 
 def run_cli(capsys, *argv):
@@ -39,7 +39,7 @@ def test_probe_udp1_subset(capsys, monkeypatch):
     assert code == 0
     assert "UDP1 binding timeouts" in out
     assert "je" in out and "ed" in out
-    assert repetitions == [1]
+    assert repetitions == [1, 1]  # one probe per device shard
 
 
 def test_probe_dns(capsys):
@@ -67,17 +67,47 @@ def test_survey_with_csv_export(capsys, tmp_path, monkeypatch):
     assert "je," in csv
 
 
+def test_campaign_survey_writes_csv(capsys, tmp_path):
+    code, out = run_cli(
+        capsys, "survey", "--families", "udp1", "--tags", "je", "--repetitions", "1",
+        "--out", str(tmp_path / "store"), "--csv-dir", str(tmp_path / "csv"),
+    )
+    assert code == 0
+    csv = (tmp_path / "csv" / "udp1.csv").read_text()
+    assert csv.splitlines()[0] == "tag,median,q1,q3,samples,censored_at"
+    assert "je," in csv
+
+
 def test_classify(capsys):
     code, out = run_cli(capsys, "classify", "--tags", "bu1", "ng1")
     assert code == 0
     assert "symmetric" in out and "cone" in out
 
 
-def test_compliance(capsys):
+def test_compliance(capsys, monkeypatch):
+    repetitions = _record_udp_repetitions(monkeypatch)
     code, out = run_cli(capsys, "compliance", "--tags", "je", "ls1")
     assert code == 0
     assert "FAIL" in out  # je misses RFC 4787
     assert "below RFC4787" in out
+    assert repetitions == [1, 1]
+
+
+def test_compliance_reads_udp_repetitions_from_its_knob(capsys, monkeypatch):
+    repetitions = _record_udp_repetitions(monkeypatch)
+    code, _out = run_cli(capsys, "compliance", "--tags", "je", "--repetitions", "2")
+    assert code == 0
+    assert repetitions == [2]
+
+
+def test_failed_shard_is_reported_with_exit_code_1(capsys, monkeypatch):
+    def broken(self, bed):
+        raise RuntimeError("probe exploded")
+
+    monkeypatch.setattr(OptionsTest, "run_all", broken)
+    code, out = run_cli(capsys, "probe", "--test", "options", "--tags", "bu1")
+    assert code == 1
+    assert "1 shard(s) failed" in out and "probe exploded" in out
 
 
 def test_probe_pmtu(capsys):

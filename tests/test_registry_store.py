@@ -68,7 +68,8 @@ class TestRegistry:
     def test_every_paper_family_registered(self):
         assert registry.runnable_names() == (
             "udp1", "udp2", "udp3", "udp5", "tcp1", "tcp2", "tcp4",
-            "icmp", "transports", "dns", "cgn_timeouts", "cgn_exhaustion",
+            "icmp", "transports", "dns", "options", "binding_rate", "pmtu",
+            "stun_classify", "cgn_timeouts", "cgn_exhaustion",
             "metro_load", "workload_mix", "fwcost_scaling",
             "attack_portflood", "attack_keepalive", "attack_rst",
             "traversal_matrix",
