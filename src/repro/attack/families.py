@@ -775,7 +775,6 @@ registry.register_family(registry.ExperimentFamily(
     name="attack_portflood",
     order=300,
     cell_type=AttackPortfloodResult,
-    description="NAT444 binding-exhaustion flood: per-tier onset + innocent collateral",
     knobs=FloodKnobs,
     probe_factory=lambda knobs: AttackPortfloodProbe(rate=knobs.attack_rate, duration=knobs.attack_duration).run_all,
     testbed_factory=nat444_factory,
@@ -786,7 +785,6 @@ registry.register_family(registry.ExperimentFamily(
     name="attack_keepalive",
     order=310,
     cell_type=AttackKeepaliveResult,
-    description="Spoofed inbound keepalives refreshing/evicting victim bindings",
     knobs=Nat444Knobs,
     probe_factory=lambda knobs: AttackKeepaliveProbe().run_all,
     testbed_factory=nat444_factory,
@@ -797,7 +795,6 @@ registry.register_family(registry.ExperimentFamily(
     name="attack_rst",
     order=320,
     cell_type=AttackRstResult,
-    description="Off-path RST binding teardown through the NAT444 chain",
     knobs=AttackKnobs,
     probe_factory=lambda knobs: AttackRstProbe(rate=knobs.attack_rate).run_all,
     testbed_factory=nat444_factory,

@@ -450,7 +450,6 @@ registry.register_family(registry.ExperimentFamily(
     name="cgn_timeouts",
     order=200,
     cell_type=CgnTimeoutResult,
-    description="NAT444 effective end-to-end binding timeouts (UDP-1/TCP-1 through two tiers)",
     knobs=Nat444Knobs,
     probe_factory=lambda knobs: CgnTimeoutProbe().run_all,
     testbed_factory=nat444_factory,
@@ -461,7 +460,6 @@ registry.register_family(registry.ExperimentFamily(
     name="cgn_exhaustion",
     order=210,
     cell_type=CgnExhaustionResult,
-    description="NAT444 per-subscriber port-block exhaustion ramp (onset + fairness)",
     knobs=Nat444Knobs,
     probe_factory=lambda knobs: CgnExhaustionProbe().run_all,
     testbed_factory=nat444_factory,

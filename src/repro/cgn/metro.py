@@ -690,7 +690,6 @@ registry.register_family(registry.ExperimentFamily(
     name="metro_load",
     order=220,
     cell_type=MetroLoadResult,
-    description="Metro-scale NAT444 echo load (partitionable: --partitions N)",
     knobs=MetroKnobs,
     probe_factory=lambda knobs: MetroLoadProbe().run_all,
     testbed_factory=lambda knobs: MetroPartitionHooks(knobs).build_full,

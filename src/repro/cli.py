@@ -4,20 +4,20 @@ Commands:
 
 * ``list-devices`` — the Table 1 inventory.
 * ``probe`` — run one measurement family against selected devices.
-* ``survey`` — run several families, optionally exporting CSV series.
+* ``survey`` — run several families into an optional store, print their
+  work counters, optionally export CSV series; ``--jobs N`` shards devices
+  across processes.
 * ``classify`` — STUN-style classification of selected devices.
 * ``compliance`` — grade devices against RFC 4787 / 5382 / 5508.
-* ``bench`` — run a campaign, print and dump its performance counters
-  (``BENCH_survey.json``); ``--jobs N`` shards devices across processes.
 * ``trace`` — summarize JSONL trace files produced by ``--trace``.
 
 Every command that measures runs one ``SurveyRunner`` campaign and renders
 its results; ``probe`` and ``classify`` print a family's ``view``.
 
-``probe``, ``survey``, ``report`` and ``bench`` all accept the flight-recorder
-flags ``--trace DIR`` (per-device JSONL event traces), ``--pcap DIR``
-(per-link pcap captures) and ``--metrics`` (campaign counters/histograms);
-see :mod:`repro.obs`.
+``probe``, ``survey`` and ``report`` all accept the flight-recorder flags
+``--trace DIR`` (per-device JSONL event traces), ``--pcap DIR`` (per-link
+pcap captures) and ``--metrics`` (campaign counters/histograms); see
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ WORKLOAD_FAMILIES = ("workload_mix", "fwcost_scaling")
 #: can tell "user chose these" from "nothing chosen".
 DEFAULT_SURVEY_TESTS = ["udp1", "tcp1", "tcp4"]
 DEFAULT_REPORT_TESTS = ["udp1", "udp2", "udp3", "tcp1", "tcp4"]
-DEFAULT_BENCH_TESTS = ["udp1", "tcp2"]
 
 
 def _resolve_tags(tags: Optional[Sequence[str]]) -> List[str]:
@@ -170,15 +169,26 @@ def cmd_probe(args, out) -> int:
 
 
 def cmd_survey(args, out) -> int:
-    """Run the selected families as a durable campaign: store, resume, CSV export."""
+    """Run the selected families as a durable campaign: store, resume, work counters, CSV export."""
     if args.resume and not args.out:
         raise SystemExit("--resume needs --out DIR (the store to resume from)")
     tags = _resolve_tags(args.tags)
     selected = _cgn_selection(args, _family_selection(args), DEFAULT_SURVEY_TESTS)
     runner, results = _run_campaign(args, tags, selected)
-    for name, mapping in results.families.items():
+    stats = results.stats
+    # Families with cells, then any that ran but kept none (every shard failed).
+    for name in dict.fromkeys([*results.families, *stats.family_events]):
         descriptor = registry.family(name)
-        out(f"{name:>10}: {len(descriptor.cells_of(mapping))} {descriptor.subject_kind}(s)")
+        line = f"{name:>10}: {len(descriptor.cells_of(results.family(name)))} {descriptor.subject_kind}(s)"
+        if name in stats.family_events:
+            line = (f"{line:<30}{stats.family_wall[name]:8.2f}s  {stats.family_events[name]:>9} events  "
+                    f"{stats.family_segments[name]:>9} segments")
+        out(line)
+    out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s cpu (shard sum)")
+    out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
+    out(f"segments modeled: {stats.segments_modeled}   "
+        f"fastpath saved: {stats.fastpath_events_saved} events in {stats.fastpath_windows} windows")
+    out(f"stale-entry purges: {stats.stale_purges} ({stats.stale_entries_purged} entries)")
     if runner.last_partition is not None:
         out(_partition_line(runner.last_partition))
     if args.out:
@@ -202,7 +212,7 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
     """Build the command's ``SurveyRunner`` from its flags and run ``selected``.
 
     Every measuring command shares it; a flag a command lacks (``--out``
-    outside ``survey``, ``--impair`` outside ``report``/``bench``, ``--jobs``
+    outside ``survey``, ``--impair`` outside ``survey``/``report``, ``--jobs``
     on ``probe`` …) leaves the runner's default in place.
     """
     from repro.core import SurveyRunner
@@ -235,8 +245,10 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
 
 def _partition_line(run) -> str:
     """One line on how the partitioned families ran (``runner.last_partition``)."""
+    islands = " ".join(f"{seconds:.2f}" for seconds in run.island_cpu_seconds)
     return (f"partitions: {run.partitions}   sync rounds: {run.sync_rounds}   "
-            f"boundary frames: {run.boundary_frames}")
+            f"boundary frames: {run.boundary_frames}   cpu: hub {run.hub_cpu_seconds:.2f}s   "
+            f"islands [{islands}]s   critical path: {run.critical_path_seconds:.2f}s")
 
 
 def cmd_report(args, out) -> int:
@@ -269,126 +281,6 @@ def cmd_report(args, out) -> int:
     return 0
 
 
-def cmd_bench(args, out) -> int:
-    from repro.core import write_bench_json
-
-    tags = _resolve_tags(args.tags)
-    selected = _cgn_selection(args, _family_selection(args), DEFAULT_BENCH_TESTS)
-    runner, results = _run_campaign(args, tags, selected)
-    stats = results.stats
-    engine = f"   partitions: {runner.partitions}" if runner.partitions is not None else ""
-    out(f"devices: {len(tags)}   families: {' '.join(selected)}   jobs: {args.jobs}{engine}")
-    if runner.impairment is not None or runner.faults:
-        out(f"impairment: {args.impair or 'none'}   faults: {', '.join(args.fault or []) or 'none'}")
-    out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s cpu (shard sum)")
-    partition = runner.last_partition
-    if partition is not None:
-        out(_partition_line(partition))
-        if partition.island_cpu_seconds:
-            islands = " ".join(f"{s:.2f}" for s in partition.island_cpu_seconds)
-            out(f"cpu: hub {partition.hub_cpu_seconds:.2f}s   islands [{islands}]s   "
-                f"critical path: {partition.critical_path_seconds:.2f}s")
-    out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
-    out(f"segments modeled: {stats.segments_modeled}   "
-        f"fastpath saved: {stats.fastpath_events_saved} events "
-        f"in {stats.fastpath_windows} windows")
-    out(f"stale-entry purges: {stats.stale_purges} ({stats.stale_entries_purged} entries)")
-    for family in selected:
-        wall = stats.family_wall.get(family, 0.0)
-        events = stats.family_events.get(family, 0)
-        segments = stats.family_segments.get(family, 0)
-        out(f"  {family:>10}  {wall:8.2f}s  {events:>9} events  {segments:>9} segments")
-    _report_errors(results, out)
-    if args.output:
-        from repro.core.store import SCHEMA_VERSION
-
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": runner.fingerprint(),
-            # Every fingerprinted knob, so a dump explains its config hash.
-            "campaign": dict(
-                runner.knobs,
-                devices=len(tags),
-                tests=list(selected),
-                seed=runner.seed,
-                fastpath=runner.fastpath,
-                impairment=runner.impairment.describe() if runner.impairment is not None else None,
-                faults=[fault.describe() for fault in runner.faults],
-            ),
-            "elapsed_wall_seconds": round(runner.last_elapsed, 3),
-            "shard_errors": [
-                {"tag": error.tag, "family": error.family, "error": error.error, "message": error.message}
-                for error in results.errors
-            ],
-            "stats": stats.as_dict(),
-        }
-        if partition is not None:
-            payload["partition"] = partition.as_dict()
-        if results.metrics is not None:
-            payload["metrics"] = results.metrics.as_dict()
-        from repro.workload.families import scaling_curves
-
-        curves = scaling_curves(results)
-        if curves is not None:
-            # The workload tier's deliverable: the decoded scaling curves
-            # ride in the bench dump (BENCH_workload.json) so the loss
-            # curves are diffable without replaying the campaign.
-            payload["curves"] = curves
-        write_bench_json(args.output, payload)
-        out(f"wrote {args.output}")
-        history = _append_bench_history(pathlib.Path(args.output), runner, stats)
-        if history is not None:
-            out(f"appended {history}")
-    return 0
-
-
-def _append_bench_history(output: pathlib.Path, runner, stats) -> Optional[pathlib.Path]:
-    """Append one trajectory point to ``BENCH_history.json`` next to the dump.
-
-    The ``pr`` field is the highest ``PR <n>`` entry in the repo's
-    ``CHANGES.md``, looked up from the output file upwards; it is ``None``
-    when no changelog is in sight (e.g. dumps into /tmp).  Every row
-    records ``jobs``, and ``partitions`` when the campaign set it; a row
-    whose campaign ran a partitioned family adds its sync rounds, boundary
-    frames, elapsed wall and critical-path seconds.
-    """
-    import re
-
-    history_path = output.resolve().parent / "BENCH_history.json"
-    pr = None
-    for ancestor in [output.resolve().parent, *output.resolve().parents]:
-        changelog = ancestor / "CHANGES.md"
-        if changelog.is_file():
-            numbers = re.findall(r"^- PR (\d+)", changelog.read_text(), re.M)
-            pr = max(map(int, numbers), default=None)
-            break
-    entry = {
-        "pr": pr,
-        "config_hash": runner.fingerprint(),
-        "events_per_sec": round(stats.events_per_sec, 1),
-        "family_wall": {k: round(v, 6) for k, v in sorted(stats.family_wall.items())},
-        "jobs": runner.jobs,
-    }
-    if runner.partitions is not None:
-        entry["partitions"] = runner.partitions
-    if runner.last_partition is not None:
-        entry.update(
-            sync_rounds=runner.last_partition.sync_rounds,
-            boundary_frames=runner.last_partition.boundary_frames,
-            elapsed_wall_seconds=round(runner.last_elapsed, 3),
-            critical_path_seconds=round(runner.last_partition.critical_path_seconds, 3),
-        )
-    try:
-        history = json.loads(history_path.read_text()) if history_path.is_file() else []
-        if not isinstance(history, list):
-            return None
-    except (OSError, ValueError):
-        return None
-    history.append(entry)
-    history_path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-    return history_path
-
-
 def cmd_trace(args, out) -> int:
     summaries = summarize_paths([pathlib.Path(path) for path in args.paths])
     if not summaries:
@@ -408,7 +300,7 @@ def cmd_compliance(args, out) -> int:
 
 
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    """The family-group shortcuts and knob flags shared by survey/report/bench."""
+    """The family-group shortcuts and knob flags shared by survey/report."""
     parser.add_argument("--cgn", action="store_true",
                         help="run the NAT444 families (cgn_timeouts, cgn_exhaustion) "
                         "behind a carrier-grade NAT; appends to --families if given")
@@ -439,8 +331,15 @@ def _add_knob_flags(parser: argparse.ArgumentParser, families: Sequence[str] = F
             parser.add_argument(knob.flag, dest=knob.name, **kind, **knob.argparse)
 
 
+def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
+    """The chaos flags shared by survey/report (parsed by :func:`_parse_chaos`)."""
+    parser.add_argument("--impair", help="link impairment, e.g. loss=0.01,reorder=5ms,dup=0.001")
+    parser.add_argument("--fault", action="append",
+                        help="gateway fault, e.g. crash@t=30,boot=never,device=dl8 (repeatable)")
+
+
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The flight-recorder flags shared by probe/survey/report/bench."""
+    """The flight-recorder flags shared by probe/survey/report."""
     parser.add_argument("--trace", metavar="DIR",
                         help="write per-device JSONL event traces into DIR")
     parser.add_argument("--pcap", metavar="DIR",
@@ -488,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persist every (device, family) cell into a campaign store at DIR")
     survey.add_argument("--resume", action="store_true",
                         help="with --out: skip cells already in the store, run only the missing ones")
+    _add_chaos_flags(survey)
     _add_campaign_flags(survey)
     _add_obs_flags(survey)
     survey.set_defaults(func=cmd_survey)
@@ -508,33 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--output", help="write the markdown here instead of stdout")
     report.add_argument("--jobs", type=int, default=1, help="shard devices across N worker processes")
-    report.add_argument("--impair", help="link impairment, e.g. loss=0.01,reorder=5ms,dup=0.001")
-    report.add_argument("--fault", action="append",
-                        help="gateway fault, e.g. crash@t=30,boot=never,device=dl8 (repeatable)")
+    _add_chaos_flags(report)
     _add_campaign_flags(report)
     _add_obs_flags(report)
     report.set_defaults(func=cmd_report)
-
-    bench = sub.add_parser("bench", help="time a campaign and dump perf counters")
-    bench.add_argument("--tests", nargs="+", default=None, choices=FAMILY_CHOICES,
-                       help="families to run (default: udp1 tcp2)")
-    bench.add_argument("--families", metavar="F1,F2",
-                       help=f"comma-joined campaign families ({','.join(FAMILY_CHOICES)})")
-    bench.add_argument("--tags", nargs="*")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--tcp1-cutoff", type=float, dest="tcp1_cutoff")
-    bench.add_argument("--transfer-bytes", type=int, dest="transfer_bytes")
-    bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--partitions", type=int, default=None, metavar="N",
-                       help="run partitionable families on N worker processes "
-                       "(see `survey --partitions`)")
-    bench.add_argument("--impair", help="link impairment, e.g. loss=0.01,reorder=5ms,dup=0.001")
-    bench.add_argument("--fault", action="append",
-                       help="gateway fault, e.g. crash@t=30,boot=never,device=dl8 (repeatable)")
-    bench.add_argument("--output", help="write BENCH_survey.json here")
-    _add_campaign_flags(bench)
-    _add_obs_flags(bench)
-    bench.set_defaults(func=cmd_bench, udp_repetitions=1, tcp1_cutoff=600.0, transfer_bytes=512 * 1024)
 
     trace = sub.add_parser("trace", help="summarize JSONL trace files from --trace")
     trace.add_argument("paths", nargs="+",

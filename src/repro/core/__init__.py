@@ -46,7 +46,7 @@ from repro.core.parallel import (
 )
 from repro.core import registry
 from repro.core.registry import ExperimentFamily, ReportSection
-from repro.core.stats import SimStats, write_bench_json
+from repro.core.stats import SimStats
 from repro.core.store import (
     SCHEMA_VERSION,
     CampaignStore,
@@ -112,5 +112,4 @@ __all__ = [
     "merge_shards",
     "run_shards",
     "shard_seed",
-    "write_bench_json",
 ]

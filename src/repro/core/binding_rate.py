@@ -139,7 +139,6 @@ registry.register_family(registry.ExperimentFamily(
     name="binding_rate",
     order=120,
     cell_type=BindingRateResult,
-    description="binding-creation rate sweep (§5)",
     probe_factory=lambda knobs: BindingRateProbe().run_all,
     default_selected=False,
     view=registry.series_view(lambda results: BindingRateProbe().series(results), "Binding setup rate [bindings/s]"),

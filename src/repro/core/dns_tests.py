@@ -131,7 +131,6 @@ registry.register_family(registry.ExperimentFamily(
     name="dns",
     order=100,
     cell_type=DnsProxyResult,
-    description="DNS proxy behaviour over UDP/TCP (Table 2)",
     probe_factory=lambda knobs: DnsProxyTest().run_all,
     view=registry.row_view(lambda result: (
         f"udp:{result.answers_udp}  accepts-tcp:{result.accepts_tcp}  "

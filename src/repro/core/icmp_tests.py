@@ -368,7 +368,6 @@ registry.register_family(registry.ExperimentFamily(
     name="icmp",
     order=80,
     cell_type=IcmpTestResult,
-    description="ICMP error translation battery (Table 2)",
     probe_factory=lambda knobs: IcmpTranslationTest().run_all,
     view=registry.row_view(lambda result: (
         f"udp:{len(result.forwarded_kinds('udp')):>2}/10  tcp:{len(result.forwarded_kinds('tcp')):>2}/10  "

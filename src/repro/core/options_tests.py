@@ -127,7 +127,6 @@ registry.register_family(registry.ExperimentFamily(
     name="options",
     order=110,
     cell_type=OptionsResult,
-    description="IP Record Route and TCP SYN option handling (§5)",
     probe_factory=lambda knobs: OptionsTest().run_all,
     default_selected=False,
     view=registry.row_view(lambda result: (

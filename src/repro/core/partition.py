@@ -193,7 +193,7 @@ class PartitionStats:
         only the slowest one bounds the run, while the hub's core island
         and routing are serial with every window.  On a single-core host
         the measured wall is instead the *sum* of all islands (plus IPC),
-        which is why BENCH rows record both.
+        which is why ``repro survey`` prints both.
     """
 
     partitions: int
@@ -210,17 +210,6 @@ class PartitionStats:
         self.island_cpu_seconds.extend(other.island_cpu_seconds)
         self.hub_cpu_seconds += other.hub_cpu_seconds
         self.critical_path_seconds += other.critical_path_seconds
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``partition`` block of a bench dump."""
-        return {
-            "partitions": self.partitions,
-            "sync_rounds": self.sync_rounds,
-            "boundary_frames": self.boundary_frames,
-            "island_cpu_seconds": [round(s, 3) for s in self.island_cpu_seconds],
-            "hub_cpu_seconds": round(self.hub_cpu_seconds, 3),
-            "critical_path_seconds": round(self.critical_path_seconds, 3),
-        }
 
 
 @dataclass

@@ -131,7 +131,6 @@ registry.register_family(registry.ExperimentFamily(
     name="pmtu",
     order=130,
     cell_type=PmtuResult,
-    description="path-MTU black hole behind a thin far link (RFC 2923)",
     probe_factory=lambda knobs: PmtuBlackholeTest().run_all,
     default_selected=False,
     view=registry.row_view(

@@ -185,8 +185,6 @@ class ExperimentFamily:
     #: them (``Dict[str, UdpTimeoutResult]`` for UDP-5).  The store codec
     #: (:mod:`repro.core.codec`) is derived from it.
     cell_type: Any
-    #: One-line description for CLI help and error messages.
-    description: str = ""
     #: Frozen dataclass whose typed fields are exactly the knobs the hooks
     #: read; every hook below that takes ``knobs`` gets an instance of it.
     knobs: type = NoKnobs

@@ -2,17 +2,15 @@
 
 :class:`SimStats` aggregates what the simulator core and the campaign driver
 already know — events processed, stale-entry purges, wall-clock per
-experiment family — into one machine-readable block.  :class:`SurveyRunner`
-attaches it to its results and can dump it as ``BENCH_survey.json`` so every
-future optimisation PR has a trajectory to beat.
+experiment family — into one block.  :class:`SurveyRunner` attaches it to
+its results; ``repro survey`` prints it, and ``tools/golden.py`` holds the
+per-family work counters of a canonical campaign to committed values.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Union
+from typing import Dict
 
 
 @dataclass
@@ -21,9 +19,9 @@ class SimStats:
 
     #: Simulator events processed, summed over every testbed the run built.
     events_processed: int = 0
-    #: Heap events the fast path elided (serialization-done dispatches,
-    #: deferred timer re-arms).  ``events_processed + fastpath_events_saved``
-    #: is the engine-independent measure of work modeled.
+    #: Heap events the fast path counts as elided (serialization-done
+    #: dispatches, deferred timer re-arms).  It overcounts: see
+    #: ``family_segments``.
     fastpath_events_saved: int = 0
     #: Idle→busy transitions of the eager kernels (analytic service windows).
     fastpath_windows: int = 0
@@ -37,11 +35,12 @@ class SimStats:
     family_wall: Dict[str, float] = field(default_factory=dict)
     #: Simulator events per experiment family.
     family_events: Dict[str, int] = field(default_factory=dict)
-    #: Work modeled per family: events processed + events elided by the fast
-    #: path.  Comparable across engines (unlike ``family_events``, which
-    #: collapses under the fast path); small residual differences remain
-    #: because the staged engine's heap compaction purges stale timer
-    #: entries that are never processed.
+    #: Work modeled per family: events processed + events the fast path
+    #: counts as elided.  It is not engine-independent: a traced run,
+    #: which elides only bring-up events, matches the staged engine's
+    #: ``family_events`` exactly, but the fast path overcounts them (by 7.9%
+    #: on ``tools/golden.py``'s campaign, UDP-only families included).
+    #: Compare it only between runs of one engine.
     family_segments: Dict[str, int] = field(default_factory=dict)
     #: Worker processes that executed shards (1 == serial).
     jobs: int = 1
@@ -55,7 +54,7 @@ class SimStats:
 
     @property
     def segments_modeled(self) -> int:
-        """Total work modeled, independent of which engine executed it."""
+        """Total work modeled: events processed plus those counted as elided (see ``family_segments``)."""
         return self.events_processed + self.fastpath_events_saved
 
     def note_family(
@@ -92,7 +91,7 @@ class SimStats:
 
         Wall-clock is summed: under parallel execution the aggregate is CPU
         seconds across workers, not elapsed time (the runner records elapsed
-        time separately in the bench dump).
+        time separately, as ``last_elapsed``).
         """
         self.events_processed += other.events_processed
         self.fastpath_events_saved += other.fastpath_events_saved
@@ -106,27 +105,3 @@ class SimStats:
             self.family_events[family] = self.family_events.get(family, 0) + events
         for family, segments in other.family_segments.items():
             self.family_segments[family] = self.family_segments.get(family, 0) + segments
-
-    def as_dict(self) -> Dict:
-        """The JSON shape embedded in bench dumps."""
-        return {
-            "events_processed": self.events_processed,
-            "segments_modeled": self.segments_modeled,
-            "fastpath_events_saved": self.fastpath_events_saved,
-            "fastpath_windows": self.fastpath_windows,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "events_per_sec": round(self.events_per_sec, 1),
-            "stale_purges": self.stale_purges,
-            "stale_entries_purged": self.stale_entries_purged,
-            "family_wall": {k: round(v, 6) for k, v in self.family_wall.items()},
-            "family_events": dict(self.family_events),
-            "family_segments": dict(self.family_segments),
-            "jobs": self.jobs,
-        }
-
-
-def write_bench_json(path: Union[str, pathlib.Path], payload: Dict) -> pathlib.Path:
-    """Write a machine-readable benchmark record (``BENCH_*.json``)."""
-    target = pathlib.Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target

@@ -22,8 +22,7 @@ Every file carries ``schema_version`` and the campaign *config hash* — a
 fingerprint of ``(profiles, seed, knobs, impairment, faults)``.  Opening a
 store with a different hash (or schema) raises
 :class:`IncompatibleStoreError` instead of silently mixing incomparable
-measurements; the same hash is stamped into ``BENCH_*.json`` so the bench
-trajectory can detect incomparable runs.
+measurements.
 
 Schema migration: stores written by the v3/v4 device-keyed engine (cells
 carry a ``device`` key, manifests list ``devices``) still *read* — reports

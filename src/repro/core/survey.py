@@ -406,7 +406,10 @@ class SurveyRunner:
                 filtered: List[Tuple[Subject, List[str]]] = []
                 for subject, families in plan:
                     done = store.completed_families(subject.tag)
-                    missing = [name for name in families if name not in done]
+                    # A parent cell lands before its derived cells (``_record``), so a
+                    # kill between the writes leaves the family to re-run.
+                    missing = [name for name in families
+                               if not {name, *(d.name for d in registry.derived_families(name))} <= done]
                     self.last_skipped_cells += len(families) - len(missing)
                     filtered.append((subject, missing))
                 plan = filtered

@@ -282,14 +282,15 @@ def _render_tcp4(results) -> Optional[str]:
 class TcpTimeoutKnobs:
     """TCP-1: the idle time [s] past which a binding counts as censored."""
 
-    tcp1_cutoff: float = DEFAULT_TCP_CUTOFF
+    tcp1_cutoff: float = registry.knob(DEFAULT_TCP_CUTOFF, "--tcp1-cutoff", metavar="SECONDS",
+                                       help="TCP-1 idle time past which a binding counts as censored "
+                                       "(default: %(default)s, the paper's 24 h)")
 
 
 registry.register_family(registry.ExperimentFamily(
     name="tcp1",
     order=50,
     cell_type=TcpTimeoutResult,
-    description="TCP-1 idle binding timeout (Figure 7)",
     knobs=TcpTimeoutKnobs,
     probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs.tcp1_cutoff).run_all,
     view=registry.series_view(lambda results: TcpTimeoutProbe().series(results), "TCP-1 binding timeouts [s]",
@@ -300,7 +301,6 @@ registry.register_family(registry.ExperimentFamily(
     name="tcp4",
     order=70,
     cell_type=TcpBindingCapacityResult,
-    description="TCP-4 binding capacity (Figure 10)",
     probe_factory=lambda knobs: TcpBindingCapacityProbe().run_all,
     view=registry.series_view(lambda results: TcpBindingCapacityProbe().series(results), "TCP-4 max bindings",
                               log_scale=True),

@@ -276,14 +276,14 @@ def _view_tcp2(results):
 class ThroughputKnobs:
     """TCP-2/TCP-3: bytes moved by each bulk transfer."""
 
-    transfer_bytes: int = DEFAULT_TRANSFER_BYTES
+    transfer_bytes: int = registry.knob(DEFAULT_TRANSFER_BYTES, "--transfer-bytes", metavar="BYTES",
+                                        help="bytes moved by each TCP-2/TCP-3 transfer (default: %(default)s)")
 
 
 registry.register_family(registry.ExperimentFamily(
     name="tcp2",
     order=60,
     cell_type=ThroughputResult,
-    description="TCP-2/TCP-3 throughput and queuing delay (Figures 8-9)",
     knobs=ThroughputKnobs,
     probe_factory=lambda knobs: ThroughputProbe(transfer_bytes=knobs.transfer_bytes).run_all,
     view=_view_tcp2,

@@ -174,7 +174,6 @@ registry.register_family(registry.ExperimentFamily(
     name="transports",
     order=90,
     cell_type=Dict[str, TransportSupportResult],
-    description="SCTP/DCCP transport support (Table 2)",
     probe_factory=lambda knobs: TransportSupportTest().run_all,
     view=registry.row_view(lambda cell: (
         f"sctp:{'pass' if cell['sctp'].supported else 'fail':<4} ({cell['sctp'].wire_view})  "

@@ -514,12 +514,11 @@ class UdpServiceKnobs:
     udp5_repetitions: int = 1
 
 
-for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure 4"), ("udp3", 30, "Figure 5")):
+for _variant, _order in (("udp1", 10), ("udp2", 20), ("udp3", 30)):
     registry.register_family(registry.ExperimentFamily(
         name=_variant,
         order=_order,
         cell_type=UdpTimeoutResult,
-        description=f"UDP-{_variant[-1]} binding timeout ({_figure})",
         knobs=UdpKnobs,
         probe_factory=lambda knobs, name=_variant: UdpTimeoutProbe(name, repetitions=knobs.udp_repetitions).run_all,
         view=registry.series_view(lambda results, name=_variant: timeout_series(results, name),
@@ -530,7 +529,6 @@ registry.register_family(registry.ExperimentFamily(
     name="udp4",
     order=15,
     cell_type=PortBehavior,
-    description="UDP-4 port preservation / binding reuse (derived from UDP-1)",
     derived_from="udp1",
     derive=analyze_port_behavior,
 ))
@@ -539,7 +537,6 @@ registry.register_family(registry.ExperimentFamily(
     name="udp5",
     order=40,
     cell_type=Dict[str, UdpTimeoutResult],
-    description="UDP-5 per-service binding timeouts (Figure 6)",
     knobs=UdpServiceKnobs,
     probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs.udp5_repetitions).run_all,
     cells=_udp5_cells,

@@ -93,7 +93,7 @@ class FaultSpec:
         return cls(kind=kind, at=at, boot=boot, device=device)
 
     def describe(self) -> Dict[str, object]:
-        """Machine-readable form for the bench JSON."""
+        """Machine-readable form for the store manifest and the campaign fingerprint."""
         boot = self.boot
         return {
             "kind": self.kind,

@@ -155,7 +155,7 @@ class Impairment:
         return cls(**fields)  # type: ignore[arg-type]
 
     def describe(self) -> Dict[str, object]:
-        """Machine-readable form for the bench JSON."""
+        """Machine-readable form for the store manifest and the campaign fingerprint."""
         return {
             "loss": self.loss,
             "dup": self.dup,

@@ -203,9 +203,10 @@ class Simulation:
         #: bit-identical; publishers that need full event fidelity (an
         #: attached trace bus, impaired links) fall back per call site.
         self.fastpath = True
-        #: Heap events elided by the fast path (the analytic kernels'
-        #: dividend).  ``events_processed + fastpath_events_saved`` is the
-        #: engine-independent work measure reported as ``segments_modeled``.
+        #: Heap events the fast path counts as elided (the analytic
+        #: kernels' dividend).  ``events_processed + fastpath_events_saved``
+        #: is reported as ``segments_modeled``; it overcounts the events
+        #: the staged engine runs (see ``SimStats.family_segments``).
         self.fastpath_events_saved = 0
         #: Idle→busy transitions of an analytic kernel (one "window" of
         #: closed-form advance: a link busy run, a forwarding service chain).
@@ -213,8 +214,8 @@ class Simulation:
 
     @property
     def segments_modeled(self) -> int:
-        """Work units modeled, independent of engine: processed events plus
-        the events the analytic fast path proved it did not need to run."""
+        """Work units modeled: processed events plus the events the analytic
+        fast path counts as elided (an overcount; see ``fastpath_events_saved``)."""
         return self.events_processed + self.fastpath_events_saved
 
     # -- scheduling -------------------------------------------------------

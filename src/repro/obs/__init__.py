@@ -14,7 +14,7 @@ turn the stream into durable, shareable artifacts:
   libpcap format, readable in Wireshark/tcpdump;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   histograms plus virtual-time spans per measurement family, mergeable
-  across survey shards and dumped into ``BENCH_*.json``.
+  across survey shards and printed as JSON by ``--metrics``.
 
 The bus is **zero-overhead when disabled**: publishers guard every emission
 with a single ``if sim.bus is not None`` check, no event objects are built,

@@ -6,7 +6,7 @@ much, how often, how long".  It is a plain picklable value: each survey
 shard builds its own, ships it back across the process-pool boundary on its
 results, and :meth:`MetricsRegistry.merge` folds shards together in catalog
 order, so the merged registry is identical under ``jobs=1`` and ``jobs=N``
-and lands verbatim in ``BENCH_*.json``.
+and prints verbatim under ``--metrics``.
 
 All quantities are deterministic: counts of typed events and *virtual-time*
 durations.  Wall-clock never enters (that is
@@ -143,7 +143,7 @@ class MetricsRegistry:
             mine_span["virtual_seconds"] += span["virtual_seconds"]
 
     def as_dict(self) -> Dict[str, Any]:
-        """Machine-readable form for ``BENCH_*.json`` (sorted, JSON-safe)."""
+        """Machine-readable form for ``--metrics`` output (sorted, JSON-safe)."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": {k: v for k, v in sorted(self.gauges.items())},

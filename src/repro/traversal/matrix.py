@@ -595,7 +595,6 @@ registry.register_family(registry.ExperimentFamily(
     name="traversal_matrix",
     order=400,
     cell_type=TraversalCell,
-    description="pairwise STUN/hole-punch/relay success and keepalive-cost matrix",
     knobs=MatrixKnobs,
     probe_factory=lambda knobs: PairProbe().run_all,
     testbed_factory=pair_factory,

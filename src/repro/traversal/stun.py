@@ -251,7 +251,6 @@ registry.register_family(registry.ExperimentFamily(
     name="stun_classify",
     order=140,
     cell_type=StunClassification,
-    description="RFC 3489 STUN classification",
     probe_factory=lambda knobs: classify_all,
     default_selected=False,
     # In campaign order: `repro classify` lists devices as they were given.

@@ -377,7 +377,7 @@ class FwCostProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry descriptors, report section, bench curves.
+# Registry descriptors, report section, scaling curves.
 # ---------------------------------------------------------------------------
 
 
@@ -385,7 +385,7 @@ def scaling_curves(results) -> Optional[Dict]:
     """The workload scaling curves of a campaign, JSON-ready.
 
     Built from decoded family results (``SurveyResults``); this is the
-    ``curves`` block ``repro bench --output BENCH_workload.json`` embeds.
+    block ``tools/plot_scaling.py`` draws from a store (and ``--json`` emits).
     """
     workload = results.family("workload_mix")
     fwcost = results.family("fwcost_scaling")
@@ -481,7 +481,6 @@ registry.register_family(registry.ExperimentFamily(
     name="workload_mix",
     order=230,
     cell_type=WorkloadMixResult,
-    description="subscriber application-mix load ramp (goodput, FCT, NAT occupancy, block pressure)",
     knobs=WorkloadMixKnobs,
     probe_factory=lambda knobs: WorkloadMixProbe(mix_name=knobs.workload_mix, ramp_spec=knobs.workload_ramp).run_all,
     testbed_factory=nat444_factory,
@@ -492,7 +491,6 @@ registry.register_family(registry.ExperimentFamily(
     name="fwcost_scaling",
     order=240,
     cell_type=FwCostResult,
-    description="forwarding throughput and per-packet cost vs. rule count / conntrack size",
     knobs=FwCostKnobs,
     probe_factory=lambda knobs: FwCostProbe(ramp_spec=knobs.fw_rules).run_all,
     testbed_factory=nat444_factory,

@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -169,13 +170,20 @@ def _store_bytes(root):
 
 
 def test_partitioned_survey_resume_and_bench(capsys, tmp_path):
+    """A partitioned survey resumes byte for byte and prints the bench counters: rounds, frames, island CPU."""
     metro = ["--metro", "--partitions", "2", "--tags", "al", "ap", "as1", "--subscribers", "2"]
     store = tmp_path / "metro"
     code, out = run_cli(capsys, "survey", *metro, "--out", str(store))
     assert code == 0
     assert "metro_load: 3 device(s)" in out
-    assert "partitions: 2   sync rounds: " in out
+    partition = re.search(r"partitions: 2   sync rounds: (\d+)   boundary frames: (\d+)   "
+                          r"cpu: hub [\d.]+s   islands \[([\d. ]+)\]s   critical path: [\d.]+s", out)
+    assert partition is not None, out
+    assert int(partition[1]) > 0 and int(partition[2]) > 0
+    assert len(partition[3].split()) == 2
+    assert int(re.search(r"metro_load: 3 device\(s\) +[\d.]+s +(\d+) events", out)[1]) > 0
     clean = _store_bytes(store)
+    assert json.loads(clean["campaign.json"])["knobs"]["metro_requests"] == 8
 
     (store / "cells" / "ap" / "metro_load.json").unlink()
     code, out = run_cli(capsys, "survey", *metro, "--out", str(store), "--resume")
@@ -183,39 +191,27 @@ def test_partitioned_survey_resume_and_bench(capsys, tmp_path):
     assert "(2 cell(s) reused)" in out
     assert _store_bytes(store) == clean
 
-    dump = tmp_path / "bench.json"
-    code, out = run_cli(capsys, "bench", *metro[1:], "--output", str(dump))
-    assert code == 0
-    payload = json.loads(dump.read_text())
-    partition = payload["partition"]
-    assert partition["partitions"] == 2
-    assert partition["sync_rounds"] > 0 and partition["boundary_frames"] > 0
-    assert len(partition["island_cpu_seconds"]) == 2
-    assert payload["campaign"]["tests"] == ["metro_load"]
-    assert payload["campaign"]["metro_requests"] == 8
-    assert payload["stats"]["family_events"]["metro_load"] > 0
-    (row,) = json.loads((tmp_path / "BENCH_history.json").read_text())
-    assert row["partitions"] == 2 and row["jobs"] == 1
-    assert row["sync_rounds"] == partition["sync_rounds"]
+
+def test_resume_restores_a_missing_derived_cell(capsys, tmp_path):
+    """A kill between a family's cell and its derived cell (udp1, then udp4) resumes to the clean store."""
+    argv = ["survey", "--families", "udp1", "--tags", "je", "--repetitions", "1", "--out", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    clean = _store_bytes(tmp_path)
+    (tmp_path / "cells" / "je" / "udp4.json").unlink()
+    assert run_cli(capsys, *argv, "--resume")[0] == 0
+    assert _store_bytes(tmp_path) == clean
 
 
-def test_bench_history_labels_rows_with_the_latest_pr(tmp_path):
-    from repro.cli import _append_bench_history
-    from repro.core import SimStats, SurveyRunner
-    from repro.devices import catalog_profiles
-
-    (tmp_path / "CHANGES.md").write_text(
-        "# Changes\n- PR 1: first\n- PR 2: second\n- PR 14: after a gap\n"
+def test_survey_chaos_flags_lose_only_the_crashed_shard(capsys, tmp_path):
+    code, out = run_cli(
+        capsys, "survey", "--tests", "udp1", "--tags", "al", "dl8", "--repetitions", "1", "--jobs", "2",
+        "--impair", "loss=0.01,reorder=5ms,dup=0.001", "--fault", "crash@t=30,boot=never,device=dl8",
+        "--out", str(tmp_path),
     )
-    out_dir = tmp_path / "bench"
-    out_dir.mkdir()
-    runner = SurveyRunner(profiles=catalog_profiles(["al"]), jobs=3, partitions=2)
-    history = _append_bench_history(out_dir / "BENCH_survey.json", runner, SimStats())
-    (row,) = json.loads(history.read_text())
-    assert row["pr"] == 14
-    assert row["jobs"] == 3
-    assert row["partitions"] == 2
-    assert "sync_rounds" not in row  # no partitioned family ran
+    assert code == 1
+    assert "udp1: 1 device(s)" in out
+    assert "1 shard(s) failed:" in out and "[dl8/udp1]" in out
+    assert json.loads((tmp_path / "campaign.json").read_text())["impairment"]["loss"] == 0.01
 
 
 #: Every campaign knob that declares a CLI flag.
@@ -225,7 +221,6 @@ FLAGGED_KNOBS = [knob for knob in registry.knobs().values() if knob.flag is not 
 CAMPAIGN_COMMANDS = {
     "survey": ["survey", "--families", "udp1", "--tags", "je"],
     "report": ["report", "--tests", "udp1", "--tags", "je"],
-    "bench": ["bench", "--tests", "udp1", "--tags", "je"],
 }
 
 
@@ -236,6 +231,7 @@ def _built_runner(monkeypatch, capsys, argv):
     def run(self, tests=None):
         built.append(self)
         self.last_elapsed = 0.0
+        self.selected = tests
         return SurveyResults(stats=SimStats())
 
     monkeypatch.setattr(SurveyRunner, "run", run)
@@ -268,11 +264,18 @@ def test_every_knob_flag_reaches_the_runner(monkeypatch, capsys, command, knob):
 
 def test_campaign_commands_start_from_the_declared_defaults(monkeypatch, capsys):
     declared = {name: knob.default for name, knob in registry.knobs().items()}
-    for command in ("survey", "report"):
+    for command in sorted(CAMPAIGN_COMMANDS):
         assert _built_runner(monkeypatch, capsys, CAMPAIGN_COMMANDS[command]).knobs == declared
-    # bench: quick-run budgets unless its own budget flags say otherwise.
-    quick = dict(declared, udp_repetitions=1, tcp1_cutoff=600.0, transfer_bytes=512 * 1024)
-    assert _built_runner(monkeypatch, capsys, CAMPAIGN_COMMANDS["bench"]).knobs == quick
-    budget = ["--tcp1-cutoff", "900", "--transfer-bytes", "4096"]
-    runner = _built_runner(monkeypatch, capsys, CAMPAIGN_COMMANDS["bench"] + budget)
-    assert runner.knobs == dict(quick, tcp1_cutoff=900.0, transfer_bytes=4096)
+
+
+@pytest.mark.parametrize("flags, families", [
+    (["--cgn"], ["cgn_timeouts", "cgn_exhaustion"]),
+    (["--attack"], ["attack_portflood", "attack_keepalive", "attack_rst"]),
+    (["--workload"], ["workload_mix", "fwcost_scaling"]),
+    (["--partitions", "4"], ["metro_load"]),
+    (["--tests", "udp1", "tcp2", "--cgn", "--matrix"],
+     ["udp1", "tcp2", "cgn_timeouts", "cgn_exhaustion", "traversal_matrix"]),
+], ids=["cgn", "attack", "workload", "partitions", "appended"])
+def test_family_shortcuts_select_their_tier(monkeypatch, capsys, flags, families):
+    runner = _built_runner(monkeypatch, capsys, ["survey", "--tags", "al", "be1", *flags])
+    assert runner.selected == families

@@ -143,7 +143,9 @@ def test_fastpath_counters_account_for_elided_work():
     assert bed.sim.fastpath is True
     from repro.core.throughput import ThroughputProbe
 
-    ThroughputProbe(transfer_bytes=128 * 1024).run_all(bed)
+    result = ThroughputProbe(transfer_bytes=128 * 1024).run_all(bed)["dl1"]
+    assert result.upload.bytes_moved >= 128 * 1024
+    assert None not in (result.download, result.upload_bidir, result.download_bidir)
     assert bed.sim.fastpath_events_saved > 0
     assert bed.sim.fastpath_windows > 0
     assert bed.sim.segments_modeled == bed.sim.events_processed + bed.sim.fastpath_events_saved
@@ -153,13 +155,13 @@ def test_no_fastpath_cli_flag_runs_the_staged_engine(capsys):
     from repro import cli
 
     code = cli.main(
-        ["bench", "--tests", "udp1", "--tags", "dl1", "--no-fastpath", "--repetitions", "1"]
+        ["survey", "--tests", "udp1", "--tags", "dl1", "--no-fastpath", "--repetitions", "1"]
     )
     out = capsys.readouterr().out
     assert code == 0
     assert "fastpath saved: 0 events in 0 windows" in out
 
-    code = cli.main(["bench", "--tests", "udp1", "--tags", "dl1", "--repetitions", "1"])
+    code = cli.main(["survey", "--tests", "udp1", "--tags", "dl1", "--repetitions", "1"])
     fast_out = capsys.readouterr().out
     assert code == 0
     assert "fastpath saved: 0 events" not in fast_out

@@ -65,13 +65,6 @@ class TestParallelEqualsSerial:
         assert set(stats.family_events) == set(FAMILIES)
         assert stats.jobs == 1
 
-    def test_stats_as_dict_machine_readable(self, serial):
-        import json
-
-        payload = serial.stats.as_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["events_processed"] == serial.stats.events_processed
-
 
 class TestShardSeeds:
     def test_tag_derived_and_stable(self):

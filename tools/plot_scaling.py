@@ -3,13 +3,12 @@
 
 Usage::
 
-    python tools/plot_scaling.py out/wl                  # a campaign store
-    python tools/plot_scaling.py BENCH_workload.json     # a bench dump
+    python -m repro survey --tags al be1 ng1 --workload --jobs 2 --out out/wl
+    python tools/plot_scaling.py out/wl                  # draw the curves
     python tools/plot_scaling.py out/wl --json           # raw curves block
 
-Reads either a campaign store written by ``repro survey --workload --out``
-or a ``repro bench --workload --output`` dump (whose ``curves`` block is
-the same shape), and draws the two scaling families:
+Reads a campaign store written by ``repro survey --workload --out`` and
+draws the two scaling families:
 
 * ``workload_mix`` — goodput vs. active subscribers per device, with the
   flow-completion p95 and CGN occupancy alongside each bar;
@@ -35,25 +34,15 @@ BAR_WIDTH = 40
 
 
 def load_curves(path: pathlib.Path) -> Dict:
-    """The curves block of a store directory or a bench JSON dump."""
-    if path.is_dir():
-        from repro.core.store import CampaignStore
-        from repro.workload.families import scaling_curves
+    """The curves block of a campaign store directory."""
+    from repro.core.store import CampaignStore
+    from repro.workload.families import scaling_curves
 
-        results = CampaignStore.open(path).load_results()
-        curves = scaling_curves(results)
-        if curves is None:
-            raise SystemExit(
-                f"{path}: store holds no workload_mix/fwcost_scaling cells "
-                f"(run `repro survey --workload --out {path}`)"
-            )
-        return curves
-    payload = json.loads(path.read_text())
-    curves = payload.get("curves")
-    if not curves:
+    curves = scaling_curves(CampaignStore.open(path).load_results())
+    if curves is None:
         raise SystemExit(
-            f"{path}: no `curves` block (produce one with "
-            f"`repro bench --workload --output {path.name}`)"
+            f"{path}: store holds no workload_mix/fwcost_scaling cells "
+            f"(run `repro survey --workload --out {path}`)"
         )
     return curves
 
@@ -119,7 +108,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "source", type=pathlib.Path,
-        help="campaign store directory or BENCH_workload.json dump",
+        help="campaign store directory (repro survey --workload --out)",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the curves block instead of drawing"
