@@ -26,6 +26,7 @@ from repro.gateway.translation import (
     rewrite_destination,
     rewrite_ip_only,
     rewrite_source,
+    strip_tcp_options,
 )
 from repro.netsim.addresses import BROADCAST_MAC
 from repro.netsim.node import Interface
@@ -305,18 +306,7 @@ class HomeGateway(Host):
             if self.wan_ip is not None:
                 packet.record_route.record(self.wan_ip)
         if self.profile.quirks.strips_tcp_options and isinstance(packet.payload, TcpSegment):
-            segment = packet.payload
-            if segment.options:
-                from repro.packets.tcp import TCPOPT_MSS
-
-                segment.options = [opt for opt in segment.options if opt.kind == TCPOPT_MSS]
-                # Stripping options resizes the segment: drop the cached wire
-                # sizes, and recompute the checksum here — the NAT rewrite
-                # downstream only applies an incremental address/port update
-                # to a consistent base.
-                segment._wire = None
-                packet._wire = None
-                segment.fill_checksum(packet.src, packet.dst)
+            strip_tcp_options(packet)
         refresh_ip_checksum(packet)
         return True
 

@@ -132,7 +132,10 @@ class IcmpTranslationEngine:
         translated.dst = binding.int_ip
         inner_message = translated.payload
         inner = inner_message.embedded
-        # Rewrite the embedded packet back to the internal view.
+        # Rewrite the embedded packet back to the internal view.  Its VALID
+        # checksums become numbers first, so those the policy does not fix
+        # go stale as they do on the wire.
+        inner.materialize_checksums()
         inner.src = binding.int_ip
         if self.policy.rewrites_embedded_transport:
             inner.payload.src_port = binding.int_port
@@ -167,6 +170,7 @@ class IcmpTranslationEngine:
         translated = clone_packet(packet)
         translated.dst = int_ip
         inner = translated.payload.embedded
+        inner.materialize_checksums()
         inner.src = int_ip
         if self.policy.rewrites_embedded_transport:
             inner.payload.rest = (int_ident << 16) | inner.payload.echo_seq

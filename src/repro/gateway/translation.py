@@ -15,6 +15,12 @@ DCCP) and for packets that arrive without a checksum to update.
 
 Per RFC 3022 §4.1 a UDP zero checksum means "no checksum was generated" and
 must be forwarded untouched, not updated.
+
+A VALID checksum (:data:`~repro.packets.checksum.VALID`, what the model's
+own senders create) follows the packet's content by definition, so a
+correct rewrite keeps it without any arithmetic.  Explicit values keep the
+RFC 1624 rule above.  A rewrite that must leave a checksum stale (the
+IP-only fallback's transport checksum) computes VALID first.
 """
 
 from __future__ import annotations
@@ -22,12 +28,12 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 from typing import Optional
 
-from repro.packets.checksum import incremental_update_words
+from repro.packets.checksum import VALID, incremental_update_words
 from repro.packets.clone import clone_packet
 from repro.packets.dccp import DccpPacket
 from repro.packets.ipv4 import IPv4Packet
 from repro.packets.sctp import SctpPacket
-from repro.packets.tcp import TcpSegment
+from repro.packets.tcp import TCPOPT_MSS, TcpSegment
 from repro.packets.udp import UdpDatagram
 
 __all__ = [
@@ -36,6 +42,7 @@ __all__ = [
     "rewrite_destination",
     "rewrite_ip_only",
     "refresh_ip_checksum",
+    "strip_tcp_options",
 ]
 
 _PORT_REWRITE_TRANSPORTS = (UdpDatagram, TcpSegment, SctpPacket, DccpPacket)
@@ -71,19 +78,20 @@ def _rewrite(packet: IPv4Packet, ip_attr: str, port_attr: str, new_ip: IPv4Addre
 def _update_transport_checksum(
     packet: IPv4Packet, transport, old_words: int, new_words: int, nwords: int
 ) -> None:
+    checksum = getattr(transport, "checksum", None)
+    if checksum is VALID:
+        return  # valid by construction: it follows the rewrite
     if isinstance(transport, UdpDatagram):
-        if transport.checksum == 0:
+        if checksum == 0:
             return  # RFC 3022: a zero UDP checksum means "none"; forward as-is
-        if transport.checksum is not None:
-            updated = incremental_update_words(transport.checksum, old_words, new_words, nwords)
+        if checksum is not None:
+            updated = incremental_update_words(checksum, old_words, new_words, nwords)
             # RFC 768: an all-zero computed checksum is transmitted as 0xFFFF.
             transport.checksum = updated or 0xFFFF
             return
     elif isinstance(transport, TcpSegment):
-        if transport.checksum is not None:
-            transport.checksum = incremental_update_words(
-                transport.checksum, old_words, new_words, nwords
-            )
+        if checksum is not None:
+            transport.checksum = incremental_update_words(checksum, old_words, new_words, nwords)
             return
     # No base checksum to update, or a transport (SCTP CRC, DCCP) we only
     # know how to recompute in full.
@@ -92,10 +100,11 @@ def _update_transport_checksum(
 
 
 def _update_ip_checksum(packet: IPv4Packet, old_ip: IPv4Address, new_ip: IPv4Address) -> None:
-    if packet.header_checksum is not None:
-        packet.header_checksum = incremental_update_words(
-            packet.header_checksum, old_ip._ip, new_ip._ip, 2
-        )
+    checksum = packet.header_checksum
+    if checksum is VALID:
+        return
+    if checksum is not None:
+        packet.header_checksum = incremental_update_words(checksum, old_ip._ip, new_ip._ip, 2)
     else:
         packet.header_checksum = packet.compute_header_checksum()
 
@@ -105,8 +114,11 @@ def rewrite_ip_only(packet: IPv4Packet, src: Optional[IPv4Address] = None, dst: 
     checksum, and leave the transport checksum untouched.
 
     This preserves SCTP (its CRC ignores addresses) and corrupts DCCP (its
-    checksum covers the pseudo-header) — the §4.4 mechanism.
+    checksum covers the pseudo-header) — the §4.4 mechanism.  A VALID
+    transport checksum is computed before the addresses change, so it goes
+    stale the same way.
     """
+    packet.materialize_checksums()
     if src is not None:
         packet.src = src
     if dst is not None:
@@ -115,4 +127,28 @@ def rewrite_ip_only(packet: IPv4Packet, src: Optional[IPv4Address] = None, dst: 
 
 
 def refresh_ip_checksum(packet: IPv4Packet) -> None:
-    packet.header_checksum = packet.compute_header_checksum()
+    """Make the header checksum verify after a header write (TTL, options).
+
+    A full recompute of an explicit value, or nothing for VALID, which
+    already follows the header.
+    """
+    if packet.header_checksum is not VALID:
+        packet.header_checksum = packet.compute_header_checksum()
+
+
+def strip_tcp_options(packet: IPv4Packet) -> None:
+    """The option-stripping quirk: keep only a TCP segment's MSS options.
+
+    Stripping resizes the segment, so the cached wire sizes go, and an
+    explicit checksum is recomputed here: a NAT rewrite downstream only
+    applies an incremental address/port update to a consistent base.  VALID
+    follows the new options.
+    """
+    segment = packet.payload
+    if not segment.options:
+        return
+    segment.options = [opt for opt in segment.options if opt.kind == TCPOPT_MSS]
+    segment._wire = None
+    packet._wire = None
+    if segment.checksum is not VALID:
+        segment.fill_checksum(packet.src, packet.dst)

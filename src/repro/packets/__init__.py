@@ -13,7 +13,9 @@ Design rules:
 * Checksum fields are explicit and may be stale: a NAT that rewrites an
   address without fixing a checksum (a real bug the paper found in ``zy1``
   and ``ls1``) is representable, and receivers verify checksums the way real
-  stacks do.
+  stacks do.  IPv4 header and TCP/UDP checksums may instead be
+  :data:`~repro.packets.checksum.VALID`: equal by definition to a full
+  recompute, and computed only when a byte is observed.
 """
 
 from repro.packets.checksum import crc32c, internet_checksum

@@ -16,6 +16,42 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 
 
+class _Valid:
+    """The third checksum state, after Linux's ``CHECKSUM_UNNECESSARY``.
+
+    An IPv4 header checksum or a TCP/UDP checksum is ``None`` (not yet
+    computed), an explicit int (possibly stale, as a buggy middlebox leaves
+    it), or ``VALID``: by definition equal to a full recompute over the
+    packet's *current* content, so never stored as a number.  It is
+    computed only where a byte is observed (``to_bytes``) or just before a
+    write that must leave it stale (``materialize_checksums``).
+
+    Using ``VALID`` as a number (``int()``, arithmetic, comparison, truth
+    test) raises ``TypeError``, so a reader that forgot the state fails
+    loudly; test it with ``is VALID``.  It pickles as the singleton.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "VALID"
+
+    def __reduce__(self) -> str:
+        return "VALID"
+
+    def _no_value(self, *_args):
+        raise TypeError("a VALID checksum has no stored value; compute it from the packet (is VALID tests the state)")
+
+    __int__ = __index__ = __bool__ = __float__ = __neg__ = __invert__ = _no_value
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _no_value
+    __add__ = __radd__ = __sub__ = __rsub__ = __mod__ = __rmod__ = _no_value
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = __lshift__ = __rshift__ = _no_value
+    __hash__ = object.__hash__
+
+
+VALID = _Valid()
+
+
 def internet_checksum_reference(data: bytes) -> int:
     """RFC 1071, the obvious byte-at-a-time implementation.
 

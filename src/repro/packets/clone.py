@@ -17,7 +17,9 @@ from repro.packets.udp import UdpDatagram
 
 
 def clone_packet(packet: IPv4Packet) -> IPv4Packet:
-    """Copy an IPv4 packet and its transport header (payload bytes shared)."""
+    """Copy an IPv4 packet, its Record Route option and its transport header
+    (payload bytes shared).  Checksum states are copied as they are: a VALID
+    checksum stays VALID, an explicit one keeps its number."""
     payload = packet.payload
     if isinstance(payload, (UdpDatagram, TcpSegment, SctpPacket, DccpPacket, IcmpMessage)):
         payload = payload.copy()
@@ -33,5 +35,5 @@ def clone_packet(packet: IPv4Packet) -> IPv4Packet:
         tos=packet.tos,
         dont_fragment=packet.dont_fragment,
         header_checksum=packet.header_checksum,
-        record_route=packet.record_route,
+        record_route=None if packet.record_route is None else packet.record_route.copy(),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.packets.checksum import checksum_of_parts, internet_checksum
+from repro.packets.checksum import VALID, checksum_of_parts, internet_checksum
 
 PROTO_ICMP = 1
 PROTO_TCP = 6
@@ -53,6 +53,11 @@ class RecordRouteOption:
     def wire_size(self) -> int:
         return 3 + 4 * self.slots  # type, length, pointer, then slots
 
+    def copy(self) -> "RecordRouteOption":
+        option = RecordRouteOption(self.slots)
+        option.addresses = list(self.addresses)
+        return option
+
     def to_bytes(self) -> bytes:
         length = self.wire_size()
         pointer = 4 + 4 * len(self.addresses)
@@ -85,9 +90,11 @@ PAYLOAD_PARSERS: Dict[int, Callable[[bytes], Any]] = {}
 class IPv4Packet:
     """An IPv4 packet with a structured transport payload.
 
-    ``header_checksum`` is explicit: ``None`` means "to be computed on
-    serialization"; a stale value survives rewrites so NAT checksum bugs are
-    observable, as they are on real wires.
+    ``header_checksum`` has three states: ``None`` means "to be computed on
+    serialization"; an explicit int may be stale, and survives rewrites so
+    NAT checksum bugs are observable, as they are on real wires;
+    :data:`~repro.packets.checksum.VALID` is equal by definition to a full
+    recompute of the current header, and is computed only when serialized.
     """
 
     __slots__ = (
@@ -198,18 +205,41 @@ class IPv4Packet:
         return self
 
     def header_checksum_ok(self) -> bool:
-        if self.header_checksum is None:
+        checksum = self.header_checksum
+        if checksum is VALID:
+            return True
+        if checksum is None:
             return False
-        return self.header_checksum == self.compute_header_checksum()
+        return checksum == self.compute_header_checksum()
+
+    def materialize_checksums(self) -> None:
+        """Turn each VALID checksum (header, transport) into its value over the current content.
+
+        Call it before a field write that must leave a checksum stale, as a
+        translator that does not fix it does: VALID would follow the write.
+        """
+        transport = self.payload
+        if getattr(transport, "checksum", None) is VALID:
+            transport.checksum = transport.compute_checksum(self.src, self.dst)
+        if self.header_checksum is VALID:
+            self.header_checksum = self.compute_header_checksum()
 
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        """The wire bytes.  VALID checksums are computed here and not stored,
+        so serializing (a pcap sink, ICMP quoting) never changes the packet."""
         checksum = self.header_checksum
-        if checksum is None:
+        if checksum is None or checksum is VALID:
             checksum = self.compute_header_checksum()
-        payload = self.payload.to_bytes() if hasattr(self.payload, "to_bytes") else bytes(self.payload)
-        return self.header_bytes(checksum) + payload
+        payload = self.payload
+        if not hasattr(payload, "to_bytes"):
+            data = bytes(payload)
+        elif getattr(payload, "checksum", None) is VALID:
+            data = payload.to_bytes(self.src, self.dst)  # the pseudo-header's addresses
+        else:
+            data = payload.to_bytes()
+        return self.header_bytes(checksum) + data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IPv4Packet":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 from typing import List, Optional, Tuple
 
-from repro.packets.checksum import checksum_of_parts, internet_checksum, pseudo_header
+from repro.packets.checksum import VALID, checksum_of_parts, internet_checksum, pseudo_header
 from repro.packets.ipv4 import PAYLOAD_PARSERS, PROTO_TCP
 
 TCP_FIN = 0x01
@@ -85,7 +85,8 @@ class TcpOption:
 
 
 class TcpSegment:
-    """A TCP segment with explicit, possibly stale, checksum."""
+    """A TCP segment.  Its checksum is ``None``, an explicit (possibly stale)
+    int, or :data:`~repro.packets.checksum.VALID`."""
 
     __slots__ = (
         "src_port",
@@ -212,14 +213,23 @@ class TcpSegment:
         self.checksum = self.compute_checksum(src_ip, dst_ip)
 
     def checksum_ok(self, src_ip: IPv4Address, dst_ip: IPv4Address) -> bool:
-        if self.checksum is None:
+        checksum = self.checksum
+        if checksum is VALID:
+            return True
+        if checksum is None:
             return False
-        return self.checksum == self.compute_checksum(src_ip, dst_ip)
+        return checksum == self.compute_checksum(src_ip, dst_ip)
 
     # -- serialization ----------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        return self._header(self.checksum or 0) + self.payload
+    def to_bytes(self, src_ip: Optional[IPv4Address] = None, dst_ip: Optional[IPv4Address] = None) -> bytes:
+        """The wire bytes; a VALID checksum is computed from the pseudo-header's addresses."""
+        checksum = self.checksum
+        if checksum is VALID:
+            if src_ip is None or dst_ip is None:
+                raise ValueError("a VALID checksum covers the pseudo-header: serialize with its addresses")
+            checksum = self.compute_checksum(src_ip, dst_ip)
+        return self._header(checksum or 0) + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TcpSegment":

@@ -5,14 +5,16 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 from typing import Optional
 
-from repro.packets.checksum import checksum_of_parts
+from repro.packets.checksum import VALID, checksum_of_parts
 from repro.packets.ipv4 import PAYLOAD_PARSERS, PROTO_UDP
 
 HEADER_BYTES = 8
 
 
 class UdpDatagram:
-    """A UDP datagram.  The checksum covers the IPv4 pseudo-header."""
+    """A UDP datagram.  The checksum covers the IPv4 pseudo-header; it is
+    ``None``, an explicit (possibly stale, or RFC 768 zero) int, or
+    :data:`~repro.packets.checksum.VALID`."""
 
     __slots__ = ("src_port", "dst_port", "payload", "checksum")
 
@@ -54,12 +56,21 @@ class UdpDatagram:
         self.checksum = self.compute_checksum(src_ip, dst_ip)
 
     def checksum_ok(self, src_ip: IPv4Address, dst_ip: IPv4Address) -> bool:
-        if self.checksum is None:
+        checksum = self.checksum
+        if checksum is VALID:
+            return True
+        if checksum is None:
             return False
-        return self.checksum == self.compute_checksum(src_ip, dst_ip)
+        return checksum == self.compute_checksum(src_ip, dst_ip)
 
-    def to_bytes(self) -> bytes:
-        return self._header(self.checksum or 0) + self.payload
+    def to_bytes(self, src_ip: Optional[IPv4Address] = None, dst_ip: Optional[IPv4Address] = None) -> bytes:
+        """The wire bytes; a VALID checksum is computed from the pseudo-header's addresses."""
+        checksum = self.checksum
+        if checksum is VALID:
+            if src_ip is None or dst_ip is None:
+                raise ValueError("a VALID checksum covers the pseudo-header: serialize with its addresses")
+            checksum = self.compute_checksum(src_ip, dst_ip)
+        return self._header(checksum or 0) + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "UdpDatagram":

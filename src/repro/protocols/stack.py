@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.netsim.addresses import BROADCAST_MAC, MacAddress
 from repro.netsim.node import Interface, Node, Route
 from repro.netsim.sim import Simulation
+from repro.packets.checksum import VALID, incremental_update_words
 from repro.packets.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.packets.ipv4 import (
     PROTO_DCCP,
@@ -28,6 +29,8 @@ from repro.packets.ipv4 import (
     PROTO_UDP,
     IPv4Packet,
 )
+from repro.packets.tcp import TcpSegment
+from repro.packets.udp import UdpDatagram
 
 LIMITED_BROADCAST = IPv4Address("255.255.255.255")
 UNSPECIFIED = IPv4Address("0.0.0.0")
@@ -167,10 +170,23 @@ class Host(Node):
     ) -> bool:
         """Transmit on a specific interface (used by DHCP and the testbed)."""
         iface = self.interfaces[iface_index]
+        checksum = packet.header_checksum
         if packet.identification == 0:
-            packet.identification = self.next_ident()
-        if packet.header_checksum is None:
-            packet.fill_checksums()
+            packet.identification = ident = self.next_ident()
+            if checksum is not None and checksum is not VALID:
+                # A sender that ran fill_checksums() summed identification 0:
+                # fold the assigned word in, so the header verifies on the wire
+                # (and a deliberately wrong checksum stays exactly as wrong).
+                packet.header_checksum = incremental_update_words(checksum, 0, ident, 1)
+        if checksum is None:
+            # The stack's own checksums are valid by construction: TCP and
+            # UDP ones are computed only where a byte is observed.
+            transport = packet.payload
+            if transport.__class__ is UdpDatagram or transport.__class__ is TcpSegment:
+                transport.checksum = VALID
+            elif hasattr(transport, "fill_checksum"):
+                transport.fill_checksum(packet.src, packet.dst)
+            packet.header_checksum = VALID
         if dst_mac is None:
             if next_hop is None or packet.dst._ip == 0xFFFFFFFF:  # LIMITED_BROADCAST
                 dst_mac = BROADCAST_MAC
@@ -220,7 +236,8 @@ class Host(Node):
 
         forwarded = clone_packet(packet)
         forwarded.ttl -= 1
-        forwarded.header_checksum = forwarded.compute_header_checksum()
+        if forwarded.header_checksum is not VALID:  # VALID follows the TTL
+            forwarded.header_checksum = forwarded.compute_header_checksum()
         next_hop = route.gateway if route.gateway is not None else forwarded.dst
         self.packets_forwarded += 1
         self.send_ip_on_iface(forwarded, route.iface_index, next_hop=next_hop)

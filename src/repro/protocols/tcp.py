@@ -22,6 +22,7 @@ from ipaddress import IPv4Address
 from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.netsim.node import Interface
+from repro.packets.checksum import VALID
 from repro.packets.icmp import IcmpMessage
 from repro.packets.ipv4 import PROTO_TCP, IPv4Packet
 from repro.packets.tcp import (
@@ -339,8 +340,8 @@ class TcpConnection:
         return min(self.rcv_wnd, 0xFFFF)
 
     def _emit(self, segment: TcpSegment) -> None:
-        packet = IPv4Packet(self.local_ip, self.remote_ip, PROTO_TCP, segment)
-        packet.fill_checksums()
+        segment.checksum = VALID  # computed only where a byte is observed
+        packet = IPv4Packet(self.local_ip, self.remote_ip, PROTO_TCP, segment, header_checksum=VALID)
         self.segments_sent += 1
         self.host.send_ip_routed(packet, self.iface_index)
 
@@ -895,10 +896,6 @@ class TcpManager:
         self.listeners: Dict[int, TcpListener] = {}
         self._ports = EphemeralPortAllocator()
         self.rsts_sent = 0
-        #: Validate checksums on payload-bearing segments too.  The fast
-        #: checksum makes this affordable; can be switched off for the very
-        #: largest bulk benches.
-        self.validate_payload_checksums = True
 
     # -- sockets --------------------------------------------------------------
 
@@ -958,11 +955,11 @@ class TcpManager:
         segment = packet.payload
         if not isinstance(segment, TcpSegment):
             return
-        if self.host.validate_checksums and segment.checksum is not None:
-            if self.validate_payload_checksums or not segment.payload:
-                if not segment.checksum_ok(packet.src, packet.dst):
-                    self.host.checksum_drops += 1
-                    return
+        checksum = segment.checksum
+        if checksum is not VALID and checksum is not None and self.host.validate_checksums:
+            if not segment.checksum_ok(packet.src, packet.dst):
+                self.host.checksum_drops += 1
+                return
         key = (packet.dst._ip, segment.dst_port, packet.src._ip, segment.src_port)
         conn = self.connections.get(key)
         if conn is not None:
@@ -996,9 +993,7 @@ class TcpManager:
                 ack=seq_add(segment.seq, segment.seq_space()),
                 flags=TCP_RST | TCP_ACK,
             )
-        reply = IPv4Packet(packet.dst, packet.src, PROTO_TCP, rst)
-        reply.fill_checksums()
-        self.host.send_ip(reply)
+        self.host.send_ip(IPv4Packet(packet.dst, packet.src, PROTO_TCP, rst))
 
     def handle_icmp_error(self, icmp: IcmpMessage, embedded: IPv4Packet, iface: Interface) -> None:
         segment = embedded.payload

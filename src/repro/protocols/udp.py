@@ -12,6 +12,7 @@ from ipaddress import IPv4Address
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.netsim.node import Interface
+from repro.packets.checksum import VALID
 from repro.packets.icmp import IcmpMessage
 from repro.packets.ipv4 import PROTO_UDP, IPv4Packet
 from repro.packets.udp import UdpDatagram
@@ -161,8 +162,10 @@ class UdpManager:
         if not isinstance(datagram, UdpDatagram):
             return
         # RFC 768: a zero checksum means the transmitter generated none, so
-        # there is nothing to verify (NATs forward it untouched, per RFC 3022).
-        if self.host.validate_checksums and datagram.checksum not in (None, 0):
+        # there is nothing to verify (NATs forward it untouched, per RFC 3022);
+        # a VALID one is accepted without computing anything.
+        checksum = datagram.checksum
+        if checksum is not VALID and checksum is not None and checksum != 0 and self.host.validate_checksums:
             if not datagram.checksum_ok(packet.src, packet.dst):
                 self.host.checksum_drops += 1
                 return

@@ -1,11 +1,28 @@
-"""Checksum algorithms against references and RFC test vectors."""
+"""Checksum algorithms against references and RFC test vectors, the VALID
+checksum state against explicit arithmetic, and the checksums on the wire."""
 
 from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import SurveyRunner
+from repro.devices import catalog_profiles
+from repro.devices.profile import IcmpPolicy
+from repro.gateway.icmp_translation import IcmpTranslationEngine
+from repro.gateway.nat import NatEngine
+from repro.gateway.translation import (
+    clone_packet,
+    refresh_ip_checksum,
+    rewrite_destination,
+    rewrite_ip_only,
+    rewrite_source,
+    strip_tcp_options,
+)
+from repro.netsim.pcap import read_pcap
+from repro.netsim.sim import Simulation
 from repro.packets.checksum import (
+    VALID,
     crc32c,
     incremental_update,
     incremental_update_words,
@@ -13,6 +30,11 @@ from repro.packets.checksum import (
     internet_checksum_reference,
     pseudo_header,
 )
+from repro.packets.icmp import ICMP_DEST_UNREACH, UNREACH_HOST, UNREACH_PORT, IcmpMessage
+from repro.packets.ipv4 import PROTO_DCCP, PROTO_ICMP, PROTO_SCTP, PROTO_TCP, PROTO_UDP, IPv4Packet
+from repro.packets.tcp import TCP_ACK, TCP_PSH, TCP_SYN, TcpOption, TcpSegment
+from repro.packets.udp import UdpDatagram
+from tests.conftest import make_profile
 
 
 @given(st.binary(max_size=4096))
@@ -238,3 +260,194 @@ def test_crc32c_detects_flips(data):
     corrupted = bytearray(data)
     corrupted[0] ^= 0xFF
     assert crc32c(bytes(corrupted)) != original
+
+
+# ---------------------------------------------------------------------------
+# The VALID checksum state against explicit arithmetic.  A packet whose
+# checksums are VALID must serialize byte for byte like its explicit twin
+# (``fill_checksums()``, then RFC 1624 updates and full recomputes) through
+# every rewrite the data path applies, and stay VALID without arithmetic.
+# ---------------------------------------------------------------------------
+
+OPTION_MAKERS = [
+    lambda: TcpOption.mss(1460),
+    lambda: TcpOption.window_scale(7),
+    TcpOption.sack_permitted,
+    lambda: TcpOption.timestamp(12345, 678),
+]
+
+
+@st.composite
+def transport_packets(draw):
+    """A TCP segment (with or without options) or a UDP datagram, in IPv4, no checksums yet."""
+    payload = draw(st.binary(max_size=96))
+    if draw(st.booleans()):
+        options = [make() for make in draw(st.lists(st.sampled_from(OPTION_MAKERS), max_size=3))]
+        transport = TcpSegment(
+            draw(ports), draw(ports),
+            seq=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+            ack=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+            flags=draw(st.sampled_from([TCP_SYN, TCP_SYN | TCP_ACK, TCP_ACK, TCP_ACK | TCP_PSH])),
+            window=draw(ports), payload=payload, options=options,
+        )
+        protocol = PROTO_TCP
+    else:
+        transport = UdpDatagram(draw(ports), draw(ports), payload)
+        protocol = PROTO_UDP
+    return IPv4Packet(
+        draw(ip_addresses), draw(ip_addresses), protocol, transport,
+        ttl=draw(st.integers(min_value=1, max_value=255)),
+        identification=draw(ports), tos=draw(st.integers(min_value=0, max_value=255)),
+    )
+
+
+def checksum_twins(packet):
+    """``(explicit, valid)`` copies of a packet: one filled eagerly, one VALID."""
+    explicit = clone_packet(packet)
+    explicit.fill_checksums()
+    valid = clone_packet(packet)
+    if isinstance(valid.payload, (TcpSegment, UdpDatagram)):  # ICMP checksums stay explicit
+        valid.payload.checksum = VALID
+    valid.header_checksum = VALID
+    return explicit, valid
+
+
+def _ttl_decrement(packet, _ip, _port):
+    if packet.ttl > 1:
+        packet.ttl -= 1
+    refresh_ip_checksum(packet)
+    return packet
+
+
+def _strip_options(packet, _ip, _port):
+    if isinstance(packet.payload, TcpSegment):
+        strip_tcp_options(packet)
+        refresh_ip_checksum(packet)
+    return packet
+
+
+def _rewrite(rewrite):
+    def step(packet, ip, port):
+        rewrite(packet, ip, port)
+        return packet
+    return step
+
+
+STEPS = {
+    "clone": lambda packet, _ip, _port: clone_packet(packet),
+    "snat": _rewrite(rewrite_source),
+    "dnat": _rewrite(rewrite_destination),
+    "ttl": _ttl_decrement,
+    "strip": _strip_options,
+}
+
+
+@given(
+    packet=transport_packets(),
+    chain=st.lists(st.tuples(st.sampled_from(sorted(STEPS)), ip_addresses, st.none() | ports), max_size=8),
+)
+def test_valid_serializes_like_explicit_arithmetic_through_every_rewrite(packet, chain):
+    explicit, valid = checksum_twins(packet)
+    for name, ip, port in [("start", None, None)] + chain:
+        if name != "start":
+            explicit = STEPS[name](explicit, ip, port)
+            valid = STEPS[name](valid, ip, port)
+        assert explicit.to_bytes() == valid.to_bytes(), name
+        # Explicit values stay numbers, and correct; VALID is kept without arithmetic.
+        assert isinstance(explicit.header_checksum, int) and isinstance(explicit.payload.checksum, int)
+        assert explicit.header_checksum_ok() and explicit.payload.checksum_ok(explicit.src, explicit.dst)
+        assert valid.header_checksum is VALID and valid.payload.checksum is VALID
+
+
+@given(packet=transport_packets())
+def test_materialize_computes_the_explicit_values(packet):
+    explicit, valid = checksum_twins(packet)
+    valid.materialize_checksums()
+    assert valid.header_checksum == explicit.header_checksum
+    assert valid.payload.checksum == explicit.payload.checksum
+
+
+def test_valid_raises_wherever_it_is_used_as_a_number():
+    for use in (int, bool, hex, lambda v: v + 1, lambda v: v == 0, lambda v: v in (None, 0), lambda v: f"{v:04x}"):
+        with pytest.raises(TypeError):
+            use(VALID)
+    with pytest.raises(ValueError):
+        UdpDatagram(1, 2, b"x", checksum=VALID).to_bytes()  # the pseudo-header's addresses are needed
+
+
+def test_valid_pickles_as_the_singleton():
+    """Partitioned runs ship frames between processes."""
+    import pickle
+
+    assert pickle.loads(pickle.dumps(VALID)) is VALID
+
+
+def test_ip_only_rewrite_leaves_a_valid_transport_checksum_stale():
+    """§4.4: the IP-only fallback fixes the IP header only, so a checksum over
+    the pseudo-header goes stale; VALID must go stale exactly as the explicit value."""
+    packet = IPv4Packet(IPv4Address("192.168.1.2"), IPv4Address("10.0.1.1"), PROTO_UDP, UdpDatagram(5000, 7000, b"hi"))
+    explicit, valid = checksum_twins(packet)
+    for twin in (explicit, valid):
+        rewrite_ip_only(twin, src=IPv4Address("10.0.1.254"))
+    assert explicit.to_bytes() == valid.to_bytes()
+    assert valid.header_checksum_ok()
+    assert not valid.payload.checksum_ok(valid.src, valid.dst)
+
+
+CLIENT = IPv4Address("192.168.1.100")
+WAN = IPv4Address("10.0.1.2")
+SERVER = IPv4Address("10.0.1.1")
+
+
+@pytest.mark.parametrize("fixes_ip", [True, False])
+@pytest.mark.parametrize("rewrites_transport", [True, False])
+@pytest.mark.parametrize("proto", [PROTO_UDP, PROTO_TCP, PROTO_ICMP])
+def test_icmp_translator_embeds_the_same_bytes_from_valid_and_explicit(fixes_ip, rewrites_transport, proto):
+    """Table 2's embedded rewrite: equal bytes, and stale exactly where the policy leaves it stale."""
+    policy = IcmpPolicy(fixes_embedded_ip_checksum=fixes_ip, rewrites_embedded_transport=rewrites_transport)
+    profile = make_profile(icmp=policy)
+    nat = NatEngine(Simulation(seed=7), profile)
+    engine = IcmpTranslationEngine(profile.icmp, nat)
+    if proto == PROTO_ICMP:
+        ident = nat.echo_outbound(CLIENT, 0x4242)
+        transport = IcmpMessage.echo_request(ident, 1, b"ping")
+        transport.fill_checksum()
+    else:
+        name = "udp" if proto == PROTO_UDP else "tcp"
+        binding = nat.lookup_or_create(name, CLIENT, 5000, (SERVER, 7777))
+        if proto == PROTO_UDP:
+            transport = UdpDatagram(binding.ext_port, 7777, b"x")
+        else:
+            transport = TcpSegment(binding.ext_port, 7777, seq=1, flags=TCP_ACK, payload=b"probe")
+    offending = IPv4Packet(WAN, SERVER, proto, transport, identification=77)
+    translated = []
+    for twin in checksum_twins(offending):
+        error = IPv4Packet(SERVER, WAN, PROTO_ICMP, IcmpMessage.error(
+            ICMP_DEST_UNREACH, UNREACH_HOST if proto == PROTO_ICMP else UNREACH_PORT, twin))
+        error.fill_checksums()
+        action, result = engine.translate_inbound_error(error)
+        assert action == "forward"
+        translated.append(result)
+    explicit, valid = translated
+    assert explicit.to_bytes() == valid.to_bytes()
+    inner = valid.payload.embedded
+    assert inner.src == CLIENT
+    assert inner.header_checksum_ok() is fixes_ip
+    if proto != PROTO_ICMP:
+        assert inner.payload.checksum_ok(inner.src, inner.dst) is rewrites_transport
+
+
+def test_every_captured_ipv4_header_verifies(tmp_path):
+    """Every outer IPv4 header on every link verifies, including those of
+    senders that fill their checksums before the stack assigns the IP
+    identification (forged probes, RSTs, ICMP errors, SCTP, DCCP)."""
+    runner = SurveyRunner(catalog_profiles(["al", "ls1"]), seed=42, tcp1_cutoff=600.0, pcap_dir=str(tmp_path))
+    assert runner.run(["tcp1", "icmp", "transports"]).complete
+    protocols = set()
+    for path in sorted(tmp_path.iterdir()):
+        for _ts, frame in read_pcap(str(path)):
+            assert frame[12:14] == b"\x08\x00"  # every frame carries IPv4
+            header = frame[14:14 + (frame[14] & 0x0F) * 4]
+            assert internet_checksum(header) == 0, (path.name, header)
+            protocols.add(header[9])
+    assert {PROTO_TCP, PROTO_UDP, PROTO_ICMP, PROTO_SCTP, PROTO_DCCP} <= protocols

@@ -62,6 +62,37 @@ class TestBasicNat:
         assert packet.header_checksum_ok()
         assert packet.payload.checksum_ok(packet.src, packet.dst)
 
+    def _send_filled(self, corrupt_udp_checksum=False):
+        """Send one datagram whose checksums the client fills eagerly; return
+        ``(bed, port, packets the server saw, payloads its socket got)``."""
+        bed = bed_with(make_profile("gw"))
+        port = bed.port("gw")
+        captured, got = [], []
+        bed.server.observe_ip(lambda packet, iface: captured.append(packet))
+        bed.server.udp.bind(7000).on_receive = lambda data, ip, p: got.append(data)
+        packet = IPv4Packet(bed.client_ip("gw"), port.server_ip, PROTO_UDP, UdpDatagram(40000, 7000, b"q"))
+        packet.fill_checksums()
+        if corrupt_udp_checksum:
+            packet.payload.checksum = packet.payload.checksum % 0xFFFE + 1  # wrong, and not "none"
+        bed.client.send_ip_routed(packet, port.client_iface_index)
+        bed.sim.run(until=bed.sim.now + 2)
+        return bed, port, [p for p in captured if p.protocol == PROTO_UDP], got
+
+    def test_explicit_checksums_arrive_equal_to_a_full_recompute(self):
+        """The NAT's RFC 1624 updates, end to end: explicit numbers stay numbers, and correct."""
+        _bed, port, (packet,), got = self._send_filled()
+        assert packet.src == port.gateway.wan_ip
+        assert packet.header_checksum == packet.compute_header_checksum()
+        assert packet.payload.checksum == packet.payload.compute_checksum(packet.src, packet.dst)
+        assert got == [b"q"]
+
+    def test_wrong_udp_checksum_arrives_wrong_and_is_dropped(self):
+        """An incremental update carries a wrong checksum forward; the server's stack drops it."""
+        bed, _port, (packet,), got = self._send_filled(corrupt_udp_checksum=True)
+        assert packet.payload.checksum != packet.payload.compute_checksum(packet.src, packet.dst)
+        assert bed.server.checksum_drops == 1
+        assert got == []
+
     def test_gateway_answers_ping_on_wan(self):
         bed = bed_with(make_profile("gw"))
         port = bed.port("gw")

@@ -47,3 +47,8 @@ def test_counters_name_every_runnable_family():
     runnable = set(registry.runnable_names())
     assert set(GOLDEN["counters"]["fast"]) == runnable
     assert set(GOLDEN["counters"]["staged"]) == runnable
+
+
+def test_the_traced_run_pins_its_pcap_tree():
+    """One sha256 over every capture of the traced variant holds every checksum byte on every link."""
+    assert len(bytes.fromhex(GOLDEN["pcap"])) == 32

@@ -188,6 +188,17 @@ class TestIPv4:
         assert parsed.record_route.addresses == [IPv4Address("10.0.0.1")]
         assert parsed.header_checksum_ok()
 
+    def test_clone_copies_the_record_route_option(self):
+        """A router that records into its forwarding copy must not reach back
+        into the sender's packet, whose header checksum covers the option."""
+        from repro.packets.clone import clone_packet
+
+        packet = IPv4Packet(SRC, DST, PROTO_UDP, UdpDatagram(1, 2, b"x"), record_route=RecordRouteOption(slots=3))
+        packet.fill_checksums()
+        clone_packet(packet).record_route.record(IPv4Address("10.0.0.1"))
+        assert packet.record_route.addresses == []
+        assert packet.header_checksum_ok()
+
     def test_record_route_slots_exhaust(self):
         option = RecordRouteOption(slots=2)
         assert option.record(IPv4Address("1.1.1.1"))

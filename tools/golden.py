@@ -4,7 +4,7 @@
 Usage::
 
     python tools/golden.py            # check every variant against tests/data/golden.json
-    python tools/golden.py --update   # rewrite the digests from the reference and staged runs
+    python tools/golden.py --update   # rewrite the digests from the reference, staged and traced runs
 
 The golden campaign is declared once, in the ``campaign`` block of
 ``tests/data/golden.json``: catalog device tags, a seed and the knobs
@@ -23,16 +23,19 @@ store:
   resumed with ``jobs=2, partitions=2``.
 
 Every variant must reproduce the sha256 of each store file and of the
-report rendered from the store.  The reference and ``jobs2`` runs must
-also reproduce the fast-path work counters (``counters.fast``: events and
-segments per family) and the staged run the staged ones
-(``counters.staged``: events per family).  A recorder pins the staged
-engine once bring-up is over, so the traced run's segments must equal
-the staged events of every family: bring-up elision is exact.
+report rendered from the store, and the traced run one sha256 over its
+whole pcap tree (``pcap``: every capture's relative path and bytes, in
+path order), which holds every checksum byte on every link.  The
+reference and ``jobs2`` runs must also reproduce the fast-path work
+counters (``counters.fast``: events and segments per family) and the
+staged run the staged ones (``counters.staged``: events per family).  A
+recorder pins the staged engine once bring-up is over, so the traced
+run's segments must equal the staged events of every family: bring-up
+elision is exact.
 
 Prints one line per variant and exits 1, listing every mismatch, when a
-gate fails.  ``--update`` refuses to write when the reference and staged
-stores differ.
+gate fails.  ``--update`` refuses to write when the reference, staged
+and traced stores differ.
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ VARIANTS = (
 )
 
 
+def recorder(work: pathlib.Path) -> Dict[str, str]:
+    """The traced variant's recorder directories under ``work``."""
+    return {"trace_dir": str(work / "trace"), "pcap_dir": str(work / "pcap")}
+
+
 def run_campaign(campaign: Mapping[str, Any], store: pathlib.Path, **engine: Any) -> SurveyResults:
     """Run the golden campaign into ``store`` under one engine variant."""
     runner = SurveyRunner(
@@ -94,6 +102,17 @@ def store_digests(root: pathlib.Path) -> Dict[str, str]:
         for path in sorted(root.rglob("*"))
         if path.is_file()
     }
+
+
+def tree_digest(root: pathlib.Path) -> str:
+    """One sha256 over every file under ``root``: relative path, length and bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def report_digest(root: pathlib.Path) -> str:
@@ -132,7 +151,7 @@ def check(golden: Dict[str, Any], work: pathlib.Path) -> int:
             shutil.copytree(work / "reference", store)
             knock_out(campaign, store)
         if name == "traced":
-            engine = dict(engine, trace_dir=str(work / "trace"), pcap_dir=str(work / "pcap"))
+            engine = dict(engine, **recorder(work))
         started = time.perf_counter()
         results = run_campaign(campaign, store, **engine)
         elapsed = time.perf_counter() - started
@@ -140,6 +159,8 @@ def check(golden: Dict[str, Any], work: pathlib.Path) -> int:
         found += diff_mapping("file", golden["files"], store_digests(store))
         if report_digest(store) != golden["report"]:
             found.append("report sha256 differs")
+        if name == "traced" and tree_digest(work / "pcap") != golden["pcap"]:
+            found.append("pcap tree sha256 differs")
         if counters is not None:
             key, compute = counters
             found += diff_mapping(f"counters.{key}", golden["counters"][key], compute(results.stats))
@@ -155,15 +176,18 @@ def update(golden: Dict[str, Any], work: pathlib.Path) -> int:
     campaign = golden["campaign"]
     reference = run_campaign(campaign, work / "reference")
     staged = run_campaign(campaign, work / "staged", fastpath=False)
-    problems = [f"shard {error}" for error in reference.errors + staged.errors]
+    traced = run_campaign(campaign, work / "traced", metrics=True, **recorder(work))
+    problems = [f"shard {error}" for error in reference.errors + staged.errors + traced.errors]
     files = store_digests(work / "reference")
     problems += diff_mapping("staged file", files, store_digests(work / "staged"))
+    problems += diff_mapping("traced file", files, store_digests(work / "traced"))
     if problems:
         print("\n".join(problems + [f"not writing {GOLDEN.relative_to(ROOT)}"]))
         return 1
     golden.update(
         files=files,
         report=report_digest(work / "reference"),
+        pcap=tree_digest(work / "pcap"),
         counters={"fast": fast_counters(reference.stats), "staged": dict(staged.stats.family_events)},
     )
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
@@ -174,7 +198,7 @@ def update(golden: Dict[str, Any], work: pathlib.Path) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the digests and counters from the reference and staged runs")
+                        help="rewrite the digests and counters from the reference, staged and traced runs")
     args = parser.parse_args(argv)
     golden = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
