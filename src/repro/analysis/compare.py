@@ -1,46 +1,8 @@
-"""Paper-vs-measured comparison helpers used by every bench."""
+"""Ordering agreement between a measured figure and the paper's."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One compared quantity."""
-
-    name: str
-    paper: float
-    measured: float
-
-    @property
-    def ratio(self) -> float:
-        if self.paper == 0:
-            return float("inf") if self.measured else 1.0
-        return self.measured / self.paper
-
-    def within(self, tolerance: float) -> bool:
-        """Is the measured value within ``tolerance`` (fractional) of paper's?"""
-        if self.paper == 0:
-            return self.measured == 0
-        return abs(self.measured - self.paper) <= tolerance * abs(self.paper)
-
-    def render(self) -> str:
-        return f"{self.name:<40} paper={self.paper:10.2f}  measured={self.measured:10.2f}  ratio={self.ratio:5.2f}"
-
-
-def compare_population(
-    name: str,
-    paper_stats: Dict[str, float],
-    measured_stats: Dict[str, float],
-    keys: Sequence[str] = ("median", "mean"),
-) -> List[ComparisonRow]:
-    return [
-        ComparisonRow(f"{name}.{key}", paper_stats[key], measured_stats[key])
-        for key in keys
-        if key in paper_stats and key in measured_stats
-    ]
+from typing import Sequence
 
 
 def kendall_tau(order_a: Sequence[str], order_b: Sequence[str]) -> float:
@@ -64,20 +26,3 @@ def kendall_tau(order_a: Sequence[str], order_b: Sequence[str]) -> float:
                 discordant += 1
     total = concordant + discordant
     return (concordant - discordant) / total
-
-
-def compare_orderings(
-    name: str, paper_order: Sequence[str], measured_order: Sequence[str]
-) -> ComparisonRow:
-    """Ordering agreement as a ComparisonRow (paper side is the ideal 1.0)."""
-    return ComparisonRow(f"{name}.kendall_tau", 1.0, kendall_tau(paper_order, measured_order))
-
-
-def render_comparison(rows: Sequence[ComparisonRow], tolerance: Optional[float] = None) -> str:
-    lines = []
-    for row in rows:
-        suffix = ""
-        if tolerance is not None:
-            suffix = "  OK" if row.within(tolerance) else f"  DEVIATES(>{tolerance:.0%})"
-        lines.append(row.render() + suffix)
-    return "\n".join(lines)

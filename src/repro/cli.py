@@ -270,7 +270,9 @@ def cmd_report(args, out) -> int:
         devices = len(tags)
     report = render_report(results, title=f"Home gateway survey ({devices} devices)")
     if args.output:
-        pathlib.Path(args.output).write_text(report)
+        output = pathlib.Path(args.output)
+        output.parent.mkdir(parents=True, exist_ok=True)
+        output.write_text(report)
         out(f"wrote {args.output}")
     else:
         out(report)
@@ -278,7 +280,7 @@ def cmd_report(args, out) -> int:
         totals = results.metrics.counters
         out(f"[metrics] {sum(totals.values())} events across {len(totals)} counters")
     _report_errors(results, out)
-    return 0
+    return 0 if results.complete else 1
 
 
 def cmd_trace(args, out) -> int:

@@ -9,7 +9,8 @@ The paper repeatedly grades devices against three BCPs:
   for an active binding SHOULD be translated and forwarded.
 
 :func:`check_device` turns one device's *measured* results into a
-:class:`ComplianceReport`; :func:`population_summary` reproduces the §4
+:class:`ComplianceReport` (:func:`grade`: one per device of a campaign);
+:func:`population_summary` reproduces the §4
 population claims ("more than half of the tested devices do not conform…");
 :func:`render_compliance` grades a campaign: ``repro compliance`` prints it.
 """
@@ -21,6 +22,7 @@ from repro.compliance.checker import (
     RFC4787_RECOMMENDED_S,
     RFC5382_MINIMUM_S,
     check_device,
+    grade,
     population_summary,
     render_compliance,
 )
@@ -32,6 +34,7 @@ __all__ = [
     "RFC4787_RECOMMENDED_S",
     "RFC5382_MINIMUM_S",
     "check_device",
+    "grade",
     "population_summary",
     "render_compliance",
 ]

@@ -103,11 +103,16 @@ def population_summary(reports: Mapping[str, ComplianceReport]) -> Dict[str, flo
     }
 
 
-def render_compliance(results) -> str:
-    """Grade every device a campaign over :data:`FAMILIES` measured: one verdict each, then the §4 shares."""
+def grade(results) -> Dict[str, ComplianceReport]:
+    """One report per device a campaign over :data:`FAMILIES` measured."""
     udp1, tcp1, icmp = (results.family(name) for name in FAMILIES)
     tags = dict.fromkeys([*udp1, *tcp1, *icmp])
-    reports = {tag: check_device(tag, udp1=udp1.get(tag), tcp1=tcp1.get(tag), icmp=icmp.get(tag)) for tag in tags}
+    return {tag: check_device(tag, udp1=udp1.get(tag), tcp1=tcp1.get(tag), icmp=icmp.get(tag)) for tag in tags}
+
+
+def render_compliance(results) -> str:
+    """Grade every device a campaign over :data:`FAMILIES` measured: one verdict each, then the §4 shares."""
+    reports = grade(results)
     lines = []
     for tag, report in reports.items():
         failures = report.failures()

@@ -3,7 +3,8 @@
 Everything here is transcribed from Hätönen et al., IMC 2010: the device
 orderings of every figure's x-axis, the population medians/means printed in
 the plot legends, and the named anchors called out in the running text.
-The benches print these side by side with the reproduction's measurements.
+The claims of :mod:`repro.analysis.claims` check the reproduction's
+measurements against them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ FIG3_POP_MEDIAN = 90.00
 FIG3_POP_MEAN = 160.41
 UDP1_SHORTEST_SECONDS = 30.0     # je (shared by owrt, te, to, ed)
 UDP1_LONGEST_SECONDS = 691.0     # ls1, "more than twenty times longer"
+#: The 30 s devices of UDP-1 besides je, which UDP-2/3 keep around 180 s (§4.1).
+UDP1_SHORTEST_TAGS = ("ed", "owrt", "to", "te")
 #: RFC 4787 levels discussed in §4.1.
 RFC4787_REQUIRED_SECONDS = 120.0
 RFC4787_RECOMMENDED_SECONDS = 600.0
@@ -104,6 +107,8 @@ FIG8_ORDER = (
     "dl3", "dl6", "bu1", "dl4",
 )
 TCP2_LINE_RATE_DEVICES = 13
+#: The two worst devices of both Figure 8 (throughput) and Figure 9 (delay).
+TCP_WORST_TAGS = ("dl10", "ls1")
 TCP2_UNIDIR_MEDIAN_MBPS = 59.0
 TCP2_BIDIR_MEDIAN_MBPS = 35.0
 TCP2_DL10_DOWN_MBPS = 6.0

@@ -1,18 +1,14 @@
-"""Figure/table renderers, comparisons, and the RFC compliance checker."""
+"""Figure/table renderers, ordering agreement, and the RFC compliance checker."""
 
 import pytest
 
 from repro.analysis import (
-    compare_orderings,
-    compare_population,
     kendall_tau,
-    render_comparison,
     render_series,
     render_series_multi,
     render_table1,
     series_to_csv,
 )
-from repro.analysis.compare import ComparisonRow
 from repro.compliance import check_device, population_summary
 from repro.core.icmp_tests import IcmpObservation, IcmpTestResult
 from repro.core.results import DeviceSeries, Summary
@@ -71,26 +67,6 @@ class TestComparisons:
     def test_kendall_tau_partial(self):
         tau = kendall_tau(["a", "b", "c", "d"], ["a", "b", "d", "c"])
         assert 0 < tau < 1
-
-    def test_comparison_row_tolerance(self):
-        row = ComparisonRow("x", 100.0, 108.0)
-        assert row.within(0.1)
-        assert not row.within(0.05)
-        assert row.ratio == pytest.approx(1.08)
-
-    def test_compare_population(self):
-        rows = compare_population("udp1", {"median": 90, "mean": 160}, {"median": 91, "mean": 159})
-        assert len(rows) == 2
-        assert rows[0].name == "udp1.median"
-
-    def test_compare_orderings_row(self):
-        row = compare_orderings("fig3", ["a", "b", "c"], ["a", "c", "b"])
-        assert row.paper == 1.0 and 0 < row.measured < 1
-
-    def test_render_comparison_flags_deviation(self):
-        rows = [ComparisonRow("good", 10, 10.1), ComparisonRow("bad", 10, 20)]
-        text = render_comparison(rows, tolerance=0.1)
-        assert "OK" in text and "DEVIATES" in text
 
 
 def _udp_result(tag, value):

@@ -6,10 +6,12 @@ from repro import paperdata
 from repro.devices import CATALOG, catalog_profiles, profile_for
 from repro.devices.catalog import TCP_BINDING_CAPS, UDP_TIMEOUTS
 from repro.devices.profile import FallbackBehavior, IcmpAction
+from repro.testbed import Testbed
 
 
 def test_exactly_the_34_devices_of_table1():
     assert len(CATALOG) == paperdata.DEVICE_COUNT
+    assert len(catalog_profiles()) == paperdata.DEVICE_COUNT
     assert set(CATALOG) == set(paperdata.ALL_TAGS)
 
 
@@ -29,6 +31,19 @@ def test_vendor_inventory_matches_table1():
     assert CATALOG["dl10"].model == "DI-713P"
     dlink = [t for t, p in CATALOG.items() if p.vendor == "D-Link"]
     assert len(dlink) == 10
+    assert {p.vendor for p in catalog_profiles()} == {
+        "A-Link", "Apple", "Asus", "Belkin", "Buffalo", "D-Link", "Edimax", "Jensen",
+        "Linksys", "Netgear", "Netwjork", "SMC", "Telewell", "Webee", "ZyXel",
+    }
+
+
+def test_testbed_brings_up_all_34():
+    """Figure 1's bring-up across the full population: every device must DHCP both sides."""
+    bed = Testbed.build(catalog_profiles(), seed=0)
+    assert len(bed.tags()) == 34
+    for tag in bed.tags():
+        assert bed.port(tag).gateway.wan_ip is not None
+        assert bed.client_ip(tag) is not None
 
 
 class TestUdpCalibration:

@@ -106,9 +106,10 @@ def test_failed_shard_is_reported_with_exit_code_1(capsys, monkeypatch):
         raise RuntimeError("probe exploded")
 
     monkeypatch.setattr(OptionsTest, "run_all", broken)
-    code, out = run_cli(capsys, "probe", "--test", "options", "--tags", "bu1")
-    assert code == 1
-    assert "1 shard(s) failed" in out and "probe exploded" in out
+    for command in (["probe", "--test", "options"], ["report", "--tests", "options"]):
+        code, out = run_cli(capsys, *command, "--tags", "bu1")
+        assert code == 1, command
+        assert "1 shard(s) failed" in out and "probe exploded" in out
 
 
 def test_probe_pmtu(capsys):

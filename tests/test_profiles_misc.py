@@ -96,13 +96,6 @@ class TestAnalysisMisc:
         with pytest.raises(ValueError):
             kendall_tau(["a"], ["b", "c"])
 
-    def test_comparison_row_zero_paper_value(self):
-        from repro.analysis.compare import ComparisonRow
-
-        row = ComparisonRow("x", 0.0, 0.0)
-        assert row.within(0.1)
-        assert ComparisonRow("y", 0.0, 1.0).within(0.1) is False
-
     def test_summary_empty_rejected(self):
         from repro.core.results import Summary
 

@@ -46,7 +46,7 @@ def test_report_population_stats_present(survey_results):
 
 
 def test_cli_report_to_file(capsys, tmp_path):
-    out_file = tmp_path / "report.md"
+    out_file = tmp_path / "new" / "report.md"  # --output creates the directory
     code = main([
         "report", "--tests", "udp1", "--tags", "je",
         "--repetitions", "1", "--output", str(out_file),

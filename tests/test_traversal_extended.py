@@ -1,12 +1,13 @@
-"""TURN-style relay, ICE-lite, TCP hole punching, and pcap export."""
+"""TURN-style relay, ICE-lite, UDP and TCP hole punching, and pcap export."""
 
 import pytest
 
+from repro.devices import CATALOG, catalog_profiles
 from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy
 from repro.netsim.pcap import read_pcap
 from repro.obs import PcapSink, TraceBus
 from repro.testbed import Testbed
-from repro.traversal import IceLiteSession, RelayServer, TcpHolePunchExperiment
+from repro.traversal import HolePunchExperiment, IceLiteSession, RelayServer, TcpHolePunchExperiment
 from tests.conftest import make_profile
 
 
@@ -100,6 +101,43 @@ class TestTcpHolePunch:
         outcome = experiment.attempt("a", "b")
         experiment.close()
         assert not outcome.success
+
+
+def _endpoint_independent(tags):
+    return {tag for tag in tags if CATALOG[tag].nat.mapping is MappingBehavior.ENDPOINT_INDEPENDENT}
+
+
+class TestCatalogTraversal:
+    """§5's traversal trio on catalog devices: punching splits on the mapping behaviour, ICE always connects."""
+
+    def test_udp_hole_punching_splits_on_mapping(self):
+        tags = ["al", "ap", "bu1", "dl1", "ed", "ng1", "smc", "ls2", "zy1", "we"]
+        experiment = HolePunchExperiment(Testbed.build(catalog_profiles(tags)))
+        outcomes = experiment.matrix(tags)
+        experiment.close()
+        friendly = _endpoint_independent(tags)
+        for (tag_a, tag_b), outcome in outcomes.items():
+            if tag_a in friendly and tag_b in friendly:
+                assert outcome.success, (tag_a, tag_b)
+            if tag_a not in friendly and tag_b not in friendly:
+                assert not outcome.success, (tag_a, tag_b)
+
+    def test_ice_always_connects_and_tcp_punching_tracks_mapping(self):
+        tags = ["al", "bu1", "dl1", "ng1", "smc"]
+        session = IceLiteSession(Testbed.build(catalog_profiles(tags)))
+        ice = session.matrix(tags)
+        session.close()
+        experiment = TcpHolePunchExperiment(Testbed.build(catalog_profiles(tags)))
+        tcp = {pair: experiment.attempt(*pair) for pair in ice}
+        experiment.close()
+        # ICE always connects (relay is the safety net), sometimes directly.
+        assert all(outcome.connected for outcome in ice.values())
+        paths = [outcome.path for outcome in ice.values()]
+        assert "relayed" in paths and "direct" in paths
+        # TCP punching matches the UDP-punch friendliness boundary here.
+        friendly = _endpoint_independent(tags)
+        for (tag_a, tag_b), outcome in tcp.items():
+            assert outcome.success == (tag_a in friendly and tag_b in friendly), (tag_a, tag_b, outcome)
 
 
 class _Tap:
