@@ -32,6 +32,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from repro.cgn.topology import Nat444Topology
 from repro.core import registry
 from repro.core.binary_search import BindingSearch, ParallelBindingSearch, SearchOutcome
+from repro.core.results import median
 from repro.core.runtime import Future, SimTask, run_tasks
 from repro.core.tcp_binding import ESTABLISH_TIMEOUT, RESPONSE_GRACE, _Tcp1Server
 from repro.core.udp_timeouts import _Responder
@@ -396,16 +397,6 @@ def nat444_factory(knobs: Nat444Knobs):
     return build
 
 
-def _median(values: Sequence[float]) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _render_cgn(results) -> Optional[str]:
     timeouts = results.family("cgn_timeouts")
     exhaustion = results.family("cgn_exhaustion")
@@ -422,10 +413,8 @@ def _render_cgn(results) -> Optional[str]:
         lines = ["| device | UDP eff. timeout [s] | TCP eff. timeout [s] |", "|---|---|---|"]
         for tag in sorted(timeouts):
             cell = timeouts[tag]
-            udp = _median(cell.udp_samples)
-            tcp = _median(cell.tcp_samples)
-            udp_text = f"{udp:.1f}" if udp is not None else f">{cell.udp_cutoff:.0f} (censored)"
-            tcp_text = f"{tcp:.1f}" if tcp is not None else f">{cell.tcp_cutoff:.0f} (censored)"
+            udp_text = f"{median(cell.udp_samples):.1f}" if cell.udp_samples else f">{cell.udp_cutoff:.0f} (censored)"
+            tcp_text = f"{median(cell.tcp_samples):.1f}" if cell.tcp_samples else f">{cell.tcp_cutoff:.0f} (censored)"
             lines.append(f"| {tag} | {udp_text} | {tcp_text} |")
         parts.append("\n".join(lines))
     if exhaustion:

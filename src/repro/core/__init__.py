@@ -36,14 +36,7 @@ from repro.core.udp_timeouts import (
     UdpTimeoutResult,
     analyze_port_behavior,
 )
-from repro.core.parallel import (
-    ShardError,
-    ShardFailure,
-    ShardSpec,
-    merge_shards,
-    run_shards,
-    shard_seed,
-)
+from repro.core.parallel import ShardError, ShardFailure, run_shards, shard_seed
 from repro.core import registry
 from repro.core.registry import ExperimentFamily, ReportSection
 from repro.core.stats import SimStats
@@ -107,9 +100,7 @@ __all__ = [
     "campaign_fingerprint",
     "ShardError",
     "ShardFailure",
-    "ShardSpec",
     "SimStats",
-    "merge_shards",
     "run_shards",
     "shard_seed",
 ]

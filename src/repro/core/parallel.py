@@ -3,24 +3,27 @@
 Every subject in the survey — a device for the paper's families, an ordered
 device pair for the traversal matrix — runs against its own freshly built
 testbed: its own :class:`~repro.netsim.sim.Simulation`, its own seeded RNG.
-The campaign is therefore embarrassingly parallel across subjects.  This
-module shards the campaign into one :class:`ShardSpec` per subject, runs
-shards either in-process or on a
-:class:`concurrent.futures.ProcessPoolExecutor`, and merges the picklable
-per-shard results back in campaign order.
+The campaign is therefore embarrassingly parallel across subjects.
+:func:`run_shards` runs a campaign's ``(subject, families)`` shards through
+the campaign's own :meth:`SurveyRunner.run_shard
+<repro.core.survey.SurveyRunner.run_shard>`, either in-process or on a
+:class:`concurrent.futures.ProcessPoolExecutor` whose workers each receive
+the runner once, and returns one :class:`ShardResult` per shard in plan
+order.
 
 Determinism: a shard's seed is derived from the campaign seed and the
 subject *tag* (not its position), so
 
 * ``jobs=N`` is bit-identical to ``jobs=1`` — the shard computations are the
-  same work scheduled differently, and the merge is ordered; and
+  same work scheduled differently, and the outcomes come back in plan
+  order; and
 * running a subset of subjects reproduces exactly the per-subject results of
   the full campaign.
 
 Resilience: one shard's failure never aborts the campaign.  A deterministic
-measurement failure (a probe raising, a watchdog expiring) comes back as a
-:class:`ShardError` in that shard's slot; every other shard keeps its
-result.  Infrastructure casualties — a broken pool, a sandbox without
+measurement failure (a probe raising, a watchdog expiring) comes back as the
+:class:`ShardError` of that shard's result; every other shard keeps its
+cells.  Infrastructure casualties — a broken pool, a sandbox without
 fork/semaphores, a pickling refusal — are retried, and only the shards that
 actually lost their worker re-run serially; completed results are reused.
 """
@@ -34,59 +37,27 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.registry import Subject
 from repro.core.stats import SimStats
-from repro.devices.profile import DeviceProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.survey import SurveyResults
+    from repro.core.survey import SurveyRunner
+    from repro.obs import MetricsRegistry
 
 __all__ = [
     "ShardError",
     "ShardFailure",
-    "ShardSpec",
+    "ShardResult",
     "shard_seed",
     "run_shards",
-    "merge_shards",
 ]
 
 #: Errors that mean the *infrastructure* failed, not the measurement: worth
 #: retrying, and worth falling back to serial execution for.  Anything else
 #: is treated as deterministic — retrying would reproduce it exactly.
 TRANSIENT_ERRORS = (OSError, pickle.PicklingError, BrokenProcessPool)
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One unit of campaign work: one subject, its selected families.
-
-    Device shards (``subject.kind == "device"``) carry every selected
-    device family, exactly as the pre-subject engine sharded; non-device
-    shards carry one family and one enumerated subject.  Constructing with
-    ``profile=`` is the device shorthand (the subject is derived), so
-    existing call sites read unchanged.
-    """
-
-    seed: int
-    tests: Tuple[str, ...]
-    #: Keyword configuration for the shard's :class:`SurveyRunner`.
-    config: Dict[str, Any]
-    subject: Optional[Subject] = None
-    #: Device shorthand: fills ``subject`` with :meth:`Subject.device`.
-    profile: Optional[DeviceProfile] = None
-
-    def __post_init__(self) -> None:
-        if self.subject is None:
-            if self.profile is None:
-                raise ValueError("ShardSpec needs a subject (or a device profile)")
-            object.__setattr__(self, "subject", Subject.device(self.profile))
-
-    @property
-    def tag(self) -> str:
-        """The shard's subject tag (seeds, store keys, error records)."""
-        return self.subject.tag
 
 
 @dataclass(frozen=True)
@@ -99,7 +70,7 @@ class ShardError:
     ``jobs=N`` must stay field-for-field identical to ``jobs=1``.
     """
 
-    #: Device tag of the failed shard.
+    #: Subject tag of the failed shard.
     tag: str
     #: Experiment family that raised, or ``None`` for whole-shard failures.
     family: Optional[str]
@@ -117,11 +88,11 @@ class ShardError:
 class ShardFailure(RuntimeError):
     """A deterministic measurement failure inside one shard.
 
-    Raised by the shard engine when a probe family dies; the campaign driver
-    converts it to a :class:`ShardError` instead of aborting.  Built purely
-    from ``args`` so it survives pickling across the process-pool boundary
-    (which is also why it carries the original exception's type *name*:
-    ``__cause__`` does not make the trip).
+    Raised by the shard engine when a probe family dies; the shard converts
+    it to its :class:`ShardError` instead of aborting the campaign.  Built
+    purely from ``args`` so it survives pickling, which is also why it
+    carries the original exception's type *name*: ``__cause__`` does not
+    make the trip.
     """
 
     def __init__(self, tag: str, family: Optional[str], error: str, message: str):
@@ -142,8 +113,20 @@ class ShardFailure(RuntimeError):
         )
 
 
-#: What one shard yields: its results, or the error that took it down.
-ShardOutcome = Union[Tuple["SurveyResults", SimStats], ShardError]
+class ShardResult(NamedTuple):
+    """What one shard produced.
+
+    ``cells`` maps ``(subject tag, family)`` to each cell's canonical JSON
+    text, derived cells included: with a store, exactly the bytes
+    :meth:`~repro.core.store.CampaignStore.save_cell` wrote.  A shard that
+    failed carries its :class:`ShardError` and the cells of the families it
+    finished before the failure.
+    """
+
+    cells: Dict[Tuple[str, str], str]
+    stats: SimStats
+    metrics: Optional["MetricsRegistry"] = None
+    error: Optional[ShardError] = None
 
 
 def shard_seed(base_seed: int, tag: str) -> int:
@@ -157,119 +140,88 @@ def shard_seed(base_seed: int, tag: str) -> int:
     return (base_seed * 0x9E3779B1 + zlib.crc32(tag.encode("utf-8"))) & 0xFFFFFFFF
 
 
-def _run_shard(spec: ShardSpec) -> Tuple["SurveyResults", SimStats]:
-    # Imported lazily: survey.py imports this module at load time.
-    from repro.core.survey import SurveyRunner
-
-    # The worker population is the subject's profiles, deduplicated by tag
-    # (an explicit self-pair names one profile twice; the runner population
-    # must stay tag-unique while the subject keeps both roles).
-    profiles = []
-    seen = set()
-    for profile in spec.subject.profiles:
-        if profile.tag not in seen:
-            seen.add(profile.tag)
-            profiles.append(profile)
-    runner = SurveyRunner(profiles=profiles, seed=spec.seed, **spec.config)
-    return runner.run_shard(spec.tests, subject=spec.subject)
+#: The campaign runner of a pool worker process, set there once by the pool
+#: initializer (never in the process that runs the campaign).
+_WORKER_RUNNER: Optional["SurveyRunner"] = None
 
 
-def _error_for(spec: ShardSpec, exc: BaseException, attempts: int) -> ShardError:
-    return ShardError(
-        tag=spec.tag,
-        family=None,
-        error=type(exc).__name__,
-        message=str(exc),
-        attempts=attempts,
-    )
+def _adopt(runner: "SurveyRunner") -> None:
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = runner
 
 
-def _run_shard_guarded(spec: ShardSpec, retries: int, backoff: float) -> ShardOutcome:
+def _run_adopted(subject: Subject, tests: Sequence[str]) -> ShardResult:
+    return _WORKER_RUNNER.run_shard(tests, subject=subject)
+
+
+def _failed(subject: Subject, exc: BaseException, attempts: int) -> ShardResult:
+    error = ShardError(tag=subject.tag, family=None, error=type(exc).__name__, message=str(exc), attempts=attempts)
+    return ShardResult({}, SimStats(), error=error)
+
+
+def _run_guarded(
+    runner: "SurveyRunner", subject: Subject, tests: Sequence[str], retries: int, backoff: float
+) -> ShardResult:
     """Run one shard in-process, retrying transient infrastructure errors.
 
-    Deterministic failures (a :class:`ShardFailure` from the shard engine,
-    or any other measurement exception) become a :class:`ShardError`
+    A measurement failure comes back inside the shard's result; any other
+    non-transient exception becomes a whole-shard :class:`ShardError`
     immediately — re-running a deterministic simulation reproduces the same
-    crash, so retrying them only wastes time.
+    crash, so retrying it only wastes time.
     """
     attempt = 0
     while True:
         attempt += 1
         try:
-            return _run_shard(spec)
-        except ShardFailure as exc:
-            return exc.to_error(attempts=attempt)
+            return runner.run_shard(tests, subject=subject)
         except TRANSIENT_ERRORS as exc:
             if attempt > retries:
-                return _error_for(spec, exc, attempts=attempt)
+                return _failed(subject, exc, attempt)
             time.sleep(backoff * 2 ** (attempt - 1))
         except Exception as exc:
-            return _error_for(spec, exc, attempts=attempt)
+            return _failed(subject, exc, attempt)
 
 
 def run_shards(
-    specs: List[ShardSpec], jobs: int = 1, retries: int = 1, backoff: float = 0.05
-) -> List[ShardOutcome]:
-    """Execute shards, serially or across ``jobs`` worker processes.
+    runner: "SurveyRunner",
+    plan: Sequence[Tuple[Subject, Sequence[str]]],
+    jobs: int = 1,
+    retries: int = 1,
+    backoff: float = 0.05,
+) -> List[ShardResult]:
+    """Run each ``(subject, families)`` shard of ``plan`` on ``runner``, serially or across ``jobs`` processes.
 
-    Outcomes come back in ``specs`` order regardless of completion order, so
-    the downstream merge is deterministic.  Each slot holds either the
-    shard's ``(results, stats)`` or a :class:`ShardError`; one failing shard
-    never takes down its neighbours.  If the pool breaks (or cannot be
-    created at all), completed results are kept and only the shards that
-    lost their worker re-run serially, each with up to ``retries``
-    exponential-backoff retries for transient errors.
+    Results come back in ``plan`` order regardless of completion order, so
+    the campaign's decode is deterministic.  Each worker process receives
+    ``runner`` once, through the pool initializer.  If the pool breaks (or
+    cannot be created at all), completed results are kept and only the
+    shards that lost their worker re-run serially, each with up to
+    ``retries`` exponential-backoff retries for transient errors.
     """
-    if jobs <= 1 or len(specs) <= 1:
-        return [_run_shard_guarded(spec, retries, backoff) for spec in specs]
-    outcomes: List[Optional[ShardOutcome]] = [None] * len(specs)
+    if jobs <= 1 or len(plan) <= 1:
+        return [_run_guarded(runner, subject, tests, retries, backoff) for subject, tests in plan]
+    outcomes: List[Optional[ShardResult]] = [None] * len(plan)
     try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            futures = [pool.submit(_run_shard, spec) for spec in specs]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(plan)), initializer=_adopt, initargs=(runner,)) as pool:
+            futures = [pool.submit(_run_adopted, subject, tests) for subject, tests in plan]
             for index, future in enumerate(futures):
                 try:
                     outcomes[index] = future.result()
-                except ShardFailure as exc:
-                    outcomes[index] = exc.to_error()
                 except TRANSIENT_ERRORS:
                     pass  # worker casualty, not a verdict: re-run serially below
                 except Exception as exc:
-                    outcomes[index] = _error_for(specs[index], exc, attempts=1)
+                    outcomes[index] = _failed(plan[index][0], exc, attempts=1)
     except TRANSIENT_ERRORS:
         pass  # pool never came up (or died mid-submit); survivors keep their slots
     casualties = [index for index, outcome in enumerate(outcomes) if outcome is None]
     if casualties:
         warnings.warn(
-            f"process pool unavailable or broken; {len(casualties)} of {len(specs)} "
+            f"process pool unavailable or broken; {len(casualties)} of {len(plan)} "
             "shard(s) falling back to serial execution",
             RuntimeWarning,
             stacklevel=2,
         )
         for index in casualties:
-            outcomes[index] = _run_shard_guarded(specs[index], retries, backoff)
+            subject, tests = plan[index]
+            outcomes[index] = _run_guarded(runner, subject, tests, retries, backoff)
     return outcomes
-
-
-def merge_shards(shard_results: Iterable["SurveyResults"]) -> "SurveyResults":
-    """Ordered merge of per-device shard results into one campaign result.
-
-    Each family merges via its registry descriptor — plain tag-keyed update
-    for most, a nested service-first merge for ``udp5``.  Shards arrive in
-    catalog order, so tag insertion order in the merged mappings matches a
-    serial run.
-    """
-    from repro.core import registry
-    from repro.core.survey import SurveyResults
-
-    merged = SurveyResults()
-    for shard in shard_results:
-        for name, mapping in shard.families.items():
-            if not mapping:
-                continue
-            target = merged.families.setdefault(name, {})
-            descriptor = registry.get(name)
-            if descriptor is not None:
-                descriptor.merge_into(target, mapping)
-            else:
-                target.update(mapping)
-    return merged

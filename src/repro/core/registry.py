@@ -9,8 +9,8 @@ all of that with a single registry:
 * :class:`ExperimentFamily` describes one family end to end — the knobs
   it reads, how to build its probe from them, the type of one stored cell
   (which :mod:`~repro.core.codec` turns to and from JSON for the on-disk
-  :mod:`campaign store <repro.core.store>`), and how its results merge
-  across per-device shards.
+  :mod:`campaign store <repro.core.store>`), and how its canonical mapping
+  splits into per-subject cells and is rebuilt from them.
 * :class:`ReportSection` is a render hook: a block of the markdown survey
   report owned by one or more families.  ``analysis/report.py`` iterates
   these instead of enumerating family attributes, so a family added here
@@ -196,9 +196,6 @@ class ExperimentFamily:
     cells: Optional[Callable[[Mapping[str, Any]], Dict[str, Any]]] = None
     #: Insert one device cell into a canonical mapping (default: ``m[tag]=c``).
     insert_cell: Optional[Callable[[Dict[str, Any], str, Any], None]] = None
-    #: Merge one shard's canonical mapping into the campaign's (default:
-    #: ``dict.update``; UDP-5 needs a nested service-first merge).
-    merge_cells: Optional[Callable[[Dict[str, Any], Mapping[str, Any]], None]] = None
     #: Name of the family this one is derived from (``None`` = measured).
     derived_from: Optional[str] = None
     #: Parent cell -> derived cell (e.g. ``analyze_port_behavior``).
@@ -277,13 +274,6 @@ class ExperimentFamily:
             self.insert_cell(target, tag, cell)
         else:
             target[tag] = cell
-
-    def merge_into(self, target: Dict[str, Any], mapping: Mapping[str, Any]) -> None:
-        """Fold one shard's canonical mapping into ``target``."""
-        if self.merge_cells is not None:
-            self.merge_cells(target, mapping)
-        else:
-            target.update(mapping)
 
     def encode(self, cell: Any) -> Any:
         """Encode one result cell for the store."""

@@ -24,10 +24,10 @@ store with a different hash (or schema) raises
 :class:`IncompatibleStoreError` instead of silently mixing incomparable
 measurements.
 
-Schema migration: stores written by the v3/v4 device-keyed engine (cells
-carry a ``device`` key, manifests list ``devices``) still *read* — reports
-render and ``load_results`` decodes them — but are frozen: appending v5
-cells to a legacy directory raises instead of mixing two layouts.
+Schema generations: this build reads and writes one, :data:`SCHEMA_VERSION`.
+A store of any other generation (the v3/v4 device-keyed engines' among
+them) raises :class:`IncompatibleStoreError` naming its schema; the fix is
+regenerating it with ``repro survey --out``.
 
 Determinism contract: cells are written atomically (temp file + rename)
 with canonical JSON (sorted keys, fixed indent, no timestamps), and a
@@ -40,6 +40,12 @@ are round-trip exact (tuples restored, floats preserved), extending the
 ``jobs=N ≡ jobs=1`` contract across process restarts.  A cell that no
 longer decodes into its ``cell_type`` raises :class:`StoreError` naming
 the file.
+
+One decoder: :func:`decode_cells` turns canonical cell texts into a
+:class:`~repro.core.survey.SurveyResults`.  :meth:`CampaignStore.load_results`
+feeds it the store's files, and ``SurveyRunner.run`` the texts its shards
+returned (plus the files of cells a resume reused), so what a campaign
+returns is by construction what ``repro report --from`` renders.
 """
 
 from __future__ import annotations
@@ -48,9 +54,10 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import registry
+from repro.core.parallel import ShardError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.survey import SurveyResults
@@ -58,10 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = [
     "SCHEMA_VERSION",
-    "LEGACY_SCHEMA_VERSIONS",
     "StoreError",
     "IncompatibleStoreError",
     "campaign_fingerprint",
+    "encode_cell",
+    "decode_cells",
     "subject_dirname",
     "ensure_distinct_dirnames",
     "CampaignStore",
@@ -81,14 +89,8 @@ __all__ = [
 #: v5: the campaign axis generalized from devices to subjects — cells
 #: carry a ``subject`` key (device tags unchanged, pair tags ``a+b[...]``),
 #: directories are sanitized tags, manifests list ``subjects``, and the
-#: ``traversal_matrix`` codec was added.  v3/v4 device-keyed stores remain
-#: readable through the compat path (read-only).
+#: ``traversal_matrix`` codec was added.
 SCHEMA_VERSION = 5
-
-#: Device-keyed schema generations this build still reads (read-only).
-#: Their cell layout is identical to v5 modulo the identity key name
-#: (``device`` vs ``subject``); only fingerprint knobs differed.
-LEGACY_SCHEMA_VERSIONS = (3, 4)
 
 
 class StoreError(RuntimeError):
@@ -122,7 +124,7 @@ def subject_dirname(tag: str) -> str:
 
     Safe characters (alphanumerics and ``.+-_``) pass through — every
     catalog device tag and every pair tag maps to itself, which is what
-    keeps v5 device cells at the exact paths the v3/v4 engine used.
+    keeps device cells at the paths of the device-keyed engines.
     Anything else (separators, spaces, control bytes) becomes ``_``; the
     path-special all-dots names (``.``/``..``) are prefixed.  The escape is
     deliberately lossy, so the campaign engine guards distinctness with
@@ -182,31 +184,105 @@ def campaign_fingerprint(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def encode_cell(config_hash: str, subject: str, family: str, payload: Any) -> str:
+    """One cell's canonical JSON text: the bytes a store keeps for it."""
+    return _canonical_json({
+        "schema_version": SCHEMA_VERSION,
+        "config_hash": config_hash,
+        "subject": subject,
+        "family": family,
+        "payload": payload,
+    })
+
+
+def _cell_file(root: pathlib.Path, subject: str, family: str) -> pathlib.Path:
+    return root / CampaignStore.CELL_DIR / subject_dirname(subject) / f"{family}.json"
+
+
+def _payload(config_hash: str, subject: str, family: str, text: str, root: pathlib.Path) -> Any:
+    """A cell text's payload, validating its schema, campaign and subject; errors name its file under ``root``.
+
+    The stored identity must match the subject asked for — a cell that
+    landed under the wrong directory (or a tag collision that slipped past
+    the distinctness check) raises instead of resuming wrong.
+    """
+    try:
+        blob = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StoreError(f"unreadable cell {_cell_file(root, subject, family)}: {exc}") from exc
+    if blob.get("schema_version") != SCHEMA_VERSION:
+        raise IncompatibleStoreError(
+            f"cell {_cell_file(root, subject, family)} has schema_version={blob.get('schema_version')}, "
+            f"expected {SCHEMA_VERSION}"
+        )
+    if blob.get("config_hash") != config_hash:
+        raise IncompatibleStoreError(
+            f"cell {_cell_file(root, subject, family)} belongs to campaign {blob.get('config_hash')}, "
+            f"this store is {config_hash}"
+        )
+    if blob.get("subject") != subject:
+        raise IncompatibleStoreError(
+            f"cell {_cell_file(root, subject, family)} belongs to subject {blob.get('subject')!r}, "
+            f"expected {subject!r} (corrupted cell or a sanitized-tag collision)"
+        )
+    return blob["payload"]
+
+
+def decode_cells(
+    config_hash: str,
+    texts: Mapping[Tuple[str, str], str],
+    subjects: Sequence[str],
+    families: Optional[Iterable[str]] = None,
+    root: Union[str, pathlib.Path] = "",
+) -> "SurveyResults":
+    """Decode canonical cell texts into a :class:`SurveyResults` — the one decoder of every campaign result.
+
+    ``texts`` maps ``(subject tag, family)`` to a cell's text
+    (:func:`encode_cell`); each is validated against ``config_hash``.
+    Families insert in registry order and subjects in ``subjects`` order,
+    so the container is the same whichever process, run or file a text
+    came from.  ``families`` restricts the decode to those families and the
+    families derived from them.  Errors name the cell's file under ``root``.
+    """
+    from repro.core.survey import SurveyResults
+
+    root = pathlib.Path(root)
+    wanted = set(families) if families is not None else None
+    present = {family for _subject, family in texts}
+    results = SurveyResults()
+    for fam in registry.families():
+        if fam.name not in present:
+            continue
+        if wanted is not None and fam.name not in wanted and fam.derived_from not in wanted:
+            continue
+        mapping: Dict[str, Any] = {}
+        for subject in subjects:
+            text = texts.get((subject, fam.name))
+            if text is None:
+                continue
+            payload = _payload(config_hash, subject, fam.name, text, root)
+            try:
+                cell = fam.decode(payload)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise StoreError(
+                    f"undecodable cell {_cell_file(root, subject, fam.name)}: {type(exc).__name__}: {exc}"
+                ) from exc
+            fam.insert(mapping, subject, cell)
+        if mapping:
+            results.set_family(fam.name, mapping)
+    return results
+
+
 class CampaignStore:
     """One campaign's durable result set, at ``(subject, family)`` granularity."""
 
     MANIFEST = "campaign.json"
     CELL_DIR = "cells"
 
-    def __init__(
-        self,
-        root: Union[str, pathlib.Path],
-        config_hash: str,
-        meta: Optional[Dict] = None,
-        schema: int = SCHEMA_VERSION,
-    ):
+    def __init__(self, root: Union[str, pathlib.Path], config_hash: str, meta: Optional[Dict] = None):
         self.root = pathlib.Path(root)
         self.config_hash = config_hash
         self.meta = dict(meta or {})
-        #: Schema generation of the directory on disk.  Anything below
-        #: ``SCHEMA_VERSION`` is a legacy device-keyed store: readable,
-        #: never writable.
-        self.schema = schema
-
-    @property
-    def _identity_key(self) -> str:
-        """Cell-blob key naming the subject (``device`` in legacy stores)."""
-        return "subject" if self.schema >= SCHEMA_VERSION else "device"
 
     # -- constructors --------------------------------------------------------
 
@@ -221,20 +297,12 @@ class CampaignStore:
 
         An existing manifest must match both ``schema_version`` and the
         campaign config hash — cells from different configurations never
-        mix in one directory, and a legacy device-keyed store is frozen
-        (readable via :meth:`open`, never appended to).
+        mix in one directory.
         """
         root = pathlib.Path(root)
         manifest = root / cls.MANIFEST
         if manifest.exists():
             existing = cls.open(root)
-            if existing.schema != SCHEMA_VERSION:
-                raise IncompatibleStoreError(
-                    f"campaign store {root} has legacy schema_version="
-                    f"{existing.schema}; it stays readable (repro report "
-                    f"--from) but this build writes schema_version="
-                    f"{SCHEMA_VERSION} — use a fresh --out directory"
-                )
             if existing.config_hash != config_hash:
                 raise IncompatibleStoreError(
                     f"campaign store {root} was produced by a different campaign "
@@ -253,12 +321,7 @@ class CampaignStore:
 
     @classmethod
     def open(cls, root: Union[str, pathlib.Path]) -> "CampaignStore":
-        """Open an existing store read-only-ish (``repro report --from``).
-
-        Accepts the current schema and the legacy device-keyed generations
-        (:data:`LEGACY_SCHEMA_VERSIONS`) — their layout is identical modulo
-        the cell identity key, so old campaigns keep rendering.
-        """
+        """Open an existing store (``repro report --from``); any other schema generation is refused."""
         root = pathlib.Path(root)
         manifest = root / cls.MANIFEST
         if not manifest.exists():
@@ -268,20 +331,19 @@ class CampaignStore:
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreError(f"unreadable campaign manifest {manifest}: {exc}") from exc
         version = data.get("schema_version")
-        if version != SCHEMA_VERSION and version not in LEGACY_SCHEMA_VERSIONS:
+        if version != SCHEMA_VERSION:
             raise IncompatibleStoreError(
-                f"campaign store {root} has schema_version={version}, "
-                f"this build reads {SCHEMA_VERSION} "
-                f"(and legacy {', '.join(map(str, LEGACY_SCHEMA_VERSIONS))})"
+                f"campaign store {root} has schema_version={version}, this build reads "
+                f"{SCHEMA_VERSION}; regenerate the store with `repro survey --out`"
             )
         meta = {k: v for k, v in data.items() if k not in ("schema_version", "config_hash")}
-        return cls(root, data["config_hash"], meta, schema=version)
+        return cls(root, data["config_hash"], meta)
 
     # -- cell I/O ------------------------------------------------------------
 
     def cell_path(self, subject: str, family: str) -> pathlib.Path:
         """Path of one ``(subject, family)`` cell file."""
-        return self.root / self.CELL_DIR / subject_dirname(subject) / f"{family}.json"
+        return _cell_file(self.root, subject, family)
 
     def completed_families(self, subject: str) -> Set[str]:
         """Family names with a durable cell for ``subject``."""
@@ -293,12 +355,11 @@ class CampaignStore:
     def subjects(self) -> List[str]:
         """Subjects with at least one cell, in manifest order when known.
 
-        Legacy manifests list ``devices``; v5 manifests list ``subjects``
-        (device tags first, then each non-device family's enumeration).
-        Cell directories not covered by the manifest sort to the back under
-        their on-disk (sanitized) names.
+        The manifest lists ``subjects`` (device tags first, then each
+        non-device family's enumeration).  Cell directories not covered by
+        the manifest sort to the back under their on-disk (sanitized) names.
         """
-        listed = self.meta.get("subjects") or self.meta.get("devices") or []
+        listed = self.meta.get("subjects", [])
         cell_root = self.root / self.CELL_DIR
         present = {path.name for path in cell_root.iterdir() if path.is_dir()} if cell_root.is_dir() else set()
         ordered = [tag for tag in listed if subject_dirname(tag) in present]
@@ -306,53 +367,26 @@ class CampaignStore:
         return ordered + sorted(present - known)
 
     def devices(self) -> List[str]:
-        """Back-compat alias for :meth:`subjects` (report titles, tests)."""
+        """Alias for :meth:`subjects` (report titles, tests)."""
         return self.subjects()
 
-    def save_cell(self, subject: str, family: str, payload: Any) -> None:
-        """Persist one encoded cell (atomically, canonical bytes)."""
-        if self.schema != SCHEMA_VERSION:
-            raise IncompatibleStoreError(
-                f"campaign store {self.root} has legacy schema_version="
-                f"{self.schema} and is read-only"
-            )
-        blob = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
-            "subject": subject,
-            "family": family,
-            "payload": payload,
-        }
-        _atomic_write(self.cell_path(subject, family), _canonical_json(blob))
+    def save_cell(self, subject: str, family: str, payload: Any) -> str:
+        """Persist one encoded cell (atomically, canonical bytes); returns its text."""
+        text = encode_cell(self.config_hash, subject, family, payload)
+        _atomic_write(self.cell_path(subject, family), text)
+        return text
 
-    def load_cell(self, subject: str, family: str) -> Any:
-        """Read one cell's encoded payload, validating version, hash and identity.
-
-        The stored identity must match the subject asked for — a cell that
-        landed under the wrong directory (or a tag collision that slipped
-        past the distinctness check) raises instead of resuming wrong.
-        """
+    def read_cell(self, subject: str, family: str) -> str:
+        """One cell file's text, as :meth:`save_cell` wrote it."""
         path = self.cell_path(subject, family)
         try:
-            blob = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            return path.read_text()
+        except OSError as exc:
             raise StoreError(f"unreadable cell {path}: {exc}") from exc
-        if blob.get("schema_version") != self.schema:
-            raise IncompatibleStoreError(
-                f"cell {path} has schema_version={blob.get('schema_version')}, expected {self.schema}"
-            )
-        if blob.get("config_hash") != self.config_hash:
-            raise IncompatibleStoreError(
-                f"cell {path} belongs to campaign {blob.get('config_hash')}, "
-                f"this store is {self.config_hash}"
-            )
-        stored = blob.get(self._identity_key)
-        if stored != subject:
-            raise IncompatibleStoreError(
-                f"cell {path} belongs to subject {stored!r}, expected {subject!r} "
-                "(corrupted cell or a sanitized-tag collision)"
-            )
-        return blob["payload"]
+
+    def load_cell(self, subject: str, family: str) -> Any:
+        """Read one cell's encoded payload, validating version, hash and identity."""
+        return _payload(self.config_hash, subject, family, self.read_cell(subject, family), self.root)
 
     # -- whole-campaign loading ---------------------------------------------
 
@@ -364,33 +398,50 @@ class CampaignStore:
         """Decode the store into a :class:`SurveyResults` — zero simulation.
 
         Families insert in registry order and subjects in campaign order, so
-        the loaded container is field-for-field equal to the in-memory
-        results of the run that produced the cells.  Derived families
-        (UDP-4) load like any other; their cells were persisted alongside
-        the parent's.
+        the loaded container is field-for-field equal to the results of the
+        run that produced the cells.  Derived families (UDP-4) load like any
+        other; their cells were persisted alongside the parent's.  Every
+        cell the manifest plans but the store lacks becomes one of the
+        results' errors (:meth:`_missing_cells`).
         """
-        from repro.core.survey import SurveyResults
-
         subjects = list(tags if tags is not None else self.subjects())
         wanted = set(families) if families is not None else None
+        names = {fam.name for fam in registry.families()
+                 if wanted is None or fam.name in wanted or fam.derived_from in wanted}
         # One directory listing per subject, not a stat per (subject, registered family).
         present = {subject: self.completed_families(subject) for subject in subjects}
-        results = SurveyResults()
-        for fam in registry.families():
-            if wanted is not None and fam.name not in wanted and fam.derived_from not in wanted:
-                continue
-            mapping: Dict[str, Any] = {}
-            for subject in subjects:
-                if fam.name not in present[subject]:
-                    continue
-                payload = self.load_cell(subject, fam.name)
-                try:
-                    cell = fam.decode(payload)
-                except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                    raise StoreError(
-                        f"undecodable cell {self.cell_path(subject, fam.name)}: {type(exc).__name__}: {exc}"
-                    ) from exc
-                fam.insert(mapping, subject, cell)
-            if mapping:
-                results.set_family(fam.name, mapping)
+        texts = {(subject, name): self.read_cell(subject, name)
+                 for subject in subjects for name in present[subject] & names}
+        results = decode_cells(self.config_hash, texts, subjects, families, self.root)
+        results.errors = [error for error in self._missing_cells(present)
+                          if (tags is None or error.tag in tags) and (wanted is None or error.family in wanted)]
         return results
+
+    def _missing_cells(self, present: Dict[str, Set[str]]) -> List[ShardError]:
+        """One :class:`ShardError` per ``(subject, family)`` the manifest plans and the store lacks.
+
+        A device family is planned on each entry of the manifest's
+        ``devices``, a non-device family on each of its other ``subjects``;
+        device subjects come first, families in registry order.  A family
+        counts as missing when its cell or a derived family's is absent, and
+        is reported once, under its own name.  ``present`` caches each
+        subject's :meth:`completed_families`; subjects missing from it are
+        listed here.
+        """
+        devices = list(self.meta.get("devices", []))
+        device_set = set(devices)
+        others = [tag for tag in self.meta.get("subjects", []) if tag not in device_set]
+        selected = set(self.meta.get("families", []))
+        families = [fam for fam in registry.families() if fam.name in selected]
+        planned = [(tag, fam) for tag in devices for fam in families if fam.subject_kind == "device"]
+        planned += [(tag, fam) for fam in families if fam.subject_kind != "device" for tag in others]
+        needed = {fam.name: {fam.name, *(derived.name for derived in registry.derived_families(fam.name))}
+                  for fam in families}
+        errors: List[ShardError] = []
+        for tag, fam in planned:
+            if tag not in present:
+                present[tag] = self.completed_families(tag)
+            if not needed[fam.name] <= present[tag]:
+                errors.append(ShardError(tag, fam.name, "MissingCell",
+                                         "the campaign manifest plans this cell but the store has none"))
+        return errors

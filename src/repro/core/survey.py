@@ -3,8 +3,8 @@
 :class:`SurveyRunner` executes every experiment family against the device
 population.  The family menu is no longer hard-coded here: the runner
 iterates the :mod:`experiment registry <repro.core.registry>`, so a family
-registered by any core module is measured, merged, persisted and reported
-without touching this file.  The campaign is sharded per *subject*
+registered by any core module is measured, persisted and reported without
+touching this file.  The campaign is sharded per *subject*
 (:class:`~repro.core.registry.Subject`): device families shard one device
 per shard — exactly the pre-subject schedule, same tags, same seeds — while
 non-device families (the pairwise ``traversal_matrix``) enumerate their
@@ -14,6 +14,11 @@ family can never contaminate another, and no subject shares a simulation
 with another), seeded from the campaign seed and the subject tag.  Shards
 run serially by default, or across worker processes with ``jobs=N``; both
 schedules produce field-for-field identical results.
+
+Each shard returns the canonical JSON text of every cell it produced, and
+:meth:`SurveyRunner.run` decodes those texts through the store's one
+decoder (:func:`~repro.core.store.decode_cells`) — with or without a
+store, what a campaign returns is what ``repro report --from`` renders.
 
 With ``store_dir`` set, every completed ``(subject, family)`` cell is
 persisted to a :class:`~repro.core.store.CampaignStore` as it finishes —
@@ -35,17 +40,17 @@ import time
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import registry
-from repro.core.parallel import (
-    ShardError,
-    ShardFailure,
-    ShardSpec,
-    merge_shards,
-    run_shards,
-    shard_seed,
-)
+from repro.core.parallel import ShardError, ShardFailure, ShardResult, run_shards, shard_seed
 from repro.core.stats import SimStats
 from repro.core.registry import Subject
-from repro.core.store import CampaignStore, campaign_fingerprint, ensure_distinct_dirnames, subject_dirname
+from repro.core.store import (
+    CampaignStore,
+    campaign_fingerprint,
+    decode_cells,
+    encode_cell,
+    ensure_distinct_dirnames,
+    subject_dirname,
+)
 from repro.devices import catalog_profiles
 from repro.devices.profile import DeviceProfile
 from repro.gateway.faults import FaultSpec
@@ -67,9 +72,7 @@ class SurveyResults:
 
     Family results live in one generic container — ``families`` maps each
     registered family name to its canonical result mapping (device-keyed
-    for most families, service-first for UDP-5).  The historical per-family
-    attributes (``results.udp1`` …) remain as attributes over that
-    container, so existing callers and tests read unchanged.
+    for most families, service-first for UDP-5); :meth:`family` reads one.
 
     ``stats``/``metrics`` carry the run's performance counters; they are
     excluded from equality so that two runs of the same campaign (e.g.
@@ -83,21 +86,12 @@ class SurveyResults:
         errors: Optional[Sequence[ShardError]] = None,
         stats: Optional[SimStats] = None,
         metrics: Optional[MetricsRegistry] = None,
-        **family_results: Mapping,
     ):
-        self.families: Dict[str, Dict] = {}
-        for name, mapping in (families or {}).items():
-            self.families[name] = dict(mapping)
-        for name, mapping in family_results.items():
-            if registry.get(name) is None:
-                raise TypeError(
-                    f"unknown experiment family {name!r}; registered families: "
-                    f"{', '.join(registry.family_names())}"
-                )
-            self.families[name] = dict(mapping)
-        #: Shards that failed, in catalog order.  Part of equality (minus
-        #: retry counts) — a campaign that lost a device is not equal to one
-        #: that didn't, under any ``jobs``.
+        self.families: Dict[str, Dict] = {name: dict(mapping) for name, mapping in (families or {}).items()}
+        #: Shards that failed, in catalog order — read back from a store,
+        #: the cells its manifest plans and it lacks.  Part of equality
+        #: (minus retry counts) — a campaign that lost a device is not equal
+        #: to one that didn't, under any ``jobs``.
         self.errors: List[ShardError] = list(errors or [])
         self.stats: Optional[SimStats] = stats
         #: Merged observability metrics when the campaign ran with
@@ -105,19 +99,6 @@ class SurveyResults:
         #: like ``stats`` — the registry records *how much happened*, not
         #: what was measured.
         self.metrics: Optional[MetricsRegistry] = metrics
-
-    def __getattr__(self, name: str) -> Dict:
-        # Resolved on use: importing this module must load no family module,
-        # or a family module imported first would import itself half-initialised.
-        if not name.startswith("_") and registry.get(name) is not None:
-            return self.families.setdefault(name, {})
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if not name.startswith("_") and registry.get(name) is not None:
-            self.families[name] = value if isinstance(value, dict) else dict(value)
-        else:
-            object.__setattr__(self, name, value)
 
     def family(self, name: str) -> Dict:
         """One family's canonical result mapping (empty when absent)."""
@@ -170,7 +151,7 @@ class SurveyRunner:
 
         runner = SurveyRunner(seed=7, jobs=4, store_dir="out/campaign")
         results = runner.run(tests=["udp1", "tcp2"])
-        results.udp1["je"].summary().median   # ≈ 30 s
+        results.family("udp1")["je"].summary().median   # ≈ 30 s
         # later, after a crash: resume=True re-runs only missing cells
     """
 
@@ -191,7 +172,6 @@ class SurveyRunner:
         metrics: bool = False,
         store_dir: Optional[str] = None,
         resume: bool = False,
-        store_key: Optional[str] = None,
         **knobs: Any,
     ):
         self.profiles = list(profiles if profiles is not None else catalog_profiles())
@@ -230,18 +210,17 @@ class SurveyRunner:
         #: declared hung (None disables the watchdog).
         self.family_timeout = family_timeout
         #: What the flight recorder should capture (nothing by default); see
-        #: :mod:`repro.obs`.  Carried as plain strings/bool so the shard
-        #: config stays trivially picklable.
+        #: :mod:`repro.obs`.  Carried as plain strings/bool so the runner
+        #: stays trivially picklable for the worker processes.
         self.obs = ObsConfig(trace_dir=trace_dir, pcap_dir=pcap_dir, metrics=metrics)
         #: Directory of the durable campaign store (None = in-memory only).
         self.store_dir = store_dir
         #: With ``store_dir``: skip cells already persisted there.
         self.resume = resume
-        #: Campaign config hash the store cells are stamped with.  Computed
-        #: from this runner's own configuration when not supplied; shard
-        #: workers receive the campaign-level hash through the shard config
-        #: (their single-device fingerprint would differ).
-        self.store_key = store_key
+        #: The current :meth:`run`'s campaign fingerprint and store (``None``
+        #: without one); workers receive them with the runner.
+        self._fingerprint: Optional[str] = None
+        self._store: Optional[CampaignStore] = None
         #: Elapsed wall-clock of the last :meth:`run` (set even when shards fail).
         self.last_elapsed: Optional[float] = None
         #: Cells skipped by the last resumed :meth:`run`.
@@ -258,28 +237,21 @@ class SurveyRunner:
             self.profiles, self.seed, knobs, impairment=self.impairment, faults=self.faults
         )
 
-    def _fresh_testbed(
-        self,
-        family: Optional[registry.ExperimentFamily] = None,
-        subject: Optional[Subject] = None,
-        bed_seed: Optional[int] = None,
-    ):
+    def _fresh_testbed(self, family: registry.ExperimentFamily, subject: Subject, seed: int):
         # Fault campaigns run the staged engine throughout, bring-up
         # included: a crash flush must see every queued packet as a
         # heap-visible entity to drop it the way the paper's power-cycled
         # gateways do (the eager kernels have already consumed rate tokens
         # for admitted packets and cannot un-consume them).
         fastpath = self.fastpath and not self.faults
-        seed = self.seed if bed_seed is None else bed_seed
         # A family that measures its own topology (e.g. the CGN families run
         # a NAT444 chain) supplies its builder; the rest run on the paper's
         # Testbed.  Every builder takes the same (profiles, seed, fastpath)
         # contract, so shard determinism carries over unchanged; non-device
         # families use the subject overload, one bed per enumerated subject.
-        factory = family.testbed_factory if family is not None else None
+        factory = family.testbed_factory
         build = factory(family.knobs_of(self.knobs)) if factory is not None else Testbed.build
-        target = subject if subject is not None and subject.kind != "device" else self.profiles
-        bed = build(target, seed, fastpath=fastpath)
+        bed = build(list(subject.profiles) if subject.kind == "device" else subject, seed, fastpath=fastpath)
         # Chaos goes in *after* bring-up: DHCP configuration stays clean, and
         # impairment/fault clocks are anchored at measurement start, so a
         # fault hits each family at the same virtual offset regardless of
@@ -289,20 +261,6 @@ class SurveyRunner:
         if self.faults:
             bed.schedule_faults(self.faults)
         return bed
-
-    def _shard_config(self) -> Dict:
-        return dict(
-            self.knobs,
-            fastpath=self.fastpath,
-            impairment=self.impairment,
-            faults=self.faults,
-            family_timeout=self.family_timeout,
-            trace_dir=self.obs.trace_dir,
-            pcap_dir=self.obs.pcap_dir,
-            metrics=self.obs.metrics,
-            store_dir=self.store_dir,
-            store_key=self.store_key or (self.fingerprint() if self.store_dir else None),
-        )
 
     def _validate(self, tests: Optional[Sequence[str]]) -> List[str]:
         """Resolve the family selection, failing with the registered menu."""
@@ -318,17 +276,14 @@ class SurveyRunner:
             )
         return selected
 
-    def _campaign_meta(
-        self, selected: Sequence[str], subjects: Optional[Sequence[str]] = None
-    ) -> Dict:
+    def _campaign_meta(self, selected: Sequence[str], subjects: Sequence[str]) -> Dict:
         return {
+            # The device families' subjects; the store reader plans their
+            # cells on these.
             "devices": [profile.tag for profile in self.profiles],
             # Every subject tag the campaign will produce cells for (device
-            # tags plus enumerated pair/segment tags).  Kept alongside the
-            # device list so legacy tooling reading "devices" still works.
-            "subjects": list(subjects)
-            if subjects is not None
-            else [profile.tag for profile in self.profiles],
+            # tags plus enumerated pair/segment tags).
+            "subjects": list(subjects),
             "seed": self.seed,
             "families": list(selected),
             "knobs": dict(self.knobs),
@@ -373,9 +328,10 @@ class SurveyRunner:
         subject's results are kept, and timing/stats are finalized either
         way.
 
-        With ``store_dir``, cells persist as they complete and the returned
-        results are decoded from the store — the exact artifact ``repro
-        report --from`` renders later.
+        The results are decoded from the cell texts the shards returned —
+        with ``store_dir``, the bytes they persisted, plus the store's files
+        for cells a resume reused — through the decoder ``repro report
+        --from`` uses.
 
         With ``partitions`` set, each selected partitionable family leaves
         the shard plan after resume filtering and runs once, over the
@@ -386,31 +342,29 @@ class SurveyRunner:
         """
         selected = self._validate(tests)
         plan = self._shard_plan(selected)
+        subjects = [subject.tag for subject, _families in plan]
         # Refuse ambiguous stores up front: two subject tags that sanitize
         # to the same cell directory would silently share cells.
-        ensure_distinct_dirnames(subject.tag for subject, _families in plan)
-        store: Optional[CampaignStore] = None
+        ensure_distinct_dirnames(subjects)
         self.last_skipped_cells = 0
         self.last_partition = None
+        self._fingerprint = self.fingerprint()
+        self._store = None
+        reused: List[Tuple[str, str]] = []
         if self.store_dir is not None:
-            fingerprint = self.store_key or self.fingerprint()
-            self.store_key = fingerprint
-            store = CampaignStore.create_or_open(
-                self.store_dir,
-                fingerprint,
-                meta=self._campaign_meta(
-                    selected, subjects=[subject.tag for subject, _families in plan]
-                ),
+            self._store = CampaignStore.create_or_open(
+                self.store_dir, self._fingerprint, meta=self._campaign_meta(selected, subjects)
             )
             if self.resume:
                 filtered: List[Tuple[Subject, List[str]]] = []
                 for subject, families in plan:
-                    done = store.completed_families(subject.tag)
+                    done = self._store.completed_families(subject.tag)
                     # A parent cell lands before its derived cells (``_record``), so a
                     # kill between the writes leaves the family to re-run.
                     missing = [name for name in families
                                if not {name, *(d.name for d in registry.derived_families(name))} <= done]
                     self.last_skipped_cells += len(families) - len(missing)
+                    reused += [(subject.tag, name) for name in done]
                     filtered.append((subject, missing))
                 plan = filtered
         partitioned: List[Tuple[registry.ExperimentFamily, List[DeviceProfile]]] = []
@@ -424,60 +378,41 @@ class SurveyRunner:
                 (subject, [name for name in names if not registry.family(name).partitionable])
                 for subject, names in plan
             ]
-        specs = [
-            ShardSpec(
-                subject=subject,
-                seed=shard_seed(self.seed, subject.tag),
-                tests=tuple(families),
-                config=self._shard_config(),
-            )
-            for subject, families in plan
-            if families
-        ]
         started = time.perf_counter()
         try:
-            shard_outcomes = run_shards(specs, jobs=self.jobs, retries=self.shard_retries)
-            shard_outcomes += [
-                self._run_partitioned(family, profiles, store) for family, profiles in partitioned
-            ]
+            outcomes = run_shards(
+                self, [(subject, names) for subject, names in plan if names],
+                jobs=self.jobs, retries=self.shard_retries,
+            )
+            outcomes += [self._run_partitioned(family, profiles) for family, profiles in partitioned]
         finally:
             # Set even if the executor itself blows up: timing must never
             # go stale on the failure path.
             self.last_elapsed = time.perf_counter() - started
-        successes = [outcome for outcome in shard_outcomes if not isinstance(outcome, ShardError)]
-        errors = [outcome for outcome in shard_outcomes if isinstance(outcome, ShardError)]
-        if store is not None:
-            # The store holds every completed cell — from this run's workers
-            # plus all previous interrupted runs.  Decoding it is the same
-            # code path `repro report --from` uses, which is what makes a
-            # resumed campaign indistinguishable from an uninterrupted one.
-            results = store.load_results(
-                tags=[subject.tag for subject, _families in plan], families=selected
-            )
-        else:
-            results = merge_shards(shard for shard, _stats in successes)
-        results.errors = errors
-        stats = SimStats(jobs=self.jobs)
-        for _shard, shard_stats in successes:
-            stats.merge(shard_stats)
-        results.stats = stats
+        texts: Dict[Tuple[str, str], str] = {}
+        for outcome in outcomes:
+            texts.update(outcome.cells)
+        for key in reused:  # cells the shards did not rewrite
+            if key not in texts:
+                texts[key] = self._store.read_cell(*key)
+        results = decode_cells(self._fingerprint, texts, subjects, selected, self.store_dir or "")
+        results.errors = [outcome.error for outcome in outcomes if outcome.error is not None]
+        # Counters and metrics of the shards that completed, in plan order:
+        # counters add, gauges high-water, spans accumulate — jobs=N lands on
+        # the same numbers as jobs=1.
+        completed = [outcome for outcome in outcomes if outcome.error is None]
+        results.stats = SimStats(jobs=self.jobs)
+        for outcome in completed:
+            results.stats.merge(outcome.stats)
         if self.obs.metrics:
-            # Catalog-order merge: counters add, gauges high-water, spans
-            # accumulate — jobs=N lands on the same registry as jobs=1.
-            metrics_registry = MetricsRegistry()
-            for shard, _stats in successes:
-                if shard.metrics is not None:
-                    metrics_registry.merge(shard.metrics)
-            results.metrics = metrics_registry
+            results.metrics = MetricsRegistry()
+            for outcome in completed:
+                if outcome.metrics is not None:
+                    results.metrics.merge(outcome.metrics)
         return results
 
-    def _run_partitioned(
-        self,
-        family: registry.ExperimentFamily,
-        profiles: Sequence[DeviceProfile],
-        store: Optional[CampaignStore],
-    ) -> Tuple[SurveyResults, SimStats]:
-        """Run one partitionable family once over ``profiles``, shaped like a shard's outcome."""
+    def _run_partitioned(self, family: registry.ExperimentFamily, profiles: Sequence[DeviceProfile]) -> ShardResult:
+        """Run one partitionable family once over ``profiles``, shaped like a shard's result."""
         from repro.core.partition import PartitionStats, run_partitioned
 
         numbered = [
@@ -500,149 +435,92 @@ class SurveyRunner:
         if self.last_partition is None:
             self.last_partition = PartitionStats(self.partitions)
         self.last_partition.merge(outcome.run)
-        results = SurveyResults()
-        self._record(results, store, family, outcome.mapping)
-        return results, stats
+        cells: Dict[Tuple[str, str], str] = {}
+        for tag, cell in family.cells_of(outcome.mapping).items():
+            self._record(cells, family, tag, cell)
+        return ShardResult(cells, stats)
 
-    @staticmethod
     def _record(
-        results: SurveyResults,
-        store: Optional[CampaignStore],
-        family: registry.ExperimentFamily,
-        mapping: Mapping,
+        self, cells: Dict[Tuple[str, str], str], family: registry.ExperimentFamily, tag: str, cell: Any
     ) -> None:
-        """Keep one family's mapping and its derived families', persisting each as it lands."""
-        results.set_family(family.name, mapping)
-        if store is not None:
-            for tag, cell in family.cells_of(mapping).items():
-                store.save_cell(tag, family.name, family.encode(cell))
+        """Keep one cell's text and its derived families', persisting each as it lands."""
+        payload = family.encode(cell)
+        if self._store is not None:
+            cells[(tag, family.name)] = self._store.save_cell(tag, family.name, payload)
+        else:
+            cells[(tag, family.name)] = encode_cell(self._fingerprint, tag, family.name, payload)
         for derived in registry.derived_families(family.name):
-            derived_mapping: Dict[str, Any] = {}
-            for tag, cell in family.cells_of(mapping).items():
-                derived.insert(derived_mapping, tag, derived.derive(cell))
-            SurveyRunner._record(results, store, derived, derived_mapping)
+            self._record(cells, derived, tag, derived.derive(cell))
 
-    # -- shard engine (one subject, its families; used by the workers) ------
+    # -- shard engine (one subject, its families; used by run_shards) -------
 
-    def run_shard(
-        self, tests: Optional[Sequence[str]] = None, subject: Optional[Subject] = None
-    ) -> Tuple[SurveyResults, SimStats]:
-        """Run the selected families serially on this runner's population.
+    def run_shard(self, tests: Sequence[str], subject: Subject) -> ShardResult:
+        """Run the selected families of one subject serially, each on a fresh bed.
 
-        This is the per-shard execution engine behind :meth:`run`; it builds
-        one fresh testbed per family and records per-family wall time and
-        simulator event counts.  A family that raises becomes a picklable
-        :class:`~repro.core.parallel.ShardFailure` carrying the subject tag
-        and family name — and the family's timing still lands in the stats,
-        so partial runs account for the work they did.
+        This is the per-shard execution engine behind :meth:`run`, which
+        calls it once per shard (in this process at ``jobs=1``, on a worker's
+        copy of this runner otherwise).  Each family whose ``subject_kind``
+        matches the subject's gets a bed built from ``subject.profiles`` (the
+        subject itself, for a non-device family) at ``shard_seed(self.seed,
+        subject.tag)``; per-family wall time and simulator event counts land
+        in the shard's stats.  A family that raises ends the shard: its
+        :class:`~repro.core.parallel.ShardError` carries the subject tag and
+        family name, and the result keeps the cells of the families that
+        finished before it.
 
-        ``subject`` scopes the shard: a device subject runs the selected
-        device families against the population (the pre-subject behaviour),
-        while a non-device subject runs only the families whose
-        ``subject_kind`` matches, against that one enumerated subject.
-        Without a subject — the direct-call path — device families run as
-        before, and non-device families enumerate *all* their subjects from
-        the population, each on its own per-subject-seeded testbed, so a
-        direct ``run_shard`` reproduces the sharded campaign exactly.
-
-        When a store is configured, each family's cells (and its derived
-        families' cells) are persisted the moment the family completes, so
-        a shard killed mid-flight keeps everything it finished.
+        Each cell is encoded the moment its family completes and, within a
+        :meth:`run` with a store, persisted then, so a shard killed
+        mid-flight keeps everything it finished.
         """
-        selected = self._validate(tests)
-        results = SurveyResults()
+        seed = shard_seed(self.seed, subject.tag)
         stats = SimStats()
-        store: Optional[CampaignStore] = None
-        if self.store_dir is not None:
-            store = CampaignStore(self.store_dir, self.store_key or self.fingerprint())
+        cells: Dict[Tuple[str, str], str] = {}
+        error: Optional[ShardError] = None
         observer: Optional[ShardObserver] = None
         if self.obs.enabled:
-            obs = self.obs
-            if subject is not None:
-                device = subject.tag
-                if subject.kind != "device":
-                    # Every pair bed reuses the link labels a:srv ... b:cli
-                    # and its gateways' tags, so each subject records into
-                    # its own directory.
-                    obs = obs.under(subject_dirname(subject.tag))
-            else:
-                device = self.profiles[0].tag if len(self.profiles) == 1 else None
-            observer = ShardObserver(obs, device=device)
-
-        def failure_tag() -> str:
-            if subject is not None:
-                return subject.tag
-            return ",".join(profile.tag for profile in self.profiles)
-
-        def timed(
-            descriptor: registry.ExperimentFamily,
-            probe_call,
-            bed_subject: Optional[Subject] = None,
-            bed_seed: Optional[int] = None,
-        ) -> Dict:
-            family = descriptor.name
-            bed = self._fresh_testbed(descriptor, subject=bed_subject, bed_seed=bed_seed)
-            if self.family_timeout is not None:
-                bed.sim.watchdog_limit = bed.sim.now + self.family_timeout
-            # The observer attaches *after* bring-up: DHCP chatter stays out
-            # of the trace, and emission is passive (no RNG draws, no
-            # scheduling), so traced campaigns measure identically.
-            if observer is not None:
-                observer.begin(bed, family)
-            started = time.perf_counter()
-            try:
-                outcome = probe_call(bed)
-            except ShardFailure:
-                raise
-            except Exception as exc:
-                raise ShardFailure(failure_tag(), family, type(exc).__name__, str(exc)) from exc
-            finally:
-                stats.note_run(family, time.perf_counter() - started, bed.sim)
-                if observer is not None:
-                    observer.finish(bed, family)
-            return outcome
-
-        def measure(family: registry.ExperimentFamily) -> Optional[Dict]:
-            """One family's result mapping for this shard (None = not ours)."""
-            knobs = family.knobs_of(self.knobs)
-            if family.subject_kind == "device":
-                if subject is not None and subject.kind != "device":
-                    return None
-                return timed(family, family.probe_factory(knobs))
-            # Non-device family: one fresh testbed per enumerated subject.
-            if subject is not None:
-                if subject.kind != family.subject_kind:
-                    return None
-                # Sharded path: the shard seed already encodes the subject
-                # tag, so the bed is built straight from self.seed.
-                enumerated = [(subject, None)]
-            else:
-                # Direct-call path: derive each subject's seed exactly as the
-                # campaign scheduler would, so results match the sharded run.
-                enumerated = [
-                    (sub, shard_seed(self.seed, sub.tag))
-                    for sub in family.subjects_of(self.profiles, knobs)
-                ]
-            probe = family.probe_factory(knobs)
-            mapping: Dict[str, Any] = {}
-            for sub, bed_seed in enumerated:
-                family.merge_into(
-                    mapping, timed(family, probe, bed_subject=sub, bed_seed=bed_seed)
-                )
-            return mapping
-
+            # Every pair bed reuses the link labels a:srv ... b:cli and its
+            # gateways' tags, so each non-device subject records into its
+            # own directory.
+            obs = self.obs if subject.kind == "device" else self.obs.under(subject_dirname(subject.tag))
+            observer = ShardObserver(obs, device=subject.tag)
         try:
             for family in registry.families():
-                if not family.runnable or family.name not in selected:
-                    continue
-                mapping = measure(family)
-                if mapping is not None:
-                    self._record(results, store, family, mapping)
+                if family.runnable and family.name in tests and family.subject_kind == subject.kind:
+                    mapping = self._measure(family, subject, seed, stats, observer)
+                    for tag, cell in family.cells_of(mapping).items():
+                        self._record(cells, family, tag, cell)
+        except ShardFailure as failure:
+            error = failure.to_error()
         finally:
             # Streams must land on disk even when a family dies mid-shard:
             # a partial trace of a failed run is exactly when you want one.
             if observer is not None:
                 observer.close()
-                results.metrics = observer.registry
-        results.stats = stats
-        return results, stats
+        return ShardResult(cells, stats, observer.registry if observer is not None else None, error)
+
+    def _measure(
+        self,
+        family: registry.ExperimentFamily,
+        subject: Subject,
+        seed: int,
+        stats: SimStats,
+        observer: Optional[ShardObserver],
+    ) -> Dict:
+        """One family's result mapping for ``subject``, on its own fresh bed."""
+        bed = self._fresh_testbed(family, subject, seed)
+        if self.family_timeout is not None:
+            bed.sim.watchdog_limit = bed.sim.now + self.family_timeout
+        # The observer attaches *after* bring-up: DHCP chatter stays out
+        # of the trace, and emission is passive (no RNG draws, no
+        # scheduling), so traced campaigns measure identically.
+        if observer is not None:
+            observer.begin(bed, family.name)
+        started = time.perf_counter()
+        try:
+            return family.probe_factory(family.knobs_of(self.knobs))(bed)
+        except Exception as exc:
+            raise ShardFailure(subject.tag, family.name, type(exc).__name__, str(exc)) from exc
+        finally:
+            stats.note_run(family.name, time.perf_counter() - started, bed.sim)
+            if observer is not None:
+                observer.finish(bed, family.name)

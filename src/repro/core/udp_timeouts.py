@@ -433,11 +433,6 @@ def _udp5_insert(mapping: Dict, tag: str, cell: Dict) -> None:
         mapping.setdefault(service, {})[tag] = result
 
 
-def _udp5_merge(target: Dict, mapping: Dict) -> None:
-    for service, per_device in mapping.items():
-        target.setdefault(service, {}).update(per_device)
-
-
 def timeout_series(results: Dict[str, UdpTimeoutResult], name: str) -> DeviceSeries:
     """Per-device binding timeouts in seconds, as one figure's series (devices without samples omitted)."""
     series = DeviceSeries(name, "s")
@@ -541,7 +536,6 @@ registry.register_family(registry.ExperimentFamily(
     probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs.udp5_repetitions).run_all,
     cells=_udp5_cells,
     insert_cell=_udp5_insert,
-    merge_cells=_udp5_merge,
 ))
 
 registry.register_section(registry.ReportSection(

@@ -40,6 +40,7 @@ from repro.cgn.families import Nat444Knobs, cgn_policy_for
 from repro.cgn.node import CgnNode
 from repro.core import registry
 from repro.core.registry import Subject
+from repro.core.results import median
 from repro.core.runtime import Future, SimTask, run_tasks
 from repro.devices.cgn_profiles import CgnPolicy
 from repro.devices.profile import DeviceProfile
@@ -522,16 +523,6 @@ _VARIANT_TITLES = {
 }
 
 
-def _median(values: Sequence[float]) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _render_heatmap(cells: Mapping[Tuple[str, str], TraversalCell]) -> str:
     """One variant's matrix as a symbol grid (D direct, R relayed, F failed)."""
     rows = sorted({a for a, _b in cells})
@@ -578,8 +569,7 @@ def _render_matrix(results) -> Optional[str]:
         costs = [
             c.keepalives_per_hour for c in cells.values() if c.keepalives_per_hour is not None
         ]
-        cost = _median(costs)
-        cost_text = f"{cost:.1f}" if cost is not None else "—"
+        cost_text = f"{median(costs):.1f}" if costs else "—"
         summary.append(
             f"| {_VARIANT_TITLES[key]} | {len(cells)} | {direct} | {relayed} "
             f"| {failed} | {cost_text} |"

@@ -215,6 +215,22 @@ def test_survey_chaos_flags_lose_only_the_crashed_shard(capsys, tmp_path):
     assert json.loads((tmp_path / "campaign.json").read_text())["impairment"]["loss"] == 0.01
 
 
+def test_report_from_lists_the_cells_a_campaign_lost(capsys, tmp_path):
+    """A store missing planned cells renders its "Shard failures" section, and ``report --from`` exits 1."""
+    store, report = tmp_path / "st", tmp_path / "r.md"
+    code, out = run_cli(
+        capsys, "survey", "--tests", "udp1", "--tags", "dl8", "je", "--repetitions", "1",
+        "--fault", "crash@t=30,boot=never,device=dl8", "--out", str(store),
+    )
+    assert code == 1 and "[dl8/udp1]" in out
+    code, out = run_cli(capsys, "report", "--from", str(store), "--output", str(report))
+    assert code == 1
+    assert "1 shard(s) failed:" in out and "[dl8/udp1] MissingCell" in out
+    text = report.read_text()
+    assert "## Shard failures" in text
+    assert "| dl8 | udp1 | MissingCell |" in text
+
+
 #: Every campaign knob that declares a CLI flag.
 FLAGGED_KNOBS = [knob for knob in registry.knobs().values() if knob.flag is not None]
 

@@ -69,15 +69,15 @@ class TestProxyUpstreamTcpPath:
 class TestSurveyRunnerDetails:
     def test_fresh_testbeds_are_deterministic(self):
         runner = SurveyRunner([make_profile("d")], seed=42, udp_repetitions=1)
-        first = runner.run(tests=["udp1"]).udp1["d"].samples
-        second = runner.run(tests=["udp1"]).udp1["d"].samples
+        first = runner.run(tests=["udp1"]).family("udp1")["d"].samples
+        second = runner.run(tests=["udp1"]).family("udp1")["d"].samples
         assert first == second
 
     def test_different_seeds_still_agree_on_policy(self):
         results = []
         for seed in (1, 2):
             runner = SurveyRunner([make_profile("d")], seed=seed, udp_repetitions=1)
-            results.append(runner.run(tests=["udp1"]).udp1["d"].samples[0])
+            results.append(runner.run(tests=["udp1"]).family("udp1")["d"].samples[0])
         assert results[0] == pytest.approx(results[1], abs=1.0)
 
 

@@ -120,6 +120,7 @@ def test_cgn_families_cells_identical_across_engines(tmp_path, family):
 
 def test_fault_campaigns_pin_the_staged_engine(tmp_path):
     from repro.core import registry
+    from repro.core.registry import Subject
     from repro.gateway.faults import FaultSpec
 
     runner = SurveyRunner(
@@ -127,9 +128,9 @@ def test_fault_campaigns_pin_the_staged_engine(tmp_path):
         fastpath=True,
         faults=[FaultSpec(at=5.0, boot=2.0, device="dl1")],
     )
-    # The default Testbed and a factory-built NAT444 bed.
-    for family in (None, registry.family("cgn_timeouts")):
-        bed = runner._fresh_testbed(family)
+    # The default Testbed (udp1 names no builder) and a factory-built NAT444 bed.
+    for family in (registry.family("udp1"), registry.family("cgn_timeouts")):
+        bed = runner._fresh_testbed(family, Subject.device(runner.profiles[0]), seed=0)
         # A crash flush cannot unwind eagerly-consumed rate tokens, so chaos
         # campaigns must run every packet through the staged engine — from
         # bring-up on.

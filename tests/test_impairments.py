@@ -6,9 +6,9 @@ from ipaddress import IPv4Address
 
 import pytest
 
-import repro.core.parallel as parallel_mod
-from repro.core import SurveyRunner, run_shards, shard_seed
-from repro.core.parallel import ShardError, ShardFailure, ShardSpec
+from repro.core import SurveyRunner, run_shards
+from repro.core.parallel import ShardError, ShardFailure
+from repro.core.registry import Subject
 from repro.devices.profile import UdpTimeoutPolicy
 from repro.gateway.faults import FaultSpec
 from repro.netsim import Link, mac_allocator
@@ -262,7 +262,7 @@ CRASH_QUICK = FaultSpec.parse("crash@t=0,boot=never,device=quick")
 class TestSurveyResilience:
     def test_crashed_device_yields_error_not_abort(self):
         results = _runner(_profiles(), faults=[CRASH_QUICK]).run(["udp1"])
-        assert set(results.udp1) == {"slow"}
+        assert set(results.family("udp1")) == {"slow"}
         assert len(results.errors) == 1
         error = results.errors[0]
         assert error.tag == "quick"
@@ -281,7 +281,7 @@ class TestSurveyResilience:
 
     def test_watchdog_turns_a_stuck_family_into_an_error(self):
         results = _runner([_profiles()[0]], family_timeout=1.0).run(["udp1"])
-        assert results.udp1 == {}
+        assert results.family("udp1") == {}
         assert len(results.errors) == 1
         assert results.errors[0].error == "WatchdogExpired"
         assert results.errors[0].family == "udp1"
@@ -303,7 +303,7 @@ class TestImpairedDeterminism:
     def test_subset_reproduces_impaired_results(self):
         full = _runner(_profiles(), impairment=self.CHAOS).run(["udp1"])
         solo = _runner([_profiles()[1]], impairment=self.CHAOS).run(["udp1"])
-        assert solo.udp1["slow"] == full.udp1["slow"]
+        assert solo.family("udp1")["slow"] == full.family("udp1")["slow"]
 
     def test_impairment_changes_measurements(self):
         clean = _runner([_profiles()[0]]).run(["udp1"])
@@ -312,59 +312,54 @@ class TestImpairedDeterminism:
         assert clean.stats.events_processed != lossy.stats.events_processed
 
 
-def _icmp_spec(profile):
-    return ShardSpec(
-        profile=profile,
-        seed=shard_seed(0, profile.tag),
-        tests=("icmp",),
-        config={"udp_repetitions": 1},
-    )
+def _icmp_shard(profile):
+    return Subject.device(profile), ("icmp",)
 
 
 class TestRunShardsIsolation:
     def test_one_raising_shard_spares_its_neighbours(self, monkeypatch):
-        real = parallel_mod._run_shard
+        real = SurveyRunner.run_shard
 
-        def flaky(spec):
-            if spec.profile.tag == "quick":
+        def flaky(self, tests, subject):
+            if subject.tag == "quick":
                 raise ValueError("boom")
-            return real(spec)
+            return real(self, tests, subject=subject)
 
-        monkeypatch.setattr(parallel_mod, "_run_shard", flaky)
+        monkeypatch.setattr(SurveyRunner, "run_shard", flaky)
         quick, slow = _profiles()
-        outcomes = run_shards([_icmp_spec(quick), _icmp_spec(slow)], jobs=1)
-        assert isinstance(outcomes[0], ShardError)
-        assert outcomes[0].error == "ValueError"
-        results, _stats = outcomes[1]
-        assert set(results.icmp) == {"slow"}
+        outcomes = run_shards(_runner(_profiles()), [_icmp_shard(quick), _icmp_shard(slow)], jobs=1)
+        assert isinstance(outcomes[0].error, ShardError)
+        assert outcomes[0].error.error == "ValueError"
+        assert outcomes[1].error is None
+        assert set(outcomes[1].cells) == {("slow", "icmp")}
 
     def test_transient_errors_retried_then_reported(self, monkeypatch):
         calls = []
 
-        def always_down(spec):
-            calls.append(spec.profile.tag)
+        def always_down(self, tests, subject):
+            calls.append(subject.tag)
             raise OSError("worker lost")
 
-        monkeypatch.setattr(parallel_mod, "_run_shard", always_down)
-        (outcome,) = run_shards([_icmp_spec(_profiles()[0])], jobs=1, retries=2, backoff=0.0)
-        assert isinstance(outcome, ShardError)
-        assert outcome.error == "OSError"
-        assert outcome.attempts == 3
+        monkeypatch.setattr(SurveyRunner, "run_shard", always_down)
+        (outcome,) = run_shards(_runner(_profiles()), [_icmp_shard(_profiles()[0])], jobs=1, retries=2, backoff=0.0)
+        assert isinstance(outcome.error, ShardError)
+        assert outcome.error.error == "OSError"
+        assert outcome.error.attempts == 3
         assert len(calls) == 3
 
     def test_transient_error_recovers_on_retry(self, monkeypatch):
-        real = parallel_mod._run_shard
+        real = SurveyRunner.run_shard
         state = {"failed": False}
 
-        def flaky_once(spec):
+        def flaky_once(self, tests, subject):
             if not state["failed"]:
                 state["failed"] = True
                 raise OSError("transient")
-            return real(spec)
+            return real(self, tests, subject=subject)
 
-        monkeypatch.setattr(parallel_mod, "_run_shard", flaky_once)
-        (outcome,) = run_shards([_icmp_spec(_profiles()[0])], jobs=1, retries=1, backoff=0.0)
-        assert not isinstance(outcome, ShardError)
+        monkeypatch.setattr(SurveyRunner, "run_shard", flaky_once)
+        (outcome,) = run_shards(_runner(_profiles()), [_icmp_shard(_profiles()[0])], jobs=1, retries=1, backoff=0.0)
+        assert outcome.error is None
 
     def test_shard_failure_survives_pickling(self):
         failure = ShardFailure("dl8", "tcp2", "RuntimeError", "transfer stalled")

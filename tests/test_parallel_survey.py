@@ -1,12 +1,20 @@
-"""Parallel survey sharding: determinism, merging, stats, and fallback."""
+"""Parallel survey sharding: determinism, the one result path, stats, and fallback."""
 
+import pathlib
+import pickle
+import shutil
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import pytest
 
-from repro.core import SimStats, SurveyRunner, merge_shards, run_shards, shard_seed
-from repro.core.parallel import ShardSpec, _run_shard
-from repro.core.survey import SurveyResults
+import repro.core.parallel as parallel_mod
+from repro.core import SimStats, SurveyRunner, run_shards, shard_seed
+from repro.core.registry import Subject
+from repro.core.store import CampaignStore
+from repro.devices import catalog_profiles
 from repro.devices.profile import NatPolicy, UdpTimeoutPolicy
 from tests.conftest import make_profile
 
@@ -43,7 +51,7 @@ class TestParallelEqualsSerial:
     def test_results_equal_field_for_field(self, serial, parallel):
         for family in ("udp1", "udp2", "udp3", "udp4", "udp5", "tcp1",
                        "tcp2", "tcp4", "icmp", "transports", "dns"):
-            assert getattr(serial, family) == getattr(parallel, family), family
+            assert serial.family(family) == parallel.family(family), family
 
     def test_dataclass_equality_ignores_stats(self, serial, parallel):
         # stats carries wall-clock and differs between runs; measurement
@@ -53,8 +61,8 @@ class TestParallelEqualsSerial:
         assert serial.stats.wall_seconds != parallel.stats.wall_seconds or True
 
     def test_device_order_preserved(self, serial, parallel):
-        assert list(serial.udp1) == ["quick", "slow"]
-        assert list(parallel.udp1) == ["quick", "slow"]
+        assert list(serial.family("udp1")) == ["quick", "slow"]
+        assert list(parallel.family("udp1")) == ["quick", "slow"]
 
     def test_stats_populated(self, serial):
         stats = serial.stats
@@ -79,64 +87,130 @@ class TestShardSeeds:
             [_make_profiles()[1]], udp_repetitions=1, udp5_repetitions=1,
             tcp1_cutoff=300.0, transfer_bytes=256 * 1024,
         ).run(["udp1"])
-        assert solo.udp1["slow"] == full.udp1["slow"]
-        assert solo.udp4["slow"] == full.udp4["slow"]
+        assert solo.family("udp1")["slow"] == full.family("udp1")["slow"]
+        assert solo.family("udp4")["slow"] == full.family("udp4")["slow"]
 
 
 class TestMergeAndFallback:
-    def test_merge_shards_orders_and_nests(self):
-        a, b = SurveyResults(), SurveyResults()
-        a.udp1 = {"a": 1}
-        b.udp1 = {"b": 2}
-        a.udp5 = {"dns": {"a": 10}}
-        b.udp5 = {"dns": {"b": 20}, "ntp": {"b": 30}}
-        merged = merge_shards([a, b])
-        assert list(merged.udp1) == ["a", "b"]
-        assert merged.udp5 == {"dns": {"a": 10, "b": 20}, "ntp": {"b": 30}}
+    """``run_shards`` on the campaign's own runner: serial path, pool fallback, worker entry point."""
 
     def test_run_shards_serial_path(self):
-        profile = _make_profiles()[0]
-        spec = ShardSpec(profile=profile, seed=shard_seed(0, profile.tag),
-                         tests=("icmp",), config={"udp_repetitions": 1})
-        outcomes = run_shards([spec], jobs=1)
+        quick = Subject.device(_make_profiles()[0])
+        outcomes = run_shards(_make_runner(jobs=1), [(quick, ("icmp",))], jobs=1)
         assert len(outcomes) == 1
-        results, stats = outcomes[0]
-        assert set(results.icmp) == {"quick"}
+        cells, stats, _metrics, error = outcomes[0]
+        assert error is None
+        assert set(cells) == {("quick", "icmp")}
         assert isinstance(stats, SimStats)
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        import repro.core.parallel as parallel_mod
-
         def broken_pool(*args, **kwargs):
             raise OSError("no semaphores in this sandbox")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", broken_pool)
-        profile = _make_profiles()[0]
-        specs = [
-            ShardSpec(profile=profile, seed=shard_seed(0, profile.tag),
-                      tests=("icmp",), config={"udp_repetitions": 1}),
-            ShardSpec(profile=_make_profiles()[1], seed=shard_seed(0, "slow"),
-                      tests=("icmp",), config={"udp_repetitions": 1}),
-        ]
+        plan = [(Subject.device(profile), ("icmp",)) for profile in _make_profiles()]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outcomes = run_shards(specs, jobs=4)
+            outcomes = run_shards(_make_runner(jobs=4), plan, jobs=4)
         assert len(outcomes) == 2
         assert any("falling back to serial" in str(w.message) for w in caught)
 
-    def test_worker_entrypoint_matches_inline_run(self):
-        profile = _make_profiles()[0]
-        spec = ShardSpec(
-            profile=profile, seed=shard_seed(7, profile.tag), tests=("icmp",),
-            config={"udp_repetitions": 1, "udp5_repetitions": 1,
-                    "tcp1_cutoff": 300.0, "transfer_bytes": 256 * 1024},
-        )
-        direct, _ = _run_shard(spec)
-        runner = SurveyRunner([profile], seed=shard_seed(7, profile.tag),
-                              udp_repetitions=1, udp5_repetitions=1,
+    def test_worker_entrypoint_matches_inline_run(self, monkeypatch):
+        # A worker gets the runner once, pickled, and runs every shard on it.
+        runner = SurveyRunner(_make_profiles(), seed=7, udp_repetitions=1, udp5_repetitions=1,
                               tcp1_cutoff=300.0, transfer_bytes=256 * 1024)
-        inline, _ = runner.run_shard(("icmp",))
-        assert direct == inline
+        subject = Subject.device(_make_profiles()[0])
+        monkeypatch.setattr(parallel_mod, "_WORKER_RUNNER", None)
+        parallel_mod._adopt(pickle.loads(pickle.dumps(runner)))
+        direct = parallel_mod._run_adopted(subject, ("icmp",))
+        inline = runner.run_shard(("icmp",), subject=subject)
+        assert direct.cells == inline.cells
+
+
+#: The one-path campaign: device families (UDP-5 nests service-first, UDP-4
+#: is derived) and a non-device family, on two devices.
+ONE_PATH_FAMILIES = ["udp1", "udp5", "transports", "traversal_matrix"]
+
+
+def _one_path_runner(jobs, **store):
+    return SurveyRunner(catalog_profiles(["al", "be1"]), udp_repetitions=1, udp5_repetitions=1,
+                        jobs=jobs, **store)
+
+
+def _knock_out_one_cell_per_family(root):
+    store = CampaignStore.open(root)
+    for family, subject in (("udp1", "al"), ("udp5", "be1"), ("transports", "al"),
+                            ("traversal_matrix", "be1+al")):
+        store.cell_path(subject, family).unlink()
+
+
+class TestOnePath:
+    """``run()`` returns what ``report --from`` decodes: jobs 1 and 2, without a store, with one, resumed."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one-path")
+        runs = {}
+        for jobs in (1, 2):
+            runs[f"jobs{jobs}"] = (_one_path_runner(jobs).run(ONE_PATH_FAMILIES), root / "store1")
+            store = root / f"store{jobs}"
+            runs[f"jobs{jobs}-store"] = (
+                _one_path_runner(jobs, store_dir=str(store)).run(ONE_PATH_FAMILIES), store
+            )
+            resumed = root / f"resumed{jobs}"
+            shutil.copytree(store, resumed)
+            _knock_out_one_cell_per_family(resumed)
+            runner = _one_path_runner(jobs, store_dir=str(resumed), resume=True)
+            runs[f"jobs{jobs}-resumed"] = (runner.run(ONE_PATH_FAMILIES), resumed)
+            # Three device families on two devices and two pairs, less one cell per family.
+            assert runner.last_skipped_cells == 3 * 2 + 2 - 4
+        return runs
+
+    @pytest.mark.parametrize("variant", ["jobs1", "jobs1-store", "jobs1-resumed",
+                                         "jobs2", "jobs2-store", "jobs2-resumed"])
+    def test_run_equals_the_store_decode(self, runs, variant):
+        results, store = runs[variant]
+        loaded = CampaignStore.open(store).load_results()
+        assert results == loaded and not results.errors
+        assert list(results.families) == list(loaded.families)
+        for name, mapping in loaded.families.items():
+            assert repr(results.family(name)) == repr(mapping), name
+
+    def test_subjects_in_campaign_order_and_udp5_nested(self, runs):
+        loaded = CampaignStore.open(runs["jobs1-store"][1]).load_results()
+        assert list(loaded.families) == ["udp1", "udp4", "udp5", "transports", "traversal_matrix"]
+        for name in ("udp1", "udp4", "transports"):
+            assert list(loaded.family(name)) == ["al", "be1"], name
+        assert list(loaded.family("traversal_matrix")) == ["al+be1", "be1+al"]
+        udp5 = loaded.family("udp5")
+        assert set(udp5) == {"dns", "http", "ntp", "snmp", "tftp"}
+        assert all(list(per_device) == ["al", "be1"] for per_device in udp5.values())
+
+
+def test_spawned_workers_match_jobs_1():
+    """A fresh interpreter under the ``spawn`` start method: workers unpickle the runner, no serial fallback."""
+    code = textwrap.dedent("""
+        import multiprocessing, warnings
+        from repro.core import SurveyRunner
+        from repro.devices import catalog_profiles
+
+        def run(jobs):
+            runner = SurveyRunner(catalog_profiles(["al", "be1"]), udp_repetitions=1, jobs=jobs)
+            return runner.run(["udp1", "icmp", "traversal_matrix"])
+
+        if __name__ == "__main__":
+            multiprocessing.set_start_method("spawn")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                spawned = run(2)
+            assert not [str(w.message) for w in caught if "falling back" in str(w.message)]
+            assert spawned == run(1) and not spawned.errors, spawned
+            print("ok")
+    """)
+    src = pathlib.Path(parallel_mod.__file__).resolve().parents[2]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_duplicate_tags_rejected():

@@ -67,7 +67,7 @@ def test_stored_cells_decode_to_the_live_results(clean):
         assert stored.family(name) == live.family(name), name
         # repr tells int from float: offered rates must be floats live too.
         assert repr(stored.family(name)) == repr(live.family(name)), name
-    assert live.pmtu["be1"].black_hole and not live.pmtu["bu1"].black_hole
+    assert live.family("pmtu")["be1"].black_hole and not live.family("pmtu")["bu1"].black_hole
 
 
 def test_report_renders_each_section(clean, tmp_path, capsys):

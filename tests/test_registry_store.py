@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import registry
 from repro.core.store import (
-    LEGACY_SCHEMA_VERSIONS,
     SCHEMA_VERSION,
     CampaignStore,
     IncompatibleStoreError,
@@ -218,7 +217,7 @@ class TestCellCodecs:
 
     def test_udp1_tuples_restored(self, results):
         fam = registry.family("udp1")
-        for cell in results.udp1.values():
+        for cell in results.family("udp1").values():
             restored = fam.decode(json.loads(json.dumps(fam.encode(cell))))
             for pair in restored.observed_ports:
                 assert isinstance(pair, tuple)
@@ -312,33 +311,22 @@ class TestStoreBasics:
         del store
 
     def test_older_schema_version_refused(self, tmp_path):
-        # Stores written by pre-legacy builds (before v3's device-keyed
-        # layout stabilized) must refuse with a clear error; the legacy
-        # device-keyed generations open read-only but can never be appended
-        # to — and an individually stale cell is caught even under a current
-        # manifest.
-        store = CampaignStore.create_or_open(tmp_path, "aaaa")
+        # A store of an older generation — a minimal manifest of the v3/v4
+        # device-keyed engines, or of the v2 one before them — is refused for
+        # reading and for writing, naming its schema and the fix; an
+        # individually stale cell is caught even under a current manifest.
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        for version in (2, 3, 4):
+            (legacy / CampaignStore.MANIFEST).write_text(json.dumps(
+                {"schema_version": version, "config_hash": "aaaa", "devices": ["al"], "families": ["udp1"]}
+            ))
+            for open_store in (CampaignStore.open, lambda root: CampaignStore.create_or_open(root, "aaaa")):
+                with pytest.raises(IncompatibleStoreError,
+                                   match=rf"schema_version={version}, this build reads {SCHEMA_VERSION}; regenerate"):
+                    open_store(legacy)
+        store = CampaignStore.create_or_open(tmp_path / "current", "aaaa")
         store.save_cell("dev", "udp1", {"x": 1})
-        manifest = tmp_path / CampaignStore.MANIFEST
-        data = json.loads(manifest.read_text())
-        data["schema_version"] = min(LEGACY_SCHEMA_VERSIONS) - 1
-        manifest.write_text(json.dumps(data))
-        with pytest.raises(IncompatibleStoreError,
-                           match=f"schema_version={min(LEGACY_SCHEMA_VERSIONS) - 1}.*reads {SCHEMA_VERSION}"):
-            CampaignStore.open(tmp_path)
-        # Legacy device-keyed generations still *open* (read-only)...
-        data["schema_version"] = SCHEMA_VERSION - 1
-        manifest.write_text(json.dumps(data))
-        legacy = CampaignStore.open(tmp_path)
-        assert legacy.schema == SCHEMA_VERSION - 1
-        # ...but refuse writes and refuse fresh campaigns appending to them.
-        with pytest.raises(IncompatibleStoreError, match="read-only"):
-            legacy.save_cell("dev", "udp2", {"x": 2})
-        with pytest.raises(IncompatibleStoreError, match="fresh --out"):
-            CampaignStore.create_or_open(tmp_path, "aaaa")
-        # An individually stale cell is caught even under a current manifest.
-        data["schema_version"] = SCHEMA_VERSION
-        manifest.write_text(json.dumps(data))
         cell_path = store.cell_path("dev", "udp1")
         blob = json.loads(cell_path.read_text())
         blob["schema_version"] = SCHEMA_VERSION - 1
@@ -400,55 +388,6 @@ class TestSubjectDirnames:
             ensure_distinct_dirnames(["x/y", "x y"])
 
 
-class TestLegacyMigration:
-    """v4 device-keyed stores stay readable; their cells match a v5 rerun."""
-
-    FIXTURE = pathlib.Path(__file__).parent / "data" / "legacy_store_v4"
-
-    def test_v4_store_opens_read_only(self):
-        legacy = CampaignStore.open(self.FIXTURE)
-        assert legacy.schema in LEGACY_SCHEMA_VERSIONS
-        assert legacy.subjects() == ["al", "be1"]
-        assert legacy.devices() == ["al", "be1"]
-        assert legacy.completed_families("al") == {"udp1", "udp4", "tcp4"}
-        with pytest.raises(IncompatibleStoreError, match="read-only"):
-            legacy.save_cell("al", "udp1", {"x": 1})
-        with pytest.raises(IncompatibleStoreError, match="fresh --out"):
-            CampaignStore.create_or_open(self.FIXTURE, legacy.config_hash)
-
-    def test_v4_cells_decode_through_compat_reader(self):
-        legacy = CampaignStore.open(self.FIXTURE)
-        # Legacy blobs carry a ``device`` identity key; the compat reader
-        # must validate against it, not the v5 ``subject`` key.
-        assert legacy.load_cell("al", "udp1") is not None
-        results = legacy.load_results()
-        assert set(results.udp1) == {"al", "be1"}
-        assert set(results.family("tcp4")) == {"al", "be1"}
-
-    def test_v5_rerun_reproduces_v4_cell_payloads(self, tmp_path):
-        # The oracle for the subject refactor: device families must produce
-        # cells *payload-identical* to the pre-refactor engine (the fixture
-        # was written by the v4 build from this exact configuration).
-        from repro.devices.catalog import catalog_profiles
-
-        runner = SurveyRunner(
-            catalog_profiles(["al", "be1"]), seed=0, udp_repetitions=1,
-            udp5_repetitions=1, tcp1_cutoff=300.0, transfer_bytes=256 * 1024,
-            store_dir=str(tmp_path),
-        )
-        fresh = runner.run(tests=["udp1", "tcp4"])
-        legacy = CampaignStore.open(self.FIXTURE)
-        assert legacy.load_results() == fresh
-        for cell_file in sorted(self.FIXTURE.glob("cells/*/*.json")):
-            old = json.loads(cell_file.read_text())
-            new = json.loads(
-                (tmp_path / "cells" / cell_file.parent.name / cell_file.name).read_text()
-            )
-            assert new["subject"] == old["device"]
-            assert json.dumps(new["payload"], sort_keys=True) == \
-                json.dumps(old["payload"], sort_keys=True), f"{cell_file} payload drifted"
-
-
 class TestResumableCampaign:
     """The tentpole guarantee: interrupt + resume ≡ uninterrupted run."""
 
@@ -503,21 +442,29 @@ class TestResumableCampaign:
             with pytest.raises(IncompatibleStoreError):
                 runner.run(tests=FAMILIES)
 
-    def test_worker_persists_cells_as_families_complete(self, tmp_path):
-        # A shard that dies mid-run keeps the families it finished: run one
-        # family, then check its cells exist without any campaign-level
-        # finalization having happened.
+    def test_worker_persists_cells_as_families_complete(self, tmp_path, monkeypatch):
+        # A shard that dies mid-run keeps the families it finished: udp1
+        # completes, then tcp4 raises; udp1's cells (and derived udp4's) are
+        # on disk, written by the shard as the family completed.
+        def dying(knobs):
+            def run_all(bed):
+                raise RuntimeError("probe died")
+            return run_all
+
+        tcp4 = dataclasses.replace(registry.family("tcp4"), probe_factory=dying)
+        monkeypatch.setitem(registry._FAMILIES, "tcp4", tcp4)
         out = tmp_path / "partial"
-        runner = _make_runner(jobs=1, store_dir=str(out))
-        shard_runner = SurveyRunner(
+        results = SurveyRunner(
             _make_profiles()[:1], udp_repetitions=1, udp5_repetitions=1,
-            tcp1_cutoff=300.0, transfer_bytes=256 * 1024,
-            store_dir=str(out), store_key=runner.fingerprint(),
-        )
-        CampaignStore.create_or_open(str(out), runner.fingerprint())
-        shard_runner.run_shard(["udp1"])
+            tcp1_cutoff=300.0, transfer_bytes=256 * 1024, store_dir=str(out),
+        ).run(["udp1", "tcp4"])
         store = CampaignStore.open(str(out))
         assert store.completed_families("quick") == {"udp1", "udp4"}
+        assert [(e.tag, e.family, e.error) for e in results.errors] == [("quick", "tcp4", "RuntimeError")]
+        # run() keeps the finished cells too, exactly as the store decodes them.
+        loaded = store.load_results()
+        assert loaded.families == results.families and set(results.families) == {"udp1", "udp4"}
+        assert [(e.tag, e.family, e.error) for e in loaded.errors] == [("quick", "tcp4", "MissingCell")]
 
 
 class TestReportFromStore:

@@ -33,7 +33,7 @@ def test_report_contains_all_requested_sections(survey_results):
 def test_report_omits_missing_families(survey_results):
     from repro.core.survey import SurveyResults
 
-    empty = SurveyResults(udp1=survey_results.udp1)
+    empty = SurveyResults({"udp1": survey_results.family("udp1")})
     report = render_report(empty)
     assert "## UDP binding timeouts" in report
     assert "## TCP-4" not in report

@@ -31,29 +31,29 @@ class TestSurveyRunner:
         return runner.run()
 
     def test_udp_families_populated(self, results):
-        assert results.udp1["quick"].summary().median == pytest.approx(30.0, abs=1.0)
-        assert results.udp2["slow"].summary().median == pytest.approx(150.0, abs=1.5)
-        assert results.udp3["quick"].summary().median == pytest.approx(90.0, abs=1.5)
-        assert set(results.udp5) == {"dns", "http", "ntp", "snmp", "tftp"}
+        assert results.family("udp1")["quick"].summary().median == pytest.approx(30.0, abs=1.0)
+        assert results.family("udp2")["slow"].summary().median == pytest.approx(150.0, abs=1.5)
+        assert results.family("udp3")["quick"].summary().median == pytest.approx(90.0, abs=1.5)
+        assert set(results.family("udp5")) == {"dns", "http", "ntp", "snmp", "tftp"}
 
     def test_udp4_derived(self, results):
-        assert results.udp4["quick"].preserves_port
+        assert results.family("udp4")["quick"].preserves_port
 
     def test_tcp_families_populated(self, results):
-        assert results.tcp1["quick"].censored or results.tcp1["quick"].samples
-        assert results.tcp4["quick"].max_bindings == 20
-        assert results.tcp4["slow"].max_bindings == 50
-        assert results.tcp2["quick"].upload is not None
+        assert results.family("tcp1")["quick"].censored or results.family("tcp1")["quick"].samples
+        assert results.family("tcp4")["quick"].max_bindings == 20
+        assert results.family("tcp4")["slow"].max_bindings == 50
+        assert results.family("tcp2")["quick"].upload is not None
 
     def test_other_families_populated(self, results):
-        assert set(results.icmp) == {"quick", "slow"}
-        assert results.transports["quick"]["dccp"].supported is False
-        assert results.dns["quick"].answers_udp
+        assert set(results.family("icmp")) == {"quick", "slow"}
+        assert results.family("transports")["quick"]["dccp"].supported is False
+        assert results.family("dns")["quick"].answers_udp
 
     def test_test_selection(self):
         runner = SurveyRunner([make_profile("only")], udp_repetitions=1)
         results = runner.run(tests=["udp1"])
-        assert results.udp1 and not results.tcp1 and not results.dns
+        assert results.family("udp1") and not results.family("tcp1") and not results.family("dns")
 
     def test_unknown_test_rejected(self):
         runner = SurveyRunner([make_profile("x")])

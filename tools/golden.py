@@ -23,7 +23,9 @@ store:
   resumed with ``jobs=2, partitions=2``.
 
 Every variant must reproduce the sha256 of each store file and of the
-report rendered from the store, and the traced run one sha256 over its
+report rendered from the store — and of the report rendered from the
+results its ``run()`` returned, so ``run()`` ≡ ``report --from`` holds on
+every engine variant — and the traced run one sha256 over its
 whole pcap tree (``pcap``: every capture's relative path and bytes, in
 path order), which holds every checksum byte on every link.  The
 reference and ``jobs2`` runs must also reproduce the fast-path work
@@ -115,9 +117,9 @@ def tree_digest(root: pathlib.Path) -> str:
     return digest.hexdigest()
 
 
-def report_digest(root: pathlib.Path) -> str:
-    """The sha256 of the report rendered from a store."""
-    return hashlib.sha256(render_report(CampaignStore.open(root).load_results()).encode()).hexdigest()
+def report_digest(results: SurveyResults) -> str:
+    """The sha256 of the report rendered from a campaign's results."""
+    return hashlib.sha256(render_report(results).encode()).hexdigest()
 
 
 def knock_out(campaign: Mapping[str, Any], store: pathlib.Path) -> None:
@@ -157,8 +159,10 @@ def check(golden: Dict[str, Any], work: pathlib.Path) -> int:
         elapsed = time.perf_counter() - started
         found = [f"shard {error}" for error in results.errors]
         found += diff_mapping("file", golden["files"], store_digests(store))
-        if report_digest(store) != golden["report"]:
+        if report_digest(CampaignStore.open(store).load_results()) != golden["report"]:
             found.append("report sha256 differs")
+        if report_digest(results) != golden["report"]:
+            found.append("run() report sha256 differs")
         if name == "traced" and tree_digest(work / "pcap") != golden["pcap"]:
             found.append("pcap tree sha256 differs")
         if counters is not None:
@@ -186,7 +190,7 @@ def update(golden: Dict[str, Any], work: pathlib.Path) -> int:
         return 1
     golden.update(
         files=files,
-        report=report_digest(work / "reference"),
+        report=report_digest(CampaignStore.open(work / "reference").load_results()),
         pcap=tree_digest(work / "pcap"),
         counters={"fast": fast_counters(reference.stats), "staged": dict(staged.stats.family_events)},
     )
