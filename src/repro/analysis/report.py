@@ -44,10 +44,12 @@ def render_report(results: SurveyResults, title: str = "Home gateway survey") ->
     if results.errors:
         sections.append("## Shard failures")
         sections.append(
-            f"{len(results.errors)} device shard(s) produced no result; "
-            "every figure above silently omits them."
+            f"{len(results.errors)} failure(s), whose cells every figure above omits. "
+            "A failed shard's row names the family that raised (or the whole shard): "
+            "that family's cell is missing, and so are those of the families the shard "
+            "had yet to run. A row read back from a store names one missing cell."
         )
-        rows = ["| device | family | error | message |", "|--------|--------|-------|---------|"]
+        rows = ["| subject | family | error | message |", "|---------|--------|-------|---------|"]
         for error in results.errors:
             rows.append(
                 f"| {error.tag} | {error.family or 'whole shard'} | {error.error} | {error.message} |"

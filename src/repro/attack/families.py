@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional
 
 from repro.attack.node import AttackerNode
 from repro.cgn.families import Nat444Knobs, jain_fairness, nat444_factory
@@ -156,10 +156,8 @@ class AttackPortfloodProbe:
         self.duration = duration
         self.grace = grace
 
-    def run_all(
-        self, bed: Nat444Topology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, AttackPortfloodResult]:
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Nat444Topology) -> Dict[str, AttackPortfloodResult]:
+        tags = bed.tags()
         self._flows = itertools.count(1)
         channel = ManagementChannel(bed.sim)
         daemon = Testrund("server", channel)
@@ -390,10 +388,8 @@ class AttackKeepaliveProbe:
     def __init__(self, grace: float = DEFAULT_GRACE):
         self.grace = grace
 
-    def run_all(
-        self, bed: Nat444Topology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, AttackKeepaliveResult]:
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Nat444Topology) -> Dict[str, AttackKeepaliveResult]:
+        tags = bed.tags()
         self._flows = itertools.count(1)
         channel = ManagementChannel(bed.sim)
         daemon = Testrund("server", channel)
@@ -584,10 +580,8 @@ class AttackRstProbe:
         self.rate = rate
         self.grace = grace
 
-    def run_all(
-        self, bed: Nat444Topology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, AttackRstResult]:
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Nat444Topology) -> Dict[str, AttackRstResult]:
+        tags = bed.tags()
         self._nonces = itertools.count(1)
         channel = ManagementChannel(bed.sim)
         daemon = Testrund("server", channel)

@@ -105,10 +105,8 @@ class CgnTimeoutProbe:
         self.repetitions = repetitions
         self.tcp_fanout = tcp_fanout
 
-    def run_all(
-        self, bed: Nat444Topology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, CgnTimeoutResult]:
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Nat444Topology) -> Dict[str, CgnTimeoutResult]:
+        tags = bed.tags()
         # Flow ids and nonces restart per run (pcap/trace determinism).
         self._flows = itertools.count(1)
         self._nonces = itertools.count(1)
@@ -287,10 +285,8 @@ class CgnExhaustionProbe:
         self.grace = grace
         self.max_rounds = max_rounds
 
-    def run_all(
-        self, bed: Nat444Topology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, CgnExhaustionResult]:
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Nat444Topology) -> Dict[str, CgnExhaustionResult]:
+        tags = bed.tags()
         self._flows = itertools.count(1)
         channel = ManagementChannel(bed.sim)
         daemon = Testrund("server", channel)

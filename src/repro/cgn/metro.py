@@ -1,4 +1,4 @@
-"""Metro-scale NAT444 mega-topology and the ``metro_load`` family.
+"""Metro-scale NAT444 topology and the ``metro_load`` family.
 
 One :class:`MetroTopology` is a city's access network in miniature: N
 *segments* (one per device profile), each a full NAT444 population —
@@ -7,17 +7,10 @@ joined to a shared core host by one **core link** per segment:
 
     client ─ LAN ─ home gateway ─ access ─ CGN ═ core link ═ metro core
 
-The core link is the only wire between a segment and the rest of the
-world, which makes it the natural *partition boundary*: cut every core
-link and each segment becomes a causally closed island that interacts with
-the core island only through frames whose delivery instants are known one
-core-link propagation delay in advance.  :mod:`repro.core.partition`
-exploits exactly that — the same builders below assemble either one big
-simulation (:class:`MetroTopology`) or per-process islands
-(:class:`MetroCoreIsland` / :class:`MetroSegmentIsland`) whose boundary
-links are :class:`~repro.netsim.link.BoundaryHalf` stubs.
-
-The byte-identity argument (docs/SCALING.md spells it out) rests on four
+``metro_load`` is a device family like any other: each device shard builds
+a one-segment metro at its own shard seed, so a campaign's cells come from
+the per-device shard plan under any ``jobs``.  A segment's cell needs no
+other segment (docs/SCALING.md spells the argument out), because of four
 construction rules enforced here:
 
 * every segment owns its *own* client host, switches and MAC allocator —
@@ -37,8 +30,8 @@ construction rules enforced here:
   records.
 
 Consequently a segment's :class:`MetroLoadResult` cell is a pure function
-of ``(profile, subscribers, plan)`` — independent of the seed, of which
-other segments exist, and of how the run was partitioned.
+of ``(profile, subscribers, plan)`` — independent of the seed, of the
+segment's position and of which other segments share the simulation.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ from repro.core import registry
 from repro.devices.cgn_profiles import CgnPolicy
 from repro.devices.profile import DeviceProfile
 from repro.netsim.addresses import mac_allocator
-from repro.netsim.link import BoundaryHalf
 from repro.netsim.sim import Simulation
 from repro.netsim.switch import VlanSwitch
 from repro.protocols.stack import Host
@@ -63,10 +55,8 @@ __all__ = [
     "MetroLoadPlan",
     "MetroLoadResult",
     "MetroTopology",
-    "MetroCoreIsland",
-    "MetroSegmentIsland",
     "MetroLoadProbe",
-    "MetroPartitionHooks",
+    "metro_factory",
     "metro_policy_for",
     "MetroKnobs",
 ]
@@ -86,10 +76,10 @@ REQUEST_GAP = 0.05
 #: still in flight at snapshot count as timeouts.
 SNAP_TAIL = 5.0
 #: Core links: metro aggregation is faster and *longer* than the access
-#: links — the 2.5 ms propagation delay is also the partition lookahead.
+#: links.
 CORE_RATE_BPS = 1e9
 CORE_DELAY = 2.5e-3
-#: OUI of the core island's MAC allocator; segment ``n`` allocates from
+#: OUI of the core host's MAC allocator; segment ``n`` allocates from
 #: ``0x020000 + n``, so address spaces never collide in one simulation.
 CORE_OUI = 0x02_F0_00
 #: Address plans bound the population exactly like Nat444's.
@@ -102,10 +92,9 @@ class MetroFlap:
     """One scheduled outage of a segment's core link.
 
     Parsed from the ``metro_flap`` knob (``"tag=al,at=35,for=0.5"``).  The
-    sever/mend pair is scheduled at *build* time in every engine — on the
-    full build's :class:`~repro.netsim.link.Link` and on both
-    :class:`~repro.netsim.link.BoundaryHalf` stubs of a partitioned run —
-    so the outage hits the same virtual instants everywhere.
+    sever/mend pair is scheduled on the segment's core
+    :class:`~repro.netsim.link.Link` at *build* time, so the outage hits
+    the same absolute virtual instants under either engine.
     """
 
     tag: str
@@ -156,10 +145,9 @@ class MetroLoadPlan:
     Every send instant is a pure function of ``(subscriber, request)`` —
     anchored at :data:`LOAD_START`, staggered per subscriber, paced by
     :data:`REQUEST_GAP`, with an optional ``idle`` gap spliced in after the
-    midpoint request (long idles drive NAT bindings through expiry, which
-    is how the lazy-expiry-across-partition-epochs test gets its timers).
+    midpoint request (long idles drive NAT bindings through lazy expiry).
     Because the schedule never reads replies or bring-up state, the
-    snapshot instant is known at build time in every engine.
+    snapshot instant is known at build time.
 
     Parameters
     ----------
@@ -191,7 +179,7 @@ class MetroLoadPlan:
 
     @property
     def snap(self) -> float:
-        """Snapshot instant: cells are read exactly here in every engine."""
+        """Snapshot instant: cells are read exactly here."""
         return self.send_time(self.subscribers - 1, self.requests - 1) + SNAP_TAIL
 
     @property
@@ -236,9 +224,8 @@ class MetroLoadResult:
 class _SegmentLoad:
     """Workload runtime of one segment: sockets, schedule, snapshot.
 
-    Installed at construction time (virtual t=0) by both the full build and
-    the segment island, in the same order, so same-instant events keep the
-    same scheduler sequence numbers in every engine.
+    Installed at construction time (virtual t=0), so every send and the
+    snapshot sit on the heap before the first event runs.
     """
 
     def __init__(self, sim: Simulation, segment: CgnSegment, plan: MetroLoadPlan):
@@ -311,17 +298,6 @@ class _SegmentLoad:
         )
 
 
-# ---------------------------------------------------------------------------
-# Shared construction: identical pieces for the full build and the islands.
-# ---------------------------------------------------------------------------
-
-
-def _segment_plan(index: int) -> Tuple[IPv4Network, IPv4Network, IPv4Address]:
-    wan_network = IPv4Network(f"10.100.{index}.0/24")
-    access_network = IPv4Network(f"100.{64 + index}.0.0/24")
-    return wan_network, access_network, IPv4Address(f"10.100.{index}.1")
-
-
 def _install_echo(server: Host):
     """The core's only shared service: a stateless immediate UDP echo."""
     socket = server.udp.bind(METRO_PORT)
@@ -333,116 +309,16 @@ def _install_echo(server: Host):
     return socket
 
 
-def _check_population(profiles: Sequence[DeviceProfile], subscribers: int) -> None:
-    if not profiles:
-        raise ValueError("a metro topology needs at least one segment profile")
-    if len(profiles) > MAX_METRO_SEGMENTS:
-        raise ValueError(f"at most {MAX_METRO_SEGMENTS} metro segments per run")
-    if not 1 <= subscribers <= MAX_METRO_SUBSCRIBERS:
-        raise ValueError(
-            f"metro subscribers must be in 1..{MAX_METRO_SUBSCRIBERS}, got {subscribers}"
-        )
-    tags = [profile.tag for profile in profiles]
-    if len(set(tags)) != len(tags):
-        raise ValueError(f"duplicate device tags in metro population: {tags}")
-
-
-class _MetroWiring(Wiring):
-    """What the full metro build and its partition islands share.
+class MetroTopology(Wiring):
+    """The assembled metro population in one simulation.
 
     Each segment is a NAT444 unit of the shared wiring with its own MAC
     allocator, switches and client host; the server side of its core link
-    is one server face on the core host.
-    """
-
-    def __init__(self, sim: Simulation, flap: Optional[MetroFlap]):
-        super().__init__(sim)
-        self.flap = flap
-        #: Boundary halves by the channel they transmit on (islands only),
-        #: and by the channel whose frames the hub injects into them.
-        self.halves: Dict[str, BoundaryHalf] = {}
-        self.inject_map: Dict[str, BoundaryHalf] = {}
-        self.segments: Dict[str, CgnSegment] = {}
-
-    def _core(self) -> None:
-        self.server = Host(self.sim, "metro-core", mac_allocator(CORE_OUI))
-        self.echo_socket = _install_echo(self.server)
-
-    def _core_face(self, index: int):
-        wan_network, _access, server_ip = _segment_plan(index)
-        return self.server_face(index, wan_network, server_ip)
-
-    def _segment(
-        self, index: int, profile: DeviceProfile, subscribers: int, policy: CgnPolicy
-    ) -> CgnSegment:
-        """Everything on the segment side of the core link, self-contained."""
-        macs = mac_allocator(0x02_00_00 + index)
-        wan_network, access_network, server_ip = _segment_plan(index)
-        access = VlanSwitch(self.sim, f"acc-{index}", macs)
-        lan = VlanSwitch(self.sim, f"lan-{index}", macs)
-        cgn = self.cgn(
-            f"metro-{profile.tag}.{index}", policy, macs, access_network, f"cgn-{profile.tag}",
-            access=(access, 2000 + index),
-        )
-        client = Host(self.sim, f"client-{index}", macs)
-        segment = CgnSegment(index, profile, cgn, wan_network, access_network, server_ip, client=client)
-        self.subscriber_homes(
-            segment, subscribers, macs, access, lan, client, first_lan=1, prefix=f"{profile.tag}.{index}"
-        )
-        return segment
-
-    def _half(self, channel: str, inject: str, iface) -> BoundaryHalf:
-        half = BoundaryHalf(self.sim, channel, CORE_RATE_BPS, CORE_DELAY).attach(iface)
-        self.halves[channel] = half
-        self.inject_map[inject] = half
-        return half
-
-    def _flap(self, tag: str, core) -> None:
-        """Schedule the flap on this segment's core link (or its half)."""
-        if self.flap is not None and self.flap.tag == tag:
-            self.sim.schedule_at(self.flap.at, core.sever)
-            self.sim.schedule_at(self.flap.at + self.flap.duration, core.mend)
-
-    def _start(self, segment: CgnSegment, core, plan: MetroLoadPlan) -> None:
-        """Flap, the DHCP cascade at t=0 (never stepped here), then the load."""
-        self._flap(segment.tag, core)
-        self.sim.schedule(0.0, dhcp_cascade, segment.client, segment.homes, segment.cgn)
-        segment.load = _SegmentLoad(self.sim, segment, plan)
-        self.segments[segment.tag] = segment
-
-    def collect(self, tags: Optional[Sequence[str]] = None) -> Dict[str, MetroLoadResult]:
-        """Per-segment cells; raises when a snapshot is missing or bring-up failed."""
-        results: Dict[str, MetroLoadResult] = {}
-        for tag in list(tags if tags is not None else self.segments):
-            segment = self.segments[tag]
-            result = segment.load.result if segment.load is not None else None
-            if result is None:
-                raise RuntimeError(
-                    f"metro segment {tag}: snapshot never ran (simulation stopped "
-                    "before the plan's snap instant)"
-                )
-            if result.unfinished:
-                raise RuntimeError(
-                    f"metro segment {tag}: {result.unfinished} subscriber(s) failed "
-                    f"DHCP bring-up before LOAD_START={LOAD_START:g}s"
-                )
-            results[tag] = result
-        return results
-
-
-# ---------------------------------------------------------------------------
-# The full single-simulation build (reference engine, --partitions 1).
-# ---------------------------------------------------------------------------
-
-
-class MetroTopology(_MetroWiring):
-    """The assembled metro population in one simulation.
-
-    Construction only *schedules* — the DHCP cascade at t=0, the load on
-    its fixed schedule, the snapshot at ``plan.snap`` — and never steps the
-    clock, so the event heap is laid out exactly as the partitioned islands
-    lay theirs out.  Run it with ``sim.run(until=bed.plan.horizon)`` (what
-    :class:`MetroLoadProbe` does), then :meth:`collect`.
+    is one server face on the core host.  Construction only *schedules* —
+    the DHCP cascade at t=0, the load on its fixed schedule, the snapshot
+    at ``plan.snap`` — and never steps the clock.  Run it with
+    ``sim.run(until=bed.plan.horizon)`` (what :class:`MetroLoadProbe`
+    does), then :meth:`collect`.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -456,19 +332,27 @@ class MetroTopology(_MetroWiring):
         plan: Optional[MetroLoadPlan] = None,
         flap: Optional[MetroFlap] = None,
     ):
-        _check_population(profiles, subscribers)
-        super().__init__(sim, flap)
+        if not profiles:
+            raise ValueError("a metro topology needs at least one segment profile")
+        if len(profiles) > MAX_METRO_SEGMENTS:
+            raise ValueError(f"at most {MAX_METRO_SEGMENTS} metro segments per run")
+        if not 1 <= subscribers <= MAX_METRO_SUBSCRIBERS:
+            raise ValueError(
+                f"metro subscribers must be in 1..{MAX_METRO_SUBSCRIBERS}, got {subscribers}"
+            )
+        tags = [profile.tag for profile in profiles]
+        if len(set(tags)) != len(tags):
+            raise ValueError(f"duplicate device tags in metro population: {tags}")
+        super().__init__(sim)
         self.subscribers = subscribers
         self.cgn_policy = cgn_policy if cgn_policy is not None else CgnPolicy()
         self.plan = plan if plan is not None else MetroLoadPlan(subscribers=subscribers)
-        self._core()
+        self.flap = flap
+        self.segments: Dict[str, CgnSegment] = {}
+        self.server = Host(self.sim, "metro-core", mac_allocator(CORE_OUI))
+        self.echo_socket = _install_echo(self.server)
         for index, profile in enumerate(profiles, start=1):
-            server_iface = self._core_face(index)
-            segment = self._segment(index, profile, subscribers, self.cgn_policy)
-            core_link = self.link(
-                f"core:{profile.tag}", server_iface, segment.cgn.wan_iface, CORE_RATE_BPS, CORE_DELAY
-            )
-            self._start(segment, core_link, self.plan)
+            self._add_segment(index, profile)
 
     @classmethod
     def build(
@@ -491,22 +375,70 @@ class MetroTopology(_MetroWiring):
             flap=flap,
         )
 
+    def _add_segment(self, index: int, profile: DeviceProfile) -> None:
+        """Segment ``n``: its server face, everything behind its core link, the link, its schedule."""
+        wan_network = IPv4Network(f"10.100.{index}.0/24")
+        access_network = IPv4Network(f"100.{64 + index}.0.0/24")
+        server_ip = IPv4Address(f"10.100.{index}.1")
+        server_iface = self.server_face(index, wan_network, server_ip)
+        macs = mac_allocator(0x02_00_00 + index)
+        access = VlanSwitch(self.sim, f"acc-{index}", macs)
+        lan = VlanSwitch(self.sim, f"lan-{index}", macs)
+        cgn = self.cgn(
+            f"metro-{profile.tag}.{index}", self.cgn_policy, macs, access_network, f"cgn-{profile.tag}",
+            access=(access, 2000 + index),
+        )
+        client = Host(self.sim, f"client-{index}", macs)
+        segment = CgnSegment(
+            index, profile, cgn, wan_network, access_network, server_ip, server_iface.index, client=client
+        )
+        self.subscriber_homes(
+            segment, self.subscribers, macs, access, lan, client, first_lan=1, prefix=f"{profile.tag}.{index}"
+        )
+        core_link = self.link(f"core:{profile.tag}", server_iface, cgn.wan_iface, CORE_RATE_BPS, CORE_DELAY)
+        if self.flap is not None and self.flap.tag == profile.tag:
+            self.sim.schedule_at(self.flap.at, core_link.sever)
+            self.sim.schedule_at(self.flap.at + self.flap.duration, core_link.mend)
+        self.sim.schedule(0.0, dhcp_cascade, client, segment.homes, cgn)
+        segment.load = _SegmentLoad(self.sim, segment, self.plan)
+        self.segments[profile.tag] = segment
+
     def tags(self) -> List[str]:
         return list(self.segments)
 
-    # -- chaos (unsupported on the mega-topology, loudly) -------------------
+    def collect(self) -> Dict[str, MetroLoadResult]:
+        """Per-segment cells; raises when a snapshot is missing or bring-up failed."""
+        results: Dict[str, MetroLoadResult] = {}
+        for tag, segment in self.segments.items():
+            result = segment.load.result
+            if result is None:
+                raise RuntimeError(
+                    f"metro segment {tag}: snapshot never ran (simulation stopped "
+                    "before the plan's snap instant)"
+                )
+            if result.unfinished:
+                raise RuntimeError(
+                    f"metro segment {tag}: {result.unfinished} subscriber(s) failed "
+                    f"DHCP bring-up before LOAD_START={LOAD_START:g}s"
+                )
+            results[tag] = result
+        return results
+
+    # -- chaos (unsupported here, loudly) -----------------------------------
 
     def apply_impairment(self, impairment) -> None:
         raise RuntimeError(
-            "metro_load does not support --impair: per-link impairment is not "
-            "defined across partition boundaries (use the cgn_* families for "
+            "metro_load does not support --impair: chaos goes in after bring-up, "
+            "and a metro bed runs its DHCP bring-up inside the measurement (use "
+            "--metro-flap for a core-link outage, or the cgn_* families for "
             "impaired NAT444 runs)"
         )
 
     def schedule_faults(self, faults) -> None:
         raise RuntimeError(
-            "metro_load does not support --fault: gateway crash faults force "
-            "the staged engine and are not defined across partition boundaries"
+            "metro_load does not support --fault: a crash fault is timed from "
+            "measurement start, and a metro bed's measurement starts at t=0 "
+            "with its DHCP bring-up"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -517,53 +449,7 @@ class MetroTopology(_MetroWiring):
 
 
 # ---------------------------------------------------------------------------
-# Partition islands: the same pieces, cut at the core links.
-# ---------------------------------------------------------------------------
-
-
-class MetroCoreIsland(_MetroWiring):
-    """The hub-side island: the core host plus one boundary half per segment.
-
-    Channels are named from the core's perspective: ``down:<n>`` carries
-    frames core→segment ``n`` and is this island's transmitter;
-    ``up:<n>`` frames are injected here by the hub.
-    """
-
-    def __init__(
-        self,
-        sim: Simulation,
-        numbered: Sequence[Tuple[int, DeviceProfile]],
-        flap: Optional[MetroFlap] = None,
-    ):
-        super().__init__(sim, flap)
-        self._core()
-        for index, profile in numbered:
-            half = self._half(f"down:{index}", f"up:{index}", self._core_face(index))
-            self._flap(profile.tag, half)
-
-
-class MetroSegmentIsland(_MetroWiring):
-    """One worker's island: a contiguous group of complete segments."""
-
-    def __init__(
-        self,
-        sim: Simulation,
-        numbered: Sequence[Tuple[int, DeviceProfile]],
-        subscribers: int,
-        policy: CgnPolicy,
-        plan: MetroLoadPlan,
-        flap: Optional[MetroFlap] = None,
-    ):
-        super().__init__(sim, flap)
-        self.plan = plan
-        for index, profile in numbered:
-            segment = self._segment(index, profile, subscribers, policy)
-            half = self._half(f"up:{index}", f"down:{index}", segment.cgn.wan_iface)
-            self._start(segment, half, plan)
-
-
-# ---------------------------------------------------------------------------
-# Registry plumbing: knobs -> policy/plan/flap, probe, partition hooks.
+# Registry plumbing: knobs -> policy/plan/flap, bed builder, probe.
 # ---------------------------------------------------------------------------
 
 
@@ -588,69 +474,27 @@ def metro_policy_for(knobs: Nat444Knobs) -> CgnPolicy:
     return CgnPolicy(block_size=knobs.cgn_block_size, pool_ports=4 * knobs.cgn_subscribers * knobs.cgn_block_size)
 
 
-class MetroLoadProbe:
-    """Run the fixed-schedule load to its horizon and read the snapshots."""
+def metro_factory(knobs: MetroKnobs):
+    """``testbed_factory`` hook: knobs -> ``build(profiles, seed, fastpath)``."""
+    policy = metro_policy_for(knobs)
+    plan = MetroLoadPlan(knobs.cgn_subscribers, knobs.metro_requests, knobs.metro_idle)
+    flap = MetroFlap.parse(knobs.metro_flap)
 
-    def run_all(
-        self, bed: MetroTopology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, MetroLoadResult]:
-        bed.sim.run(until=bed.plan.horizon)
-        return bed.collect(tags)
-
-
-class MetroPartitionHooks:
-    """What :func:`~repro.core.partition.run_partitioned` needs from metro.
-
-    One instance is built per run from the campaign knobs (and rebuilt
-    identically inside each worker — everything here is a pure function of
-    the :class:`MetroKnobs`, which travel over the pipe as plain data).
-    """
-
-    def __init__(self, knobs: MetroKnobs):
-        self.subscribers = knobs.cgn_subscribers
-        self.policy = metro_policy_for(knobs)
-        self.plan = MetroLoadPlan(knobs.cgn_subscribers, knobs.metro_requests, knobs.metro_idle)
-        self.flap = MetroFlap.parse(knobs.metro_flap)
-        #: Conservative sync slack: the boundary links' propagation delay.
-        self.lookahead = CORE_DELAY
-        #: The hub stops granting windows once the global event floor
-        #: passes this instant (every cell is complete by ``plan.snap``).
-        self.horizon = self.plan.horizon
-
-    def build_full(self, profiles: Sequence[DeviceProfile], seed: int, fastpath: bool = True):
-        """The ``--partitions 1`` reference: one simulation, real links."""
+    def build(profiles, seed, fastpath=True):
         return MetroTopology.build(
-            profiles,
-            seed=seed,
-            subscribers=self.subscribers,
-            cgn_policy=self.policy,
-            plan=self.plan,
-            flap=self.flap,
+            profiles, seed=seed, subscribers=knobs.cgn_subscribers, cgn_policy=policy, plan=plan, flap=flap,
             fastpath=fastpath,
         )
 
-    def build_core(
-        self, numbered: Sequence[Tuple[int, DeviceProfile]], seed: int, fastpath: bool = True
-    ) -> MetroCoreIsland:
-        """The hub's inline island over *all* segments' core-side state."""
-        from repro.core.parallel import shard_seed
+    return build
 
-        return MetroCoreIsland(simulation(shard_seed(seed, "metro-core"), fastpath), numbered, flap=self.flap)
 
-    def build_segments(
-        self,
-        numbered: Sequence[Tuple[int, DeviceProfile]],
-        seed: int,
-        worker: int,
-        fastpath: bool = True,
-    ) -> MetroSegmentIsland:
-        """One worker's island over its contiguous segment group."""
-        from repro.core.parallel import shard_seed
+class MetroLoadProbe:
+    """Run the fixed-schedule load to its horizon and read the snapshots."""
 
-        return MetroSegmentIsland(
-            simulation(shard_seed(seed, f"metro-island-{worker}"), fastpath),
-            numbered, self.subscribers, self.policy, self.plan, flap=self.flap,
-        )
+    def run_all(self, bed: MetroTopology) -> Dict[str, MetroLoadResult]:
+        bed.sim.run(until=bed.plan.horizon)
+        return bed.collect()
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +507,8 @@ def _render_metro(results) -> Optional[str]:
     if not load:
         return None
     any_result = next(iter(load.values()))
+    # This heading and the next line's wording predate the one shard path;
+    # the committed report digests pin them, so they change with those.
     parts = [
         "## Metro: partitioned ISP-scale NAT444",
         f"Echo load over {any_result.subscribers} subscribers per segment, "
@@ -692,9 +538,8 @@ registry.register_family(registry.ExperimentFamily(
     cell_type=MetroLoadResult,
     knobs=MetroKnobs,
     probe_factory=lambda knobs: MetroLoadProbe().run_all,
-    testbed_factory=lambda knobs: MetroPartitionHooks(knobs).build_full,
+    testbed_factory=metro_factory,
     default_selected=False,
-    partition_factory=MetroPartitionHooks,
 ))
 
 registry.register_section(registry.ReportSection(

@@ -49,7 +49,7 @@ CGN_FAMILIES = ("cgn_timeouts", "cgn_exhaustion")
 ATTACK_FAMILIES = ("attack_portflood", "attack_keepalive", "attack_rst")
 
 #: The families ``--metro`` adds to (or selects for) a campaign — the
-#: partitionable metro-scale tier (also the ``--partitions`` default menu).
+#: metro-scale NAT444 tier.
 METRO_FAMILIES = ("metro_load",)
 
 #: The families ``--matrix`` adds to (or selects for) a campaign — the
@@ -129,7 +129,7 @@ def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[
     families are appended; with none, ``--cgn``/``--attack``/``--metro``
     alone means "that campaign" (just those families, not them plus the
     command's default menu).  With no flag at all the command's own
-    ``default`` fills in, or the metro tier under ``--partitions``.
+    ``default`` fills in.
     """
     extra: List[str] = []
     if getattr(args, "cgn", False):
@@ -143,11 +143,7 @@ def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[
     if getattr(args, "workload", False):
         extra.extend(WORKLOAD_FAMILIES)
     if not extra:
-        if base is not None:
-            return base
-        if getattr(args, "partitions", None) is not None:
-            return list(METRO_FAMILIES)
-        return list(default)
+        return base if base is not None else list(default)
     if base is None:
         return extra
     return base + [name for name in extra if name not in base]
@@ -189,8 +185,6 @@ def cmd_survey(args, out) -> int:
     out(f"segments modeled: {stats.segments_modeled}   "
         f"fastpath saved: {stats.fastpath_events_saved} events in {stats.fastpath_windows} windows")
     out(f"stale-entry purges: {stats.stale_purges} ({stats.stale_entries_purged} entries)")
-    if runner.last_partition is not None:
-        out(_partition_line(runner.last_partition))
     if args.out:
         skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
         out(f"store: {args.out}{skipped}")
@@ -216,7 +210,6 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
     on ``probe`` …) leaves the runner's default in place.
     """
     from repro.core import SurveyRunner
-    from repro.core.partition import PartitionError
     from repro.core.store import StoreError
 
     impairment, faults = _parse_chaos(args)
@@ -226,7 +219,6 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
             profiles=catalog_profiles(tags),
             seed=args.seed,
             jobs=flags.get("jobs", 1),
-            partitions=flags.get("partitions"),
             fastpath=not flags.get("no_fastpath", False),
             impairment=impairment,
             faults=faults,
@@ -238,17 +230,9 @@ def _run_campaign(args, tags: Sequence[str], selected: Sequence[str]):
             **_knob_values(args),
         )
         results = runner.run(tests=list(selected))
-    except (ValueError, StoreError, PartitionError) as exc:
+    except (ValueError, StoreError) as exc:
         raise SystemExit(str(exc)) from None
     return runner, results
-
-
-def _partition_line(run) -> str:
-    """One line on how the partitioned families ran (``runner.last_partition``)."""
-    islands = " ".join(f"{seconds:.2f}" for seconds in run.island_cpu_seconds)
-    return (f"partitions: {run.partitions}   sync rounds: {run.sync_rounds}   "
-            f"boundary frames: {run.boundary_frames}   cpu: hub {run.hub_cpu_seconds:.2f}s   "
-            f"islands [{islands}]s   critical path: {run.critical_path_seconds:.2f}s")
 
 
 def cmd_report(args, out) -> int:
@@ -312,7 +296,7 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                         "appends to --families if given")
     parser.add_argument("--metro", action="store_true",
                         help="run the metro-scale NAT444 family (metro_load): one "
-                        "CGN segment per device tag behind a shared core; "
+                        "CGN segment per device tag behind a metro core link; "
                         "appends to --families if given")
     parser.add_argument("--matrix", action="store_true",
                         help="run the pairwise NAT-traversal family (traversal_matrix): "
@@ -380,11 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--seed", type=int, default=0)
     survey.add_argument("--csv-dir", help="export each selected family's series as CSV here")
     survey.add_argument("--jobs", type=int, default=1, help="shard devices across N worker processes")
-    survey.add_argument("--partitions", type=int, default=None, metavar="N",
-                        help="cut each partitionable family's topology into N islands "
-                        "in separate worker processes, synchronized at boundary links "
-                        "(1 = the single-process reference engine; cells are "
-                        "byte-identical either way); other families run as shards")
     survey.add_argument("--out", metavar="DIR",
                         help="persist every (device, family) cell into a campaign store at DIR")
     survey.add_argument("--resume", action="store_true",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
 from repro.core import registry
 from repro.core.results import DeviceSeries, Summary
@@ -75,9 +75,9 @@ class BindingRateProbe:
         self.burst_count = burst_count
         self.server_port = server_port
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, BindingRateResult]:
-        """Sweep every offered rate against the selected devices."""
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Testbed) -> Dict[str, BindingRateResult]:
+        """Sweep every offered rate against every device."""
+        tags = bed.tags()
         arrivals: Dict[Tuple[str, int], List[float]] = {}
         server = bed.server.udp.bind(self.server_port)
 

@@ -15,7 +15,7 @@ TCP-received query (``ap`` forwards them over UDP; the others use TCP).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Sequence
+from typing import Dict, Generator, Optional
 
 from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
@@ -43,9 +43,9 @@ class DnsProxyTest:
     def __init__(self, name: str = DEFAULT_ZONE_NAME):
         self.name = name
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, DnsProxyResult]:
+    def run_all(self, bed: Testbed) -> Dict[str, DnsProxyResult]:
         """Probe every device's DNS proxy over UDP and TCP."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         results = {tag: DnsProxyResult(tag) for tag in tags}
         resolver = DnsStubResolver(bed.client)
         # Serial on purpose: the upstream-transport attribution compares the

@@ -125,9 +125,9 @@ class IcmpTranslationTest:
             raise ValueError(f"unknown ICMP kinds: {sorted(unknown)}")
         self.test_icmp_flows = test_icmp_flows
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, IcmpTestResult]:
-        """Forge the ICMP battery against every selected device."""
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Testbed) -> Dict[str, IcmpTestResult]:
+        """Forge the ICMP battery against every device."""
+        tags = bed.tags()
         results = {tag: IcmpTestResult(tag) for tag in tags}
         # A server-side UDP sink so probe datagrams are uncontroversial.
         sink = bed.server.udp.bind(ICMP_TEST_UDP_PORT)

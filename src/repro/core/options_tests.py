@@ -14,7 +14,7 @@ Three observables per device:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Sequence
+from typing import Dict, Generator, Optional
 
 from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
@@ -42,9 +42,9 @@ class OptionsResult:
 class OptionsTest:
     """Runs the option probes across the population."""
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, OptionsResult]:
+    def run_all(self, bed: Testbed) -> Dict[str, OptionsResult]:
         """Run the Record-Route and SYN-option probes on every device."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         sink = bed.server.udp.bind(OPTIONS_UDP_PORT)
         sink.on_receive = lambda *args: None
         bed.server.tcp.listen(OPTIONS_TCP_PORT)

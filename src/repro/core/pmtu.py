@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Dict, Generator, Optional, Sequence
+from typing import Dict, Generator, Optional
 
 from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
@@ -76,9 +76,9 @@ class PmtuBlackholeTest:
         self.path_mtu = path_mtu
         self.transfer_bytes = transfer_bytes
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, PmtuResult]:
+    def run_all(self, bed: Testbed) -> Dict[str, PmtuResult]:
         """Run the constrained-path transfer behind every device."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         far = attach_far_host(bed, self.path_mtu)
 
         def on_accept(conn) -> None:

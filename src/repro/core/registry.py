@@ -225,22 +225,10 @@ class ExperimentFamily:
     #: shard order, store meta and resume bookkeeping.  ``None`` for device
     #: families (one :meth:`Subject.device` per profile).
     subjects: Optional[Callable[[Sequence["DeviceProfile"], Any], List["Subject"]]] = None
-    #: ``knobs -> PartitionHooks`` — families whose topology can be cut at
-    #: boundary links and run across worker processes supply the hooks
-    #: :func:`~repro.core.partition.run_partitioned` drives when the
-    #: campaign sets ``partitions`` (island builders, lookahead, stop
-    #: horizon).  ``None`` = the family always runs in the per-device shard
-    #: schedule.
-    partition_factory: Optional[Callable[[Any], Any]] = None
     #: Canonical family mapping -> ``(text, series)``: the terminal view ``repro probe``
     #: prints, and the ``DeviceSeries`` that ``survey --csv-dir`` writes (``None`` when
     #: there is none).  The probe menu is the set of families that declare one.
     view: Optional[Callable[[Mapping[str, Any]], Tuple[str, Any]]] = None
-
-    @property
-    def partitionable(self) -> bool:
-        """True when the family supplies partition hooks (``--partitions``)."""
-        return self.partition_factory is not None
 
     @property
     def runnable(self) -> bool:

@@ -24,6 +24,21 @@ def median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, added left to right as ``sum()`` did through Python 3.11.
+
+    Python 3.12's ``sum()`` adds floats with compensated summation, which
+    can move a mean's last bit; stored cells must not depend on the
+    interpreter, so this keeps the older order.
+    """
+    if not values:
+        raise ValueError("mean of empty sequence")
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def quantile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile (numpy's default method)."""
     if not values:
@@ -90,7 +105,7 @@ def population_stats(values: Sequence[float]) -> Dict[str, float]:
         raise ValueError("population_stats of empty sequence")
     return {
         "median": median(values),
-        "mean": sum(values) / len(values),
+        "mean": mean(values),
         "min": min(values),
         "max": max(values),
     }

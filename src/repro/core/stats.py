@@ -71,9 +71,7 @@ class SimStats:
     def note_run(self, family: str, wall: float, sim) -> None:
         """Accumulate one family run: its wall time and its simulation's counters.
 
-        ``sim`` is the :class:`~repro.netsim.sim.Simulation` the family ran
-        on, or any object with the same five counters — a partitioned run
-        sums its islands' counters into a :class:`SimStats`.
+        ``sim`` is the :class:`~repro.netsim.sim.Simulation` the family ran on.
         """
         self.note_family(
             family,

@@ -84,8 +84,7 @@ __all__ = [
 #: and the NAT engine's refusal accounting went per-protocol.
 #: v4: metro knobs (``metro_requests``/``metro_idle``/``metro_flap``)
 #: joined the campaign fingerprint and the ``metro_load`` cell codec was
-#: added (``--partitions N`` is an engine knob, deliberately *outside* the
-#: fingerprint: cells are partition-count-independent by contract).
+#: added.
 #: v5: the campaign axis generalized from devices to subjects — cells
 #: carry a ``subject`` key (device tags unchanged, pair tags ``a+b[...]``),
 #: directories are sanitized tags, manifests list ``subjects``, and the

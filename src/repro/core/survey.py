@@ -37,7 +37,7 @@ alone in its own simulation.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import registry
 from repro.core.parallel import ShardError, ShardFailure, ShardResult, run_shards, shard_seed
@@ -57,9 +57,6 @@ from repro.gateway.faults import FaultSpec
 from repro.netsim.impair import Impairment
 from repro.obs import MetricsRegistry, ObsConfig, ShardObserver
 from repro.testbed.testbed import Testbed
-
-if TYPE_CHECKING:  # pragma: no cover - the partition engine is imported lazily
-    from repro.core.partition import PartitionStats
 
 #: Default per-family virtual-time watchdog: far beyond any legitimate
 #: family (TCP-1 caps at 24 h + margin), tight enough to catch a simulation
@@ -133,9 +130,8 @@ class SurveyRunner:
     population, the campaign seed, per-family knobs (flat keywords such as
     ``udp_repetitions=1``, each declared once by the families that read it
     — see :func:`repro.core.registry.knobs`), the chaos configuration
-    (``impairment``/``faults``), the execution schedule (``jobs``, and
-    ``partitions`` for families whose topology can be cut across
-    processes), the durable result store
+    (``impairment``/``faults``), the execution schedule (``jobs``), the
+    durable result store
     (``store_dir``/``resume`` — see :mod:`repro.core.store`), and what the
     flight recorder should capture (``trace_dir``/``pcap_dir``/``metrics``
     — see :mod:`repro.obs`).  :meth:`run` executes the selected families
@@ -161,7 +157,6 @@ class SurveyRunner:
         seed: int = 0,
         *,
         jobs: int = 1,
-        partitions: Optional[int] = None,
         fastpath: bool = True,
         impairment: Optional[Impairment] = None,
         faults: Sequence[FaultSpec] = (),
@@ -182,18 +177,6 @@ class SurveyRunner:
         #: Every family's knobs, flat and coerced (:func:`~repro.core.registry.resolve_knobs`).
         self.knobs: Dict[str, Any] = registry.resolve_knobs(knobs)
         self.jobs = max(1, int(jobs))
-        if partitions is not None and (impairment is not None or faults):
-            from repro.core.partition import PartitionError
-
-            raise PartitionError(
-                "partitioned campaigns do not support impairment or faults: "
-                "per-link chaos is not defined across partition boundaries"
-            )
-        #: Worker processes for each partitionable family (``None``: those
-        #: families stay in the per-device shard plan; ``1``: one in-process
-        #: simulation over every device).  An engine knob like ``jobs``:
-        #: cells do not depend on it, so it stays out of the fingerprint.
-        self.partitions = None if partitions is None else max(1, int(partitions))
         #: Run the eager event-elision kernels (``--no-fastpath`` clears it).
         #: Results are engine-independent by construction, so this knob is
         #: deliberately *not* part of the campaign fingerprint: cells written
@@ -225,9 +208,6 @@ class SurveyRunner:
         self.last_elapsed: Optional[float] = None
         #: Cells skipped by the last resumed :meth:`run`.
         self.last_skipped_cells: int = 0
-        #: How the last :meth:`run`'s partitioned families executed (None
-        #: when none ran): sync rounds, boundary frames, CPU per island.
-        self.last_partition: Optional[PartitionStats] = None
 
     def fingerprint(self) -> str:
         """Content hash of everything that determines this campaign's cells (subject selections excluded)."""
@@ -332,13 +312,6 @@ class SurveyRunner:
         with ``store_dir``, the bytes they persisted, plus the store's files
         for cells a resume reused — through the decoder ``repro report
         --from`` uses.
-
-        With ``partitions`` set, each selected partitionable family leaves
-        the shard plan after resume filtering and runs once, over the
-        devices still missing its cell, after the shards (see
-        :mod:`repro.core.partition`; no flight recorder is attached to it).
-        Its cells are persisted, decoded and counted like shard output; a
-        hub failure raises :class:`~repro.core.partition.PartitionError`.
         """
         selected = self._validate(tests)
         plan = self._shard_plan(selected)
@@ -347,7 +320,6 @@ class SurveyRunner:
         # to the same cell directory would silently share cells.
         ensure_distinct_dirnames(subjects)
         self.last_skipped_cells = 0
-        self.last_partition = None
         self._fingerprint = self.fingerprint()
         self._store = None
         reused: List[Tuple[str, str]] = []
@@ -367,24 +339,12 @@ class SurveyRunner:
                     reused += [(subject.tag, name) for name in done]
                     filtered.append((subject, missing))
                 plan = filtered
-        partitioned: List[Tuple[registry.ExperimentFamily, List[DeviceProfile]]] = []
-        if self.partitions is not None:
-            for family in registry.families():
-                if family.partitionable:
-                    profiles = [subject.profiles[0] for subject, names in plan if family.name in names]
-                    if profiles:
-                        partitioned.append((family, profiles))
-            plan = [
-                (subject, [name for name in names if not registry.family(name).partitionable])
-                for subject, names in plan
-            ]
         started = time.perf_counter()
         try:
             outcomes = run_shards(
                 self, [(subject, names) for subject, names in plan if names],
                 jobs=self.jobs, retries=self.shard_retries,
             )
-            outcomes += [self._run_partitioned(family, profiles) for family, profiles in partitioned]
         finally:
             # Set even if the executor itself blows up: timing must never
             # go stale on the failure path.
@@ -410,35 +370,6 @@ class SurveyRunner:
                 if outcome.metrics is not None:
                     results.metrics.merge(outcome.metrics)
         return results
-
-    def _run_partitioned(self, family: registry.ExperimentFamily, profiles: Sequence[DeviceProfile]) -> ShardResult:
-        """Run one partitionable family once over ``profiles``, shaped like a shard's result."""
-        from repro.core.partition import PartitionStats, run_partitioned
-
-        numbered = [
-            (index, profile)
-            for index, profile in enumerate(self.profiles, start=1)
-            if profile in profiles
-        ]
-        started = time.perf_counter()
-        outcome = run_partitioned(
-            family,
-            family.knobs_of(self.knobs),
-            numbered,
-            self.seed,
-            self.partitions,
-            self.fastpath,
-            self.family_timeout,
-        )
-        stats = SimStats()
-        stats.note_run(family.name, time.perf_counter() - started, outcome.counters)
-        if self.last_partition is None:
-            self.last_partition = PartitionStats(self.partitions)
-        self.last_partition.merge(outcome.run)
-        cells: Dict[Tuple[str, str], str] = {}
-        for tag, cell in family.cells_of(outcome.mapping).items():
-            self._record(cells, family, tag, cell)
-        return ShardResult(cells, stats)
 
     def _record(
         self, cells: Dict[Tuple[str, str], str], family: registry.ExperimentFamily, tag: str, cell: Any
@@ -506,8 +437,16 @@ class SurveyRunner:
         stats: SimStats,
         observer: Optional[ShardObserver],
     ) -> Dict:
-        """One family's result mapping for ``subject``, on its own fresh bed."""
-        bed = self._fresh_testbed(family, subject, seed)
+        """One family's result mapping for ``subject``, on its own fresh bed.
+
+        A bed that fails to build (a builder, ``apply_impairment`` or
+        ``schedule_faults`` raising) fails the family like its probe would,
+        so the shard keeps the cells of the families before it.
+        """
+        try:
+            bed = self._fresh_testbed(family, subject, seed)
+        except Exception as exc:
+            raise ShardFailure(subject.tag, family.name, type(exc).__name__, str(exc)) from exc
         if self.family_timeout is not None:
             bed.sim.watchdog_limit = bed.sim.now + self.family_timeout
         # The observer attaches *after* bring-up: DHCP chatter stays out

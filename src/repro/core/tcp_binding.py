@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional
 
 from repro.core import registry
 from repro.core.binary_search import ParallelBindingSearch, SearchOutcome
@@ -102,9 +102,9 @@ class TcpTimeoutProbe:
         self.precision = precision
         self.server_port = server_port
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, TcpTimeoutResult]:
+    def run_all(self, bed: Testbed) -> Dict[str, TcpTimeoutResult]:
         """Binary-search every device's idle-TCP binding timeout."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         # Nonces restart per run, for the same reason UDP flow ids do: pcap
         # determinism requires frame bytes independent of process history.
         self._nonces = itertools.count(1)
@@ -189,9 +189,9 @@ class TcpBindingCapacityProbe:
         self.fail_timeout = fail_timeout
         self.server_port = server_port
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, TcpBindingCapacityResult]:
+    def run_all(self, bed: Testbed) -> Dict[str, TcpBindingCapacityResult]:
         """Open connections on every device until its binding table refuses."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         bed.server.tcp.listen(self.server_port)  # sink: accept everything
         results: Dict[str, TcpBindingCapacityResult] = {}
         tasks = [

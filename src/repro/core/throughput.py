@@ -15,7 +15,7 @@ overloading the test network").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Sequence
+from typing import Dict, Generator, Optional
 
 from repro.core import registry
 from repro.core.delay import CHUNK_BYTES, TimestampReader, TimestampWriter
@@ -106,9 +106,9 @@ class ThroughputProbe:
             raise ValueError("transfer too small to measure anything")
         self.transfer_bytes = transfer_bytes
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, ThroughputResult]:
+    def run_all(self, bed: Testbed) -> Dict[str, ThroughputResult]:
         """Run the bulk transfers, one device at a time (the paper's rule)."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         bed.server.tcp.listen(THROUGHPUT_PORT_UP, on_accept=self._accept_upload)
         bed.server.tcp.listen(THROUGHPUT_PORT_DOWN, on_accept=self._accept_download)
         # Upload readers are handed over accept-order; throughput runs are

@@ -15,7 +15,7 @@ drop).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Sequence
+from typing import Dict, Generator, Sequence
 
 from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
@@ -55,9 +55,9 @@ class TransportSupportTest:
                 raise ValueError(f"unknown protocol {protocol!r}")
         self.protocols = list(protocols)
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, TransportSupportResult]]:
+    def run_all(self, bed: Testbed) -> Dict[str, Dict[str, TransportSupportResult]]:
         """Returns ``{tag: {"sctp": result, "dccp": result}}``."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         echo_payload = b"transport-probe"
 
         def sctp_listener(assoc) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core import registry
 from repro.core.binary_search import BindingSearch
@@ -187,9 +187,9 @@ class UdpTimeoutProbe:
 
     # -- population entry points -------------------------------------------
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, UdpTimeoutResult]:
+    def run_all(self, bed: Testbed) -> Dict[str, UdpTimeoutResult]:
         """Measure every device in parallel (as the paper's testbed does)."""
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         # Flow ids restart per run: a frame's bytes (and hence a pcap capture)
         # must depend only on this run's own history, never on how many
         # probes the hosting process happened to run earlier.
@@ -383,14 +383,14 @@ class UdpServiceProbe:
         self.repetitions = repetitions
         self.probe_kwargs = probe_kwargs
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, UdpTimeoutResult]]:
+    def run_all(self, bed: Testbed) -> Dict[str, Dict[str, UdpTimeoutResult]]:
         """Returns ``{service_name: {tag: result}}``."""
         results: Dict[str, Dict[str, UdpTimeoutResult]] = {}
         for name, port in sorted(self.services.items()):
             probe = UdpTimeoutProbe.udp2(
                 server_port=port, repetitions=self.repetitions, **self.probe_kwargs
             )
-            results[name] = probe.run_all(bed, tags)
+            results[name] = probe.run_all(bed)
         return results
 
 

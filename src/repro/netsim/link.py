@@ -240,244 +240,6 @@ class LinkEndpoint:
         self._start_next()
 
 
-class BoundaryHalf:
-    """One partition's half of a boundary link (see :mod:`repro.core.partition`).
-
-    When a topology is cut at a link, each side keeps a ``BoundaryHalf``
-    where the full build had a :class:`LinkEndpoint`.  The half owns the
-    *transmitter* for its direction: it replicates the eager kernel's
-    serialization-frontier arithmetic float for float (``start = max(now,
-    busy)``; ``done = start + size*8/rate``; ``arrival = done + delay``),
-    so a frame crossing a partition boundary is stamped with the exact
-    delivery instant the unpartitioned link would have produced.
-
-    Instead of delivering to a peer interface, a shipped frame is appended
-    to :attr:`outbound` as ``(arrival, frame)`` at a *local* event at its
-    serialization-done instant ``done``; the partition hub collects these
-    after each window and routes them to the receiving half, which calls
-    :meth:`inject`.  Because the hub's window bound is ``B = M + d`` (global
-    event floor plus boundary delay) and every ship satisfies
-    ``done >= M``, every ``arrival = done + d >= B`` — injections always
-    land in the receiver's future.
-
-    Drop authority is sender-side: the eager drop predicate is evaluated at
-    the ship event, against this half's own ``sever()``/``mend()`` record
-    (boundary outages are scheduled identically on both builds' schedules).
-    This matches the staged engine's transmission-done check except for the
-    measure-zero tie of a mend at exactly a frame's ``done`` instant, which
-    is documented as unsupported for boundary links (docs/SCALING.md).
-
-    Parameters
-    ----------
-    sim : Simulation
-        The island's simulation this half schedules into.
-    channel : str
-        Stable identifier for this direction of the boundary link (e.g.
-        ``"up:3"``); the hub keys routing and injection order on it.
-    rate_bps : float
-        Serialization rate of the underlying link.
-    delay : float
-        Propagation delay of the underlying link — also the sync slack
-        this boundary contributes to the lookahead window.
-    queue_bytes : int
-        Drop-tail capacity of the transmit queue, as on a real endpoint.
-    """
-
-    __slots__ = (
-        "sim",
-        "channel",
-        "rate_bps",
-        "delay",
-        "capacity_bytes",
-        "iface",
-        "outbound",
-        "frames_shipped",
-        "frames_injected",
-        "frames_dropped",
-        "broken",
-        "_broken_at",
-        "_outages",
-        "_busy_until",
-        "_pending_frames",
-        "_pending_bytes",
-        "_inflight",
-        "_next_eid",
-    )
-
-    def __init__(
-        self,
-        sim: Simulation,
-        channel: str,
-        rate_bps: float = 100e6,
-        delay: float = 50e-6,
-        queue_bytes: int = DEFAULT_TX_QUEUE_BYTES,
-    ):
-        if rate_bps <= 0:
-            raise ValueError(f"link rate must be positive, got {rate_bps}")
-        if delay <= 0:
-            raise ValueError(
-                f"boundary link delay must be positive (it is the sync slack), got {delay}"
-            )
-        self.sim = sim
-        self.channel = channel
-        self.rate_bps = rate_bps
-        self.delay = delay
-        self.capacity_bytes = queue_bytes
-        self.iface: Optional[Interface] = None
-        #: Frames shipped this window: ``(arrival_instant, frame)`` in ship
-        #: (= serialization-done) order.  Drained by the hub between windows.
-        self.outbound: list = []
-        self.frames_shipped = 0
-        self.frames_injected = 0
-        self.frames_dropped = 0
-        # Outage record, mirroring Link.sever()/mend().
-        self.broken = False
-        self._broken_at = 0.0
-        self._outages: list = []
-        # Eager-kernel transmitter state (same fields as LinkEndpoint).
-        self._busy_until = 0.0
-        self._pending_frames: deque = deque()  # (start_time, size)
-        self._pending_bytes = 0
-        self._inflight: dict = {}  # eid -> (start, done)
-        self._next_eid = 0
-
-    def attach(self, iface: Interface) -> "BoundaryHalf":
-        """Plug this half into ``iface`` (the island-side end of the cut link).
-
-        Parameters
-        ----------
-        iface : Interface
-            Interface whose transmissions cross the partition boundary;
-            injected frames are delivered to it.
-
-        Returns
-        -------
-        BoundaryHalf
-            ``self``, for chaining.
-        """
-        if iface.attached:
-            raise RuntimeError("interface already attached to another link")
-        iface.endpoint = self
-        self.iface = iface
-        return self
-
-    def transmit(self, frame: Any) -> None:
-        """Serialize ``frame`` toward the boundary.
-
-        Runs the eager frontier arithmetic verbatim (tail-drop against the
-        pending ledger, ``start = max(now, busy)``, ``done = start +
-        size*8/rate``) and schedules the ship event at ``done`` — a local
-        event, so a window that ends before ``done`` leaves the frame in
-        flight for a later window, exactly like an unpartitioned run.
-
-        Parameters
-        ----------
-        frame : Any
-            Ethernet frame; cloned by the forwarding plane before
-            mutation, so pickling it across a pipe later is safe.
-        """
-        sim = self.sim
-        now = sim.now
-        size = frame.wire_size()
-        if size <= 0:
-            raise ValueError(f"frame reports non-positive wire size: {size}")
-        pending = self._pending_frames
-        while pending and pending[0][0] <= now:
-            self._pending_bytes -= pending.popleft()[1]
-        if self._pending_bytes + size > self.capacity_bytes:
-            self.frames_dropped += 1  # tail drop
-            return
-        busy = self._busy_until
-        start = busy if busy > now else now
-        done = start + size * 8.0 / self.rate_bps
-        self._busy_until = done
-        eid = self._next_eid
-        self._next_eid = eid + 1
-        if start > now:
-            pending.append((start, size))
-            self._pending_bytes += size
-        self._inflight[eid] = (start, done)
-        sim.schedule_at(done, self._ship, frame, eid)
-
-    def _ship(self, frame: Any, eid: int) -> None:
-        entry = self._inflight.pop(eid, None)
-        if entry is None:
-            return  # voided by flush while still queued
-        done = entry[1]
-        if (self.broken and done >= self._broken_at) or (
-            self._outages and self._severed_at(done)
-        ):
-            # The cable was down at the instant the frame would have left
-            # it — the same predicate _eager_deliver applies receiver-side.
-            self.frames_dropped += 1
-            return
-        self.frames_shipped += 1
-        self.outbound.append((done + self.delay, frame))
-
-    def inject(self, arrival: float, frame: Any) -> None:
-        """Deliver a routed boundary frame to this island at ``arrival``.
-
-        Parameters
-        ----------
-        arrival : float
-            Absolute delivery instant stamped by the sending half
-            (``done + delay``).  The sync protocol guarantees
-            ``arrival >= now`` — every shipped frame's arrival lies at or
-            past the window bound under which it was shipped.
-        frame : Any
-            The frame as shipped (frames are never mutated after transmit).
-        """
-        self.frames_injected += 1
-        self.sim.schedule_at(arrival, self.iface.deliver, frame)
-
-    def drain_outbound(self) -> list:
-        """Return and clear the frames shipped since the last drain.
-
-        Returns
-        -------
-        list of (float, Any)
-            ``(arrival, frame)`` pairs in ship order.
-        """
-        out = self.outbound
-        self.outbound = []
-        return out
-
-    def sever(self) -> None:
-        """Cut this boundary half (mirror of :meth:`Link.sever` for one side)."""
-        if not self.broken:
-            self._broken_at = self.sim.now
-        self.broken = True
-        self.flush()
-
-    def mend(self) -> None:
-        """Repair the cable; records the closed outage window."""
-        if self.broken:
-            self._outages.append((self._broken_at, self.sim.now))
-        self.broken = False
-
-    def _severed_at(self, instant: float) -> bool:
-        for start, end in self._outages:
-            if start <= instant < end:
-                return True
-        return False
-
-    def flush(self) -> None:
-        """Void frames that have not started serializing (counted as drops)."""
-        now = self.sim.now
-        if not self._inflight:
-            return
-        new_busy = now
-        for eid, (start, done) in list(self._inflight.items()):
-            if start > now:
-                del self._inflight[eid]
-                self.frames_dropped += 1
-            elif done > new_busy:
-                new_busy = done  # already on the wire; it finishes serializing
-        self._busy_until = new_busy
-        self._pending_frames.clear()
-        self._pending_bytes = 0
-
-
 class Link:
     """A full-duplex wire between exactly two interfaces."""
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from heapq import heappop, heappush
 import random
 from typing import Any, Callable, List, Optional, Tuple
@@ -323,59 +322,6 @@ class Simulation:
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Advance the clock by ``duration`` seconds."""
         self.run(until=self.now + duration, max_events=max_events)
-
-    # -- partition support -------------------------------------------------
-
-    def next_event_time(self) -> float:
-        """Earliest queued event's timestamp, or ``inf`` when the heap is dry.
-
-        This is the quantity a conservative partitioned run reports to its
-        synchronization hub each round (see :mod:`repro.core.partition`): the
-        hub's global event floor is the minimum of every island's
-        ``next_event_time()`` and the arrival instants of boundary frames
-        still awaiting injection.
-
-        Returns
-        -------
-        float
-            ``self._heap[0][0]`` when events are pending, else
-            ``math.inf``.  Stale timer entries are *not* filtered out —
-            a stale head is merely conservative (the reported floor is
-            never later than the true one) and the entry is discarded
-            normally when popped, so window progress is still guaranteed.
-        """
-        heap = self._heap
-        return heap[0][0] if heap else math.inf
-
-    def run_window(self, bound: float) -> None:
-        """Process every event strictly before ``bound``; leave ``t >= bound``.
-
-        The conservative-lookahead primitive: a partition may safely execute
-        all events earlier than the next global bound ``B = M + d`` (global
-        event floor ``M`` plus the minimum boundary-link propagation delay
-        ``d``), because no boundary frame shipped by any peer during the
-        window can arrive before ``B``.  Contrast with :meth:`run`, whose
-        ``until`` is *inclusive* — windows must be half-open ``[.., bound)``
-        so an event landing exactly on a bound executes in exactly one
-        window.
-
-        Parameters
-        ----------
-        bound : float
-            Exclusive virtual-time horizon.  The clock is *not* advanced to
-            ``bound`` when the heap drains early; the caller owns clock
-            semantics between windows (boundary injections are scheduled at
-            absolute instants ``>= now`` regardless).
-
-        Raises
-        ------
-        WatchdogExpired
-            When the next event lies past ``watchdog_limit`` (inherited
-            from :meth:`step`).
-        """
-        heap = self._heap
-        while heap and heap[0][0] < bound:
-            self.step()
 
     @property
     def pending_events(self) -> int:

@@ -11,8 +11,8 @@ and the traversal matrix hangs two units off one server.
 :class:`Wiring` builds that unit, once.  The testbeds are *address plans*
 over it: :class:`~repro.testbed.testbed.Testbed`,
 :class:`~repro.cgn.topology.Nat444Topology`,
-:class:`~repro.traversal.matrix.PairTopology`, and the metro topology with
-its partition islands (:mod:`repro.cgn.metro`) choose subnets, VLAN ids,
+:class:`~repro.traversal.matrix.PairTopology` and
+:class:`~repro.cgn.metro.MetroTopology` choose subnets, VLAN ids,
 names and link labels, and call the builders below in a fixed order.  That
 order is part of every measurement:
 
@@ -89,8 +89,7 @@ class HomeSlot:
 class CgnSegment:
     """Everything behind (and in front of) one carrier-grade NAT.
 
-    ``server_iface_index`` is ``None`` when the server side lives in another
-    simulation (a metro partition island); metro also sets ``client`` and ``load``.
+    Metro segments also set ``client`` (their own client host) and ``load``.
     """
 
     index: int
@@ -99,7 +98,7 @@ class CgnSegment:
     wan_network: IPv4Network
     access_network: IPv4Network
     server_ip: IPv4Address
-    server_iface_index: Optional[int] = None
+    server_iface_index: int
     homes: List[HomeSlot] = field(default_factory=list)
     client: Optional[Host] = None
     load: Optional[Any] = None

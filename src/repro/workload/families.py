@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cgn.families import Nat444Knobs, nat444_factory
 from repro.cgn.topology import Nat444Topology
 from repro.core import codec, registry
+from repro.core.results import mean
 from repro.gateway.forwarding import PER_ENTRY_COST, PER_RULE_COST, REFERENCE_RATE_BPS
 from repro.workload.generator import (
     WorkloadGenerator,
@@ -158,10 +159,8 @@ class WorkloadMixProbe:
         self.mix_name = mix_name
         self.ramp_spec = ramp_spec
 
-    def run_all(
-        self, bed: Nat444Topology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, WorkloadMixResult]:
-        tags = list(tags if tags is not None else bed.tags())
+    def run_all(self, bed: Nat444Topology) -> Dict[str, WorkloadMixResult]:
+        tags = bed.tags()
         # Flow ids restart per run (trace/pcap determinism, the PR-3 rule).
         self._flows = itertools.count(1)
         mix = mix_for(self.mix_name)
@@ -306,12 +305,10 @@ class FwCostProbe:
     def __init__(self, ramp_spec: str = ""):
         self.ramp_spec = ramp_spec
 
-    def run_all(
-        self, bed: Nat444Topology, tags: Optional[Sequence[str]] = None
-    ) -> Dict[str, FwCostResult]:
+    def run_all(self, bed: Nat444Topology) -> Dict[str, FwCostResult]:
         from repro.workload.generator import WORKLOAD_PORT
 
-        tags = list(tags if tags is not None else bed.tags())
+        tags = bed.tags()
         self._flows = itertools.count(1)
         ramp = parse_points(self.ramp_spec or DEFAULT_FW_RAMP, "rules")
         # Two curves over the same ramp values: rules with an empty table,
@@ -368,7 +365,7 @@ class FwCostProbe:
                     sent=run.sent[index],
                     delivered=run.delivered[index],
                     throughput_pps=run.throughput(index),
-                    rtt_mean=(sum(samples) / len(samples)) if samples else None,
+                    rtt_mean=mean(samples) if samples else None,
                     rtt_p95=_percentile(samples, 0.95),
                 )
                 (result.rule_points if index < len(ramp) else result.table_points).append(point)

@@ -15,15 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cgn.metro import (
-    LOAD_START,
-    MetroCoreIsland,
-    MetroKnobs,
-    MetroLoadPlan,
-    MetroSegmentIsland,
-    MetroTopology,
-    metro_policy_for,
-)
+from repro.cgn.metro import LOAD_START, MetroKnobs, MetroLoadPlan, MetroTopology, metro_policy_for
 from repro.cgn.topology import Nat444Topology
 from repro.devices import catalog_profiles
 from repro.netsim.sim import Simulation
@@ -54,13 +46,8 @@ def _end(iface) -> str:
 
 
 def layout(bed):
-    """One line per link, then per boundary half, in construction order."""
-    rows = [
-        f"{link.label} {_end(link.endpoint_a.iface)} {_end(link.endpoint_b.iface)}"
-        for link in getattr(bed, "links", [])
-    ]
-    rows.extend(f"{channel} {_end(half.iface)}" for channel, half in getattr(bed, "halves", {}).items())
-    return rows
+    """One line per link, in construction order."""
+    return [f"{link.label} {_end(link.endpoint_a.iface)} {_end(link.endpoint_b.iface)}" for link in bed.links]
 
 
 def counters(sim):
@@ -80,10 +67,6 @@ def _metro_plan():
     return MetroLoadPlan(subscribers=SUBSCRIBERS, requests=2)
 
 
-def _numbered():
-    return list(enumerate(_profiles(), start=1))
-
-
 def build_stepping(name: str):
     """The stepping beds, built as the campaign engine builds them."""
     if name == "testbed":
@@ -93,24 +76,17 @@ def build_stepping(name: str):
     return PairTopology.build(_pair(name.split(":", 1)[1]), seed=SEED)
 
 
-def build_metro(name: str):
-    """The metro beds: construction only schedules, nothing is stepped."""
-    if name == "metro":
-        return MetroTopology.build(
-            _profiles(), seed=SEED, subscribers=SUBSCRIBERS,
-            cgn_policy=_metro_policy(), plan=_metro_plan(),
-        )
-    if name == "core-island":
-        return MetroCoreIsland(Simulation(seed=SEED), _numbered())
-    return MetroSegmentIsland(
-        Simulation(seed=SEED), _numbered(), SUBSCRIBERS, _metro_policy(), _metro_plan()
+def build_metro():
+    """The metro bed: construction only schedules, nothing is stepped."""
+    return MetroTopology.build(
+        _profiles(), seed=SEED, subscribers=SUBSCRIBERS, cgn_policy=_metro_policy(), plan=_metro_plan(),
     )
 
 
 STEPPING = ["testbed", "nat444"] + [f"pair:{variant}" for variant in PAIR_VARIANTS]
-METRO = ["metro", "core-island", "segment-island"]
+METRO = ["metro"]
 
-#: Ordered link (and boundary-half) rows: label, then each end as
+#: Ordered link rows: label, then each end as
 #: ``node/iface[@vlan]=mac``.
 LAYOUT = {'testbed': ['al:srv test-server/0=02:00:00:00:00:01 wan-switch/0@1001=02:00:00:00:00:02',
              'al:wan gw-al/0=02:00:00:00:00:03 wan-switch/1@1001=02:00:00:00:00:04',
@@ -194,24 +170,7 @@ LAYOUT = {'testbed': ['al:srv test-server/0=02:00:00:00:00:01 wan-switch/0@1001=
            'be1.2.2:wan gw-be1-2.2/0=02:00:02:00:00:0a acc-2/2@2002=02:00:02:00:00:0c',
            'be1.2.2:lan gw-be1-2.2/1=02:00:02:00:00:0b lan-2/2@3002=02:00:02:00:00:0d',
            'be1.2.2:cli client-2/1=02:00:02:00:00:0e lan-2/3@3002=02:00:02:00:00:0f',
-           'core:be1 metro-core/1=02:f0:00:00:00:02 gw-cgn-be1/0=02:00:02:00:00:01'],
- 'core-island': ['down:1 metro-core/0=02:f0:00:00:00:01', 'down:2 metro-core/1=02:f0:00:00:00:02'],
- 'segment-island': ['metro-al.1:acc gw-cgn-al/1=02:00:01:00:00:02 acc-1/0@2001=02:00:01:00:00:03',
-                    'al.1.1:wan gw-al-1.1/0=02:00:01:00:00:04 acc-1/1@2001=02:00:01:00:00:05',
-                    'al.1.1:lan gw-al-1.1/1=02:00:01:00:00:04 lan-1/0@3001=02:00:01:00:00:06',
-                    'al.1.1:cli client-1/0=02:00:01:00:00:07 lan-1/1@3001=02:00:01:00:00:08',
-                    'al.1.2:wan gw-al-1.2/0=02:00:01:00:00:09 acc-1/2@2001=02:00:01:00:00:0a',
-                    'al.1.2:lan gw-al-1.2/1=02:00:01:00:00:09 lan-1/2@3002=02:00:01:00:00:0b',
-                    'al.1.2:cli client-1/1=02:00:01:00:00:0c lan-1/3@3002=02:00:01:00:00:0d',
-                    'metro-be1.2:acc gw-cgn-be1/1=02:00:02:00:00:02 acc-2/0@2002=02:00:02:00:00:03',
-                    'be1.2.1:wan gw-be1-2.1/0=02:00:02:00:00:04 acc-2/1@2002=02:00:02:00:00:06',
-                    'be1.2.1:lan gw-be1-2.1/1=02:00:02:00:00:05 lan-2/0@3001=02:00:02:00:00:07',
-                    'be1.2.1:cli client-2/0=02:00:02:00:00:08 lan-2/1@3001=02:00:02:00:00:09',
-                    'be1.2.2:wan gw-be1-2.2/0=02:00:02:00:00:0a acc-2/2@2002=02:00:02:00:00:0c',
-                    'be1.2.2:lan gw-be1-2.2/1=02:00:02:00:00:0b lan-2/2@3002=02:00:02:00:00:0d',
-                    'be1.2.2:cli client-2/1=02:00:02:00:00:0e lan-2/3@3002=02:00:02:00:00:0f',
-                    'up:1 gw-cgn-al/0=02:00:01:00:00:01',
-                    'up:2 gw-cgn-be1/0=02:00:02:00:00:01']}
+           'core:be1 metro-core/1=02:f0:00:00:00:02 gw-cgn-be1/0=02:00:02:00:00:01']}
 
 #: ``(repr(sim.now), events_processed, fastpath_events_saved)`` when
 #: ``build()`` returns; for ``metro``, after running to ``LOAD_START``.
@@ -224,7 +183,7 @@ COUNTERS = {'testbed': ('0.0007942399999999997', 32, 32),
  'metro': ('30.0', 104, 82)}
 
 #: Heap entries a metro bed holds right after construction.
-SCHEDULED = {'metro': 12, 'core-island': 0, 'segment-island': 12}
+SCHEDULED = {'metro': 12}
 
 #: Stepping bed -> (client link severed before bring-up, the error it gives).
 STRAGGLERS = {
@@ -256,13 +215,13 @@ def test_stepping_bed_state_at_probe_start(name):
 
 @pytest.mark.parametrize("name", METRO)
 def test_metro_bed_layout(name):
-    bed = build_metro(name)
+    bed = build_metro()
     assert layout(bed) == LAYOUT[name]
     assert len(bed.sim._heap) == SCHEDULED[name]
 
 
 def test_metro_bring_up_counters():
-    bed = build_metro("metro")
+    bed = build_metro()
     bed.sim.run(until=LOAD_START)
     assert counters(bed.sim) == COUNTERS["metro"]
     assert all(

@@ -376,7 +376,7 @@ def test_valid_raises_wherever_it_is_used_as_a_number():
 
 
 def test_valid_pickles_as_the_singleton():
-    """Partitioned runs ship frames between processes."""
+    """Code tests the state with ``is VALID``, so a copy must come back as the singleton."""
     import pickle
 
     assert pickle.loads(pickle.dumps(VALID)) is VALID

@@ -170,18 +170,13 @@ def _store_bytes(root):
     }
 
 
-def test_partitioned_survey_resume_and_bench(capsys, tmp_path):
-    """A partitioned survey resumes byte for byte and prints the bench counters: rounds, frames, island CPU."""
-    metro = ["--metro", "--partitions", "2", "--tags", "al", "ap", "as1", "--subscribers", "2"]
+def test_metro_survey_resumes_byte_for_byte(capsys, tmp_path):
+    """A metro survey at ``--jobs 2`` writes its store, prints its counters and resumes byte for byte."""
+    metro = ["--metro", "--jobs", "2", "--tags", "al", "ap", "as1", "--subscribers", "2"]
     store = tmp_path / "metro"
     code, out = run_cli(capsys, "survey", *metro, "--out", str(store))
     assert code == 0
     assert "metro_load: 3 device(s)" in out
-    partition = re.search(r"partitions: 2   sync rounds: (\d+)   boundary frames: (\d+)   "
-                          r"cpu: hub [\d.]+s   islands \[([\d. ]+)\]s   critical path: [\d.]+s", out)
-    assert partition is not None, out
-    assert int(partition[1]) > 0 and int(partition[2]) > 0
-    assert len(partition[3].split()) == 2
     assert int(re.search(r"metro_load: 3 device\(s\) +[\d.]+s +(\d+) events", out)[1]) > 0
     clean = _store_bytes(store)
     assert json.loads(clean["campaign.json"])["knobs"]["metro_requests"] == 8
@@ -228,6 +223,9 @@ def test_report_from_lists_the_cells_a_campaign_lost(capsys, tmp_path):
     assert "1 shard(s) failed:" in out and "[dl8/udp1] MissingCell" in out
     text = report.read_text()
     assert "## Shard failures" in text
+    assert "1 failure(s), whose cells every figure above omits." in text
+    assert "A row read back from a store names one missing cell." in text
+    assert "| subject | family | error | message |" in text
     assert "| dl8 | udp1 | MissingCell |" in text
 
 
@@ -289,10 +287,11 @@ def test_campaign_commands_start_from_the_declared_defaults(monkeypatch, capsys)
     (["--cgn"], ["cgn_timeouts", "cgn_exhaustion"]),
     (["--attack"], ["attack_portflood", "attack_keepalive", "attack_rst"]),
     (["--workload"], ["workload_mix", "fwcost_scaling"]),
-    (["--partitions", "4"], ["metro_load"]),
+    (["--metro"], ["metro_load"]),
+    (["--matrix"], ["traversal_matrix"]),
     (["--tests", "udp1", "tcp2", "--cgn", "--matrix"],
      ["udp1", "tcp2", "cgn_timeouts", "cgn_exhaustion", "traversal_matrix"]),
-], ids=["cgn", "attack", "workload", "partitions", "appended"])
+], ids=["cgn", "attack", "workload", "metro", "matrix", "appended"])
 def test_family_shortcuts_select_their_tier(monkeypatch, capsys, flags, families):
     runner = _built_runner(monkeypatch, capsys, ["survey", "--tags", "al", "be1", *flags])
     assert runner.selected == families

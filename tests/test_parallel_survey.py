@@ -16,6 +16,7 @@ from repro.core.registry import Subject
 from repro.core.store import CampaignStore
 from repro.devices import catalog_profiles
 from repro.devices.profile import NatPolicy, UdpTimeoutPolicy
+from repro.netsim.impair import Impairment
 from tests.conftest import make_profile
 
 FAMILIES = ["udp1", "tcp2", "icmp", "transports"]
@@ -185,6 +186,23 @@ class TestOnePath:
         udp5 = loaded.family("udp5")
         assert set(udp5) == {"dns", "http", "ntp", "snmp", "tftp"}
         assert all(list(per_device) == ["al", "be1"] for per_device in udp5.values())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_bed_that_fails_to_build_fails_only_its_family(tmp_path, jobs):
+    """metro_load refuses an impairment while building its bed; each shard keeps the udp1 and udp4 cells before it."""
+    runner = SurveyRunner(
+        catalog_profiles(["al", "be1"]), udp_repetitions=1, cgn_subscribers=2, jobs=jobs,
+        impairment=Impairment.parse("dup=0.001"), store_dir=str(tmp_path),
+    )
+    results = runner.run(["udp1", "metro_load"])
+    loaded = CampaignStore.open(tmp_path).load_results()
+    assert results.families == loaded.families
+    assert list(results.families) == ["udp1", "udp4"]
+    failures = [(error.tag, error.family) for error in results.errors]
+    assert failures == [(error.tag, error.family) for error in loaded.errors]
+    assert failures == [("al", "metro_load"), ("be1", "metro_load")]
+    assert "metro_load does not support --impair" in results.errors[0].message
 
 
 def test_spawned_workers_match_jobs_1():

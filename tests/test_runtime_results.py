@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.results import DeviceSeries, Summary, median, population_stats, quantile
+from repro.core.results import DeviceSeries, Summary, mean, median, population_stats, quantile
 from repro.core.runtime import Future, SimTask, run_tasks
 
 
@@ -153,6 +153,13 @@ class TestStatistics:
     def test_population_stats(self):
         stats = population_stats([10, 20, 30])
         assert stats == {"median": 20, "mean": 20, "min": 10, "max": 30}
+
+    def test_mean_adds_left_to_right(self):
+        # Python 3.12's sum() compensates and gives 0.1 here; cells keep the older order.
+        assert mean([0.1] * 10) == 0.09999999999999999
+        assert mean([10, 20, 30]) == 20
+        with pytest.raises(ValueError):
+            mean([])
 
 
 class TestDeviceSeries:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hold a small canonical campaign to its committed digests under six engine variants.
+"""Hold a small canonical campaign to its committed digests under five engine variants.
 
 Usage::
 
@@ -12,15 +12,14 @@ that keep it small.  It runs every runnable family, opt-in ones included
 (derived ``udp4`` comes along).  Each variant runs it into a temporary
 store:
 
-* ``reference`` — ``jobs=1``, fast path on, no recorder, no partitions;
+* ``reference`` — ``jobs=1``, fast path on, no recorder;
 * ``jobs2`` — ``jobs=2``;
 * ``staged`` — ``fastpath=False``;
-* ``partitions2`` — ``partitions=2``, so the metro segments run partitioned;
 * ``traced`` — ``trace_dir``, ``pcap_dir`` and ``metrics=True``;
 * ``resume`` — a copy of the reference store that loses the i-th
   registered family's cell on device ``i mod len(devices)`` (the i-th
   subject's, for a non-device family) and gains a torn ``<cell>.json.tmp``,
-  resumed with ``jobs=2, partitions=2``.
+  resumed with ``jobs=2``.
 
 Every variant must reproduce the sha256 of each store file and of the
 report rendered from the store — and of the report rendered from the
@@ -74,9 +73,8 @@ VARIANTS = (
     ("reference", {}, ("fast", fast_counters)),
     ("jobs2", {"jobs": 2}, ("fast", fast_counters)),
     ("staged", {"fastpath": False}, ("staged", lambda stats: dict(stats.family_events))),
-    ("partitions2", {"partitions": 2}, None),
     ("traced", {"metrics": True}, ("staged", lambda stats: dict(stats.family_segments))),
-    ("resume", {"resume": True, "jobs": 2, "partitions": 2}, None),
+    ("resume", {"resume": True, "jobs": 2}, None),
 )
 
 
