@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """UDP hole punching across the device population (§5's STUN/ICE plans).
 
-Classifies a set of gateways STUN-style, then attempts Ford-et-al. UDP hole
-punching between every pair and prints the success matrix — the experiment
-the paper's §2 cites (Ford 2005; Guha 2005) and §5 plans to run.
+One ``SurveyRunner`` campaign over two families: ``stun_classify``
+classifies each gateway STUN-style, and ``traversal_matrix`` runs every
+ordered pair of gateways on its own two-gateway testbed — rendezvous,
+Ford-et-al. simultaneous UDP punch, TURN-style relay when the punch fails.
+It prints the classification, the punch grid and how many pairs punched
+or needed the relay: the experiment the paper's §2 cites (Ford 2005;
+Guha 2005) and §5 plans to run.
 
 Run:  python examples/hole_punching.py [tag ...]
 """
 
 import sys
 
-from repro.core.runtime import SimTask, run_tasks
+from repro.core import SurveyRunner
 from repro.devices import CATALOG, catalog_profiles
-from repro.testbed import Testbed
-from repro.traversal import HolePunchExperiment, StunClient, StunServer, classify
 
 
 def main() -> None:
@@ -21,44 +23,25 @@ def main() -> None:
     unknown = [t for t in tags if t not in CATALOG]
     if unknown:
         raise SystemExit(f"unknown device tags: {unknown}")
-    bed = Testbed.build(catalog_profiles(tags))
+    results = SurveyRunner(catalog_profiles(tags)).run(["stun_classify", "traversal_matrix"])
+    verdicts = results.family("stun_classify")
+    cells = results.family("traversal_matrix")
 
     print("STUN classification (RFC 3489 terminology):")
-    server = StunServer(bed.server)
-    verdicts = {}
-    for tag in tags:
-        port = bed.port(tag)
-        client = StunClient(bed.client, iface_index=port.client_iface_index)
-        task = SimTask(bed.sim, classify(client, port.server_ip), name=f"stun:{tag}")
-        run_tasks(bed.sim, [task])
-        client.close()
-        verdicts[tag] = task.result
-        print(f"  {tag:>5}: {task.result.rfc3489_type:<22} "
-              f"(port preserved: {task.result.preserves_port})")
-    server.close()
+    for tag, verdict in verdicts.items():
+        print(f"  {tag:>5}: {verdict.rfc3489_type:<22} (port preserved: {verdict.preserves_port})")
 
-    print("\nHole punching matrix (rows punch columns; mutual success only):")
-    experiment = HolePunchExperiment(bed)
-    outcomes = experiment.matrix(tags)
-    experiment.close()
-
-    header = "      " + "".join(f"{t:>7}" for t in tags)
-    print(header)
+    print("\nHole punching matrix (row a punches column b; OK = both directions flowed):")
+    print("      " + "".join(f"{t:>7}" for t in tags))
     for tag_a in tags:
-        cells = []
-        for tag_b in tags:
-            if tag_a == tag_b:
-                cells.append(f"{'-':>7}")
-                continue
-            key = (tag_a, tag_b) if (tag_a, tag_b) in outcomes else (tag_b, tag_a)
-            cells.append(f"{'OK' if outcomes[key].success else 'fail':>7}")
-        print(f"{tag_a:>5} " + "".join(cells))
+        row = ["-" if tag_a == tag_b else "OK" if cells[f"{tag_a}+{tag_b}"].punched else "fail" for tag_b in tags]
+        print(f"{tag_a:>5} " + "".join(f"{symbol:>7}" for symbol in row))
 
-    friendly = [t for t in tags if verdicts[t].hole_punching_friendly]
-    pairs = [(a, b) for (a, b) in outcomes]
-    successes = sum(1 for o in outcomes.values() if o.success)
-    print(f"\n{successes}/{len(pairs)} pairs punched successfully; "
-          f"{len(friendly)}/{len(tags)} devices have endpoint-independent mappings "
+    punched = sum(cell.punched for cell in cells.values())
+    relayed = sum(cell.relayed for cell in cells.values())
+    friendly = sum(verdict.hole_punching_friendly for verdict in verdicts.values())
+    print(f"\n{punched}/{len(cells)} ordered pairs punched, {relayed} connected through the relay; "
+          f"{friendly}/{len(tags)} devices have endpoint-independent mappings "
           f"(Ford et al.'s 'well-behaving NAT').")
 
 

@@ -3,97 +3,29 @@
 
 The paper's related work leans on the STUN classification — full cone,
 (address-)restricted cone, port-restricted cone, symmetric — and on RFC 4787
-behavioural terms.  This example implements the classification algorithm on
-top of the library: a client behind each gateway probes two server addresses
-and compares the mappings and the filtering it observes.
+behavioural terms.  This example runs the ``stun_classify`` family as one
+``SurveyRunner`` campaign, as ``repro classify`` does: each device gets its
+own testbed, and a client behind its gateway runs the RFC 3489 tests
+(``repro.traversal.stun.classify``) against a two-port STUN server.  The
+filtering test asks for a reply from the alternate port before the client
+has ever sent there, so that reply is unsolicited and a port-restricted
+filter drops it.
 
 Run:  python examples/nat_classifier.py
 """
 
-from ipaddress import IPv4Address
-
-from repro.core.runtime import Future, SimTask, run_tasks
+from repro.core import SurveyRunner
 from repro.devices import catalog_profiles
-from repro.testbed import Testbed
 
-PROBE_PORT_A = 36000
-PROBE_PORT_B = 36001
-
-
-def classify(bed, tag):
-    """One device's classification, as a measurement coroutine."""
-    port = bed.port(tag)
-    outcome = {}
-
-    sock = bed.client.udp.bind(41000, port.client_iface_index)
-    observed = {}
-
-    def server_sock(bind_port):
-        server = bed.server.udp.bind(bind_port)
-
-        def on_receive(data, ip, sport, bind_port=bind_port):
-            observed[bind_port] = (ip, sport)
-
-        server.on_receive = on_receive
-        return server
-
-    server_a = server_sock(PROBE_PORT_A)
-    server_b = server_sock(PROBE_PORT_B)
-
-    def task():
-        # 1. Same internal socket, two remote endpoints: does the mapping
-        #    change?  (endpoint-independent vs symmetric)
-        sock.send_to(b"probe-a", port.server_ip, PROBE_PORT_A)
-        sock.send_to(b"probe-b", port.server_ip, PROBE_PORT_B)
-        yield 0.5
-        mapping_a = observed.get(PROBE_PORT_A)
-        mapping_b = observed.get(PROBE_PORT_B)
-        if mapping_a is None or mapping_b is None:
-            outcome["class"] = "opaque (probes lost)"
-            return
-        symmetric = mapping_a[1] != mapping_b[1]
-        # 2. Filtering: can the *other* server port reach the binding the
-        #    first probe opened?  Can a different port on the same host?
-        got_cross = Future(timeout=1.0)
-        replies = {}
-
-        def on_reply(data, ip, sport):
-            replies[sport] = data
-            if sport == PROBE_PORT_B and data == b"cross":
-                got_cross.set_result(True)
-
-        sock.on_receive = on_reply
-        # Ask server to send from port B toward the mapping created to port A.
-        server_b.send_to(b"cross", mapping_a[0], mapping_a[1])
-        cross_ok = bool((yield got_cross))
-        if symmetric:
-            outcome["class"] = "symmetric"
-        elif cross_ok:
-            # Same host, different port got through: at most address-restricted.
-            outcome["class"] = "full or restricted cone (endpoint-independent mapping)"
-        else:
-            outcome["class"] = "port-restricted cone"
-        outcome["mapping"] = ("symmetric" if symmetric else "endpoint-independent")
-        outcome["preserves_port"] = mapping_a[1] == 41000
-
-    run_tasks(bed.sim, [SimTask(bed.sim, task(), name=f"classify:{tag}")])
-    sock.close()
-    server_a.close()
-    server_b.close()
-    return outcome
+TAGS = ["al", "bu1", "ng1", "smc", "ls2", "zy1", "be1", "dl1"]
 
 
 def main() -> None:
-    tags = ["al", "bu1", "ng1", "smc", "ls2", "zy1", "be1", "dl1"]
-    profiles = catalog_profiles(tags)
-    bed = Testbed.build(profiles)
+    results = SurveyRunner(catalog_profiles(TAGS)).run(["stun_classify"])
     print(f"{'device':>6}  {'mapping':<22} {'port kept':<10} classification")
-    for tag in tags:
-        outcome = classify(bed, tag)
-        print(
-            f"{tag:>6}  {outcome.get('mapping', '-'):<22} "
-            f"{str(outcome.get('preserves_port', '-')):<10} {outcome['class']}"
-        )
+    for tag, verdict in results.family("stun_classify").items():
+        mapping = verdict.mapping.replace("_", "-")
+        print(f"{tag:>6}  {mapping:<22} {str(verdict.preserves_port):<10} {verdict.rfc3489_type}")
     print("\nRFC 4787 note: 'symmetric' here = address-and-port-dependent "
           "mapping; hole-punching (Ford et al.) generally fails through those.")
 

@@ -31,7 +31,7 @@ from repro.core.results import DeviceSeries, median, population_stats
 from repro.core.survey import SurveyResults, SurveyRunner
 from repro.core.tcp_binding import TcpBindingCapacityProbe, TcpTimeoutProbe
 from repro.core.throughput import ThroughputProbe
-from repro.core.udp_timeouts import timeout_series
+from repro.core.udp_timeouts import by_service, timeout_series
 from repro.devices import CATALOG, catalog_profiles
 from repro.devices.profile import IcmpAction
 
@@ -134,13 +134,15 @@ def udp4(results: SurveyResults) -> Counter:
 
 def udp5_spread(results: SurveyResults, keep: Callable[[str], bool]) -> float:
     """The widest spread of one device's UDP-5 medians across the Figure 6 services, over devices ``keep`` picks."""
-    by_service = {s: timeout_series(results.family("udp5")[s], s).medians() for s in paper.FIG6_SERVICES}
-    return max(max(m[tag] for m in by_service.values()) - min(m[tag] for m in by_service.values())
-               for tag in by_service["http"] if keep(tag))
+    services = by_service(results.family("udp5"))
+    medians = {s: timeout_series(services[s], s).medians() for s in paper.FIG6_SERVICES}
+    return max(max(m[tag] for m in medians.values()) - min(m[tag] for m in medians.values())
+               for tag in medians["http"] if keep(tag))
 
 
 def udp5_dns_share(results: SurveyResults, tag: str) -> float:
-    return results.family("udp5")["dns"][tag].summary().median / results.family("udp5")["http"][tag].summary().median
+    cell = results.family("udp5")[tag]
+    return cell["dns"].summary().median / cell["http"].summary().median
 
 
 def tcp1(results: SurveyResults) -> DeviceSeries:

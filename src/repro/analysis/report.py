@@ -14,14 +14,11 @@ inventory up top and the shard-failure appendix at the bottom.
 
 from __future__ import annotations
 
+from repro.analysis.figures import code_block
 from repro.analysis.tables import render_table1
 from repro.core import registry
 from repro.core.survey import SurveyResults
 from repro.devices import catalog_profiles
-
-
-def _code_block(text: str) -> str:
-    return "```\n" + text + "\n```"
 
 
 def render_report(results: SurveyResults, title: str = "Home gateway survey") -> str:
@@ -32,7 +29,7 @@ def render_report(results: SurveyResults, title: str = "Home gateway survey") ->
     tags = _population_tags(results)
     profiles = [p for p in catalog_profiles() if not tags or p.tag in tags]
     if profiles:
-        sections.append(_code_block(render_table1(profiles)))
+        sections.append(code_block(render_table1(profiles)))
 
     for section in registry.report_sections():
         if not section.wants(results):
@@ -64,5 +61,5 @@ def _population_tags(results: SurveyResults) -> set:
     for fam in registry.families():
         mapping = results.family(fam.name)
         if mapping:
-            return set(fam.cells_of(mapping))
+            return set(mapping)
     return set()

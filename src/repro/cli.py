@@ -175,7 +175,7 @@ def cmd_survey(args, out) -> int:
     # Families with cells, then any that ran but kept none (every shard failed).
     for name in dict.fromkeys([*results.families, *stats.family_events]):
         descriptor = registry.family(name)
-        line = f"{name:>10}: {len(descriptor.cells_of(results.family(name)))} {descriptor.subject_kind}(s)"
+        line = f"{name:>10}: {len(results.family(name))} {descriptor.subject_kind}(s)"
         if name in stats.family_events:
             line = (f"{line:<30}{stats.family_wall[name]:8.2f}s  {stats.family_events[name]:>9} events  "
                     f"{stats.family_segments[name]:>9} segments")

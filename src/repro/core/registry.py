@@ -9,8 +9,8 @@ all of that with a single registry:
 * :class:`ExperimentFamily` describes one family end to end — the knobs
   it reads, how to build its probe from them, the type of one stored cell
   (which :mod:`~repro.core.codec` turns to and from JSON for the on-disk
-  :mod:`campaign store <repro.core.store>`), and how its canonical mapping
-  splits into per-subject cells and is rebuilt from them.
+  :mod:`campaign store <repro.core.store>`); its results are keyed by
+  subject tag, one cell per subject.
 * :class:`ReportSection` is a render hook: a block of the markdown survey
   report owned by one or more families.  ``analysis/report.py`` iterates
   these instead of enumerating family attributes, so a family added here
@@ -169,12 +169,12 @@ class Knob:
 class ExperimentFamily:
     """Everything the campaign machinery needs to know about one family.
 
-    A family's results live in two orientations: the *canonical* mapping
-    its probe returns (device-keyed for most, service-first for UDP-5) and
-    per-device *cells* — the unit the campaign store persists, one JSON
-    blob per ``(device, family)``.  ``cells``/``insert_cell`` convert
-    between the two; the defaults are the identity for device-keyed
-    families.
+    A family's probe returns its results keyed by subject tag (a device
+    tag, or a pair tag for ``traversal_matrix``); each value is one *cell*,
+    the unit the campaign store persists, one JSON blob per ``(subject,
+    family)``.  The campaign result holds that same mapping, so what a
+    probe returns, what the store keeps and what a report reads have one
+    shape.
     """
 
     #: Registry key; also the CLI test name (``udp1``, ``transports`` …).
@@ -192,10 +192,6 @@ class ExperimentFamily:
     #: instance and returns its population entry point.  ``None`` for
     #: derived families.
     probe_factory: Optional[Callable[[Any], Callable]] = None
-    #: Canonical family mapping -> ``{device_tag: cell}`` (default: identity).
-    cells: Optional[Callable[[Mapping[str, Any]], Dict[str, Any]]] = None
-    #: Insert one device cell into a canonical mapping (default: ``m[tag]=c``).
-    insert_cell: Optional[Callable[[Dict[str, Any], str, Any], None]] = None
     #: Name of the family this one is derived from (``None`` = measured).
     derived_from: Optional[str] = None
     #: Parent cell -> derived cell (e.g. ``analyze_port_behavior``).
@@ -249,19 +245,6 @@ class ExperimentFamily:
         if self.subjects is not None:
             return list(self.subjects(profiles, knobs))
         return [Subject.device(profile) for profile in profiles]
-
-    def cells_of(self, mapping: Mapping[str, Any]) -> Dict[str, Any]:
-        """Per-device cells of a canonical family mapping."""
-        if self.cells is not None:
-            return self.cells(mapping)
-        return dict(mapping)
-
-    def insert(self, target: Dict[str, Any], tag: str, cell: Any) -> None:
-        """Insert one device's cell into a canonical mapping."""
-        if self.insert_cell is not None:
-            self.insert_cell(target, tag, cell)
-        else:
-            target[tag] = cell
 
     def encode(self, cell: Any) -> Any:
         """Encode one result cell for the store."""

@@ -266,7 +266,7 @@ def decode_cells(
                 raise StoreError(
                     f"undecodable cell {_cell_file(root, subject, fam.name)}: {type(exc).__name__}: {exc}"
                 ) from exc
-            fam.insert(mapping, subject, cell)
+            mapping[subject] = cell
         if mapping:
             results.set_family(fam.name, mapping)
     return results

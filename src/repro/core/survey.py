@@ -68,8 +68,9 @@ class SurveyResults:
     """Everything the campaign produced, keyed the way the paper reports it.
 
     Family results live in one generic container — ``families`` maps each
-    registered family name to its canonical result mapping (device-keyed
-    for most families, service-first for UDP-5); :meth:`family` reads one.
+    registered family name to its result mapping, keyed by subject tag (a
+    device tag, or a pair tag for ``traversal_matrix``) with one stored
+    cell per key; :meth:`family` reads one.
 
     ``stats``/``metrics`` carry the run's performance counters; they are
     excluded from equality so that two runs of the same campaign (e.g.
@@ -98,7 +99,7 @@ class SurveyResults:
         self.metrics: Optional[MetricsRegistry] = metrics
 
     def family(self, name: str) -> Dict:
-        """One family's canonical result mapping (empty when absent)."""
+        """One family's result mapping, keyed by subject tag (empty when absent)."""
         return self.families.get(name, {})
 
     def set_family(self, name: str, mapping: Mapping) -> None:
@@ -417,8 +418,7 @@ class SurveyRunner:
         try:
             for family in registry.families():
                 if family.runnable and family.name in tests and family.subject_kind == subject.kind:
-                    mapping = self._measure(family, subject, seed, stats, observer)
-                    for tag, cell in family.cells_of(mapping).items():
+                    for tag, cell in self._measure(family, subject, seed, stats, observer).items():
                         self._record(cells, family, tag, cell)
         except ShardFailure as failure:
             error = failure.to_error()

@@ -53,24 +53,6 @@ class ThroughputResult:
     upload_bidir: Optional[TransferOutcome] = None
     download_bidir: Optional[TransferOutcome] = None
 
-    def as_mbps(self) -> Dict[str, float]:
-        """Measured directions in Mb/s, keyed by direction name."""
-        out = {}
-        for name in ("upload", "download", "upload_bidir", "download_bidir"):
-            outcome = getattr(self, name)
-            if outcome is not None:
-                out[name] = outcome.throughput_bps / 1e6
-        return out
-
-    def delays_ms(self) -> Dict[str, float]:
-        """Measured queuing delays in milliseconds, keyed by direction."""
-        out = {}
-        for name in ("upload", "download", "upload_bidir", "download_bidir"):
-            outcome = getattr(self, name)
-            if outcome is not None:
-                out[name] = outcome.queuing_delay * 1e3
-        return out
-
 
 class _PacedSender:
     """Feeds stamped chunks into a TCP connection, keeping backlog shallow."""

@@ -384,14 +384,24 @@ class UdpServiceProbe:
         self.probe_kwargs = probe_kwargs
 
     def run_all(self, bed: Testbed) -> Dict[str, Dict[str, UdpTimeoutResult]]:
-        """Returns ``{service_name: {tag: result}}``."""
+        """Returns ``{tag: {service_name: result}}``, one cell per device (:func:`by_service` for Figure 6)."""
         results: Dict[str, Dict[str, UdpTimeoutResult]] = {}
         for name, port in sorted(self.services.items()):
             probe = UdpTimeoutProbe.udp2(
                 server_port=port, repetitions=self.repetitions, **self.probe_kwargs
             )
-            results[name] = probe.run_all(bed)
+            for tag, result in probe.run_all(bed).items():
+                results.setdefault(tag, {})[name] = result
         return results
+
+
+def by_service(results: Dict[str, Dict[str, UdpTimeoutResult]]) -> Dict[str, Dict[str, UdpTimeoutResult]]:
+    """UDP-5's ``{tag: {service: result}}`` turned service-first, Figure 6's axes."""
+    services: Dict[str, Dict[str, UdpTimeoutResult]] = {}
+    for tag, cell in results.items():
+        for service, result in cell.items():
+            services.setdefault(service, {})[tag] = result
+    return services
 
 
 def analyze_port_behavior(result: UdpTimeoutResult) -> PortBehavior:
@@ -417,20 +427,6 @@ def analyze_port_behavior(result: UdpTimeoutResult) -> PortBehavior:
 # ---------------------------------------------------------------------------
 # Registry: family descriptors, report hooks.
 # ---------------------------------------------------------------------------
-
-
-def _udp5_cells(mapping: Dict) -> Dict[str, Dict]:
-    """Service-first canonical mapping -> per-device ``{service: result}`` cells."""
-    cells: Dict[str, Dict] = {}
-    for service, per_device in mapping.items():
-        for tag, result in per_device.items():
-            cells.setdefault(tag, {})[service] = result
-    return cells
-
-
-def _udp5_insert(mapping: Dict, tag: str, cell: Dict) -> None:
-    for service, result in cell.items():
-        mapping.setdefault(service, {})[tag] = result
 
 
 def timeout_series(results: Dict[str, UdpTimeoutResult], name: str) -> DeviceSeries:
@@ -483,7 +479,7 @@ def _render_udp5(results) -> Optional[str]:
 
     per_service = {
         service: timeout_series(data, service)
-        for service, data in sorted(results.family("udp5").items())
+        for service, data in sorted(by_service(results.family("udp5")).items())
     }
     if not per_service:
         return None
@@ -534,8 +530,6 @@ registry.register_family(registry.ExperimentFamily(
     cell_type=Dict[str, UdpTimeoutResult],
     knobs=UdpServiceKnobs,
     probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs.udp5_repetitions).run_all,
-    cells=_udp5_cells,
-    insert_cell=_udp5_insert,
 ))
 
 registry.register_section(registry.ReportSection(

@@ -169,18 +169,6 @@ class HomeGateway(Host):
         self._dhcp_client = DhcpClientService(self, WAN_IFACE, on_configured=configured)
         self._dhcp_client.start()
 
-    def configure_wan_static(
-        self,
-        ip: IPv4Address,
-        network: IPv4Network,
-        gateway_ip: IPv4Address,
-        dns_servers: Optional[List[IPv4Address]] = None,
-    ) -> None:
-        """Static WAN setup for unit tests that skip DHCP."""
-        self.wan_iface.configure(ip, network, gateway_ip=gateway_ip)
-        self.add_default_route(WAN_IFACE, gateway_ip)
-        self.wan_dns_servers = list(dns_servers or [])
-
     # -- fault injection ------------------------------------------------------
 
     def crash(self, boot_delay: Optional[float] = None) -> None:

@@ -31,10 +31,6 @@ from typing import Any, Callable, List, Optional, Tuple
 _COMPACT_MIN_HEAP = 64
 
 
-class CancelledError(RuntimeError):
-    """Raised when interacting with a timer that was cancelled."""
-
-
 class WatchdogExpired(RuntimeError):
     """The simulation tried to advance past its virtual-time watchdog limit.
 

@@ -6,7 +6,7 @@ from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
-from repro.devices.profile import DeviceProfile
+from repro.devices.profile import DeviceProfile, FilteringBehavior, MappingBehavior, NatPolicy
 from repro.netsim import Link, Simulation, mac_allocator
 from repro.protocols import Host
 
@@ -37,6 +37,32 @@ def host_pair(sim, macs):
 def make_profile(tag: str = "dev", **overrides) -> DeviceProfile:
     """A default test profile with top-level overrides."""
     return DeviceProfile(tag, "TestVendor", "TestModel", "1.0", **overrides)
+
+
+def cone(tag: str, filtering: FilteringBehavior = FilteringBehavior.ADDRESS_DEPENDENT) -> DeviceProfile:
+    """An endpoint-independent-mapping NAT with the given filtering."""
+    return make_profile(tag, nat=NatPolicy(filtering=filtering))
+
+
+def symmetric(tag: str) -> DeviceProfile:
+    """An address-and-port-dependent (RFC 3489 symmetric) NAT that does not preserve ports."""
+    return make_profile(
+        tag,
+        nat=NatPolicy(
+            port_preservation=False,
+            mapping=MappingBehavior.ADDRESS_AND_PORT_DEPENDENT,
+            filtering=FilteringBehavior.ADDRESS_AND_PORT_DEPENDENT,
+        ),
+    )
+
+
+def matrix_cells(profiles, **runner_kwargs):
+    """Every ``traversal_matrix`` cell of a campaign over ``profiles``, keyed by pair tag."""
+    from repro.core.survey import SurveyRunner
+
+    results = SurveyRunner(list(profiles), **runner_kwargs).run(["traversal_matrix"])
+    assert results.complete, results.errors
+    return results.family("traversal_matrix")
 
 
 @pytest.fixture

@@ -35,6 +35,19 @@ def test_nat_classifier_runs(capsys):
     out = capsys.readouterr().out
     assert "symmetric" in out
     assert "classification" in out
+    # Address-and-port-dependent filters drop the alternate port's reply.
+    lines = {line.split()[0]: line for line in out.splitlines() if line.strip()}
+    for tag in ("be1", "ls2", "zy1"):
+        assert lines[tag].endswith("port-restricted cone"), lines[tag]
+
+
+def test_hole_punching_runs(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hole_punching.py"])
+    _load("hole_punching").main()
+    out = capsys.readouterr().out
+    assert "zy1: port-restricted cone" in out
+    # al, bu1 and dl1 map endpoint-independently: their 6 ordered pairs punch.
+    assert "6/30 ordered pairs punched, 24 connected through the relay" in out
 
 
 def test_keepalive_advisor_runs(capsys, monkeypatch):

@@ -80,8 +80,8 @@ class TestUdpProbes:
         timeouts = UdpTimeoutPolicy(60.0, 60.0, 60.0, per_port={53: 20.0})
         bed = Testbed.build([make_profile("d", udp_timeouts=timeouts)])
         results = UdpServiceProbe(services={"dns": 53, "http": 80}, repetitions=1).run_all(bed)
-        dns = results["dns"]["d"].summary().median
-        http = results["http"]["d"].summary().median
+        dns = results["d"]["dns"].summary().median
+        http = results["d"]["http"].summary().median
         assert dns == pytest.approx(20.0, abs=1.5)
         assert http == pytest.approx(60.0, abs=1.5)
 

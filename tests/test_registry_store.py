@@ -206,7 +206,7 @@ class TestCellCodecs:
     ])
     def test_round_trip_exact(self, results, name):
         fam = registry.family(name)
-        cells = fam.cells_of(results.family(name))
+        cells = results.family(name)
         assert cells, f"no cells for {name}"
         for tag, cell in cells.items():
             payload = fam.encode(cell)

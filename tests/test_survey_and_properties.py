@@ -34,7 +34,9 @@ class TestSurveyRunner:
         assert results.family("udp1")["quick"].summary().median == pytest.approx(30.0, abs=1.0)
         assert results.family("udp2")["slow"].summary().median == pytest.approx(150.0, abs=1.5)
         assert results.family("udp3")["quick"].summary().median == pytest.approx(90.0, abs=1.5)
-        assert set(results.family("udp5")) == {"dns", "http", "ntp", "snmp", "tftp"}
+        assert set(results.family("udp5")) == {"quick", "slow"}
+        for cell in results.family("udp5").values():
+            assert set(cell) == {"dns", "http", "ntp", "snmp", "tftp"}
 
     def test_udp4_derived(self, results):
         assert results.family("udp4")["quick"].preserves_port

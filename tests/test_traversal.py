@@ -1,28 +1,15 @@
 """STUN classification and UDP hole punching."""
 
+import json
+from collections import Counter
 from ipaddress import IPv4Address
 
 from repro.core.runtime import SimTask, run_tasks
-from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy
+from repro.devices.profile import FilteringBehavior
 from repro.testbed import Testbed
-from repro.traversal import HolePunchExperiment, StunClient, StunServer, classify
+from repro.traversal import StunClient, StunServer, classify
 from repro.traversal.stun import MappedAddress, decode, encode_request, encode_response
-from tests.conftest import make_profile
-
-
-def cone(tag, filtering=FilteringBehavior.ADDRESS_DEPENDENT):
-    return make_profile(tag, nat=NatPolicy(filtering=filtering))
-
-
-def symmetric(tag):
-    return make_profile(
-        tag,
-        nat=NatPolicy(
-            port_preservation=False,
-            mapping=MappingBehavior.ADDRESS_AND_PORT_DEPENDENT,
-            filtering=FilteringBehavior.ADDRESS_AND_PORT_DEPENDENT,
-        ),
-    )
+from tests.conftest import cone, matrix_cells, symmetric
 
 
 class TestWireFormat:
@@ -84,49 +71,50 @@ class TestStunClassification:
 
 
 class TestHolePunching:
-    def _run(self, profile_a, profile_b):
-        bed = Testbed.build([profile_a, profile_b])
-        experiment = HolePunchExperiment(bed)
-        outcome = experiment.attempt(profile_a.tag, profile_b.tag)
-        experiment.close()
-        return outcome
+    """Simultaneous UDP punches, run as ``traversal_matrix`` campaigns over every ordered pair."""
 
     def test_cone_to_cone_succeeds(self):
-        outcome = self._run(cone("a"), cone("b"))
-        assert outcome.success, outcome
+        cells = matrix_cells([cone("a"), cone("b")])
+        assert set(cells) == {"a+b", "b+a"}
+        for cell in cells.values():
+            assert cell.punched and cell.path == "direct", cell
 
     def test_port_restricted_pair_succeeds(self):
         """Simultaneous punches defeat even port-restricted filtering when
         mappings are endpoint-independent (Ford et al.)."""
-        outcome = self._run(
+        cells = matrix_cells([
             cone("a", FilteringBehavior.ADDRESS_AND_PORT_DEPENDENT),
             cone("b", FilteringBehavior.ADDRESS_AND_PORT_DEPENDENT),
-        )
-        assert outcome.success, outcome
+        ])
+        for cell in cells.values():
+            assert cell.punched and cell.path == "direct", cell
 
     def test_symmetric_pair_fails(self):
-        outcome = self._run(symmetric("a"), symmetric("b"))
-        assert not outcome.success
+        cells = matrix_cells([symmetric("a"), symmetric("b")])
+        assert set(cells) == {"a+b", "b+a"}
+        for cell in cells.values():
+            assert not cell.punched, cell
 
-    def test_symmetric_vs_full_cone_partial(self):
+    def test_symmetric_vs_full_cone_partial(self, tmp_path):
         """A symmetric NAT against an open (endpoint-independent-filtering)
         cone: the cone side hears the symmetric side's punches, but not the
         other way around — no bidirectional session."""
-        outcome = self._run(symmetric("a"), cone("b", FilteringBehavior.ENDPOINT_INDEPENDENT))
-        assert outcome.a_reached_b  # a's punches land on b's open binding
-        assert not outcome.b_reached_a
-        assert not outcome.success
-
-    def test_reflexive_endpoints_reported(self):
-        outcome = self._run(cone("a"), cone("b"))
-        assert outcome.reflexive_a is not None and outcome.reflexive_b is not None
-        assert outcome.reflexive_a.ip != outcome.reflexive_b.ip
+        cells = matrix_cells(
+            [symmetric("a"), cone("b", FilteringBehavior.ENDPOINT_INDEPENDENT)],
+            matrix_pairs="a+b", trace_dir=str(tmp_path),
+        )
+        heard = Counter(
+            event["side"]
+            for path in (tmp_path / "a+b").glob("*.jsonl")
+            for event in map(json.loads, path.read_text().splitlines())
+            if event["kind"] == "punch.rx"
+        )
+        assert heard["b"] > 0  # a's punches land on b's open binding
+        assert heard["a"] == 0
+        assert not cells["a+b"].punched
 
     def test_matrix(self):
-        bed = Testbed.build([cone("a"), cone("b"), symmetric("s")])
-        experiment = HolePunchExperiment(bed)
-        outcomes = experiment.matrix(["a", "b", "s"])
-        experiment.close()
-        assert outcomes[("a", "b")].success
-        assert not outcomes[("a", "s")].success
-        assert not outcomes[("b", "s")].success
+        cells = matrix_cells([cone("a"), cone("b"), symmetric("s")])
+        assert len(cells) == 6
+        for cell in cells.values():
+            assert cell.punched == ("s" not in (cell.tag_a, cell.tag_b)), cell.pair

@@ -1,39 +1,26 @@
 """TURN-style relay, ICE-lite, UDP and TCP hole punching, and pcap export."""
 
+import itertools
+
 import pytest
 
 from repro.devices import CATALOG, catalog_profiles
-from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy
+from repro.devices.profile import MappingBehavior
 from repro.netsim.pcap import read_pcap
 from repro.obs import PcapSink, TraceBus
 from repro.testbed import Testbed
-from repro.traversal import HolePunchExperiment, IceLiteSession, RelayServer, TcpHolePunchExperiment
-from tests.conftest import make_profile
-
-
-def cone(tag, filtering=FilteringBehavior.ADDRESS_DEPENDENT):
-    return make_profile(tag, nat=NatPolicy(filtering=filtering))
-
-
-def symmetric(tag):
-    return make_profile(
-        tag,
-        nat=NatPolicy(
-            port_preservation=False,
-            mapping=MappingBehavior.ADDRESS_AND_PORT_DEPENDENT,
-            filtering=FilteringBehavior.ADDRESS_AND_PORT_DEPENDENT,
-        ),
-    )
+from repro.traversal import RelayServer, TcpHolePunchExperiment
+from tests.conftest import cone, matrix_cells, symmetric
 
 
 class TestRelay:
     def test_relay_carries_traffic_between_symmetric_nats(self):
-        bed = Testbed.build([symmetric("a"), symmetric("b")])
-        bed.server.ip_forwarding = True
-        session = IceLiteSession(bed)
-        assert session._relay_pair("a", "b") is True
-        assert session.relay.datagrams_relayed >= 2
-        session.close()
+        cell = matrix_cells([symmetric("a"), symmetric("b")], matrix_pairs="a+b")["a+b"]
+        # ``relayed`` is set only after a check exchange crossed the relay
+        # both ways; the keepalive ladder then rides the same relay ports.
+        assert not cell.punched
+        assert cell.relayed and cell.path == "relayed"
+        assert cell.keepalive_interval is not None
 
     def test_relay_allocation_is_per_session(self):
         bed = Testbed.build([cone("a")])
@@ -52,29 +39,26 @@ class TestRelay:
 
 
 class TestIceLite:
+    """ICE-lite as the ``traversal_matrix`` pair probe runs it: a direct punch first, the relay as fallback."""
+
     def test_cone_pair_goes_direct(self):
-        bed = Testbed.build([cone("a"), cone("b")])
-        session = IceLiteSession(bed)
-        outcome = session.connect("a", "b")
-        session.close()
-        assert outcome.connected and outcome.path == "direct"
+        for cell in matrix_cells([cone("a"), cone("b")]).values():
+            assert cell.connected and cell.path == "direct", cell
 
     def test_symmetric_pair_falls_back_to_relay(self):
-        bed = Testbed.build([symmetric("a"), symmetric("b")])
-        session = IceLiteSession(bed)
-        outcome = session.connect("a", "b")
-        session.close()
-        assert outcome.connected and outcome.path == "relayed"
-        assert outcome.direct is not None and not outcome.direct.success
+        for cell in matrix_cells([symmetric("a"), symmetric("b")]).values():
+            assert cell.connected and cell.path == "relayed", cell
+            assert not cell.punched
 
     def test_matrix_mixes_paths(self):
-        bed = Testbed.build([cone("a"), cone("b"), symmetric("s")])
-        session = IceLiteSession(bed)
-        outcomes = session.matrix(["a", "b", "s"])
-        session.close()
-        assert outcomes[("a", "b")].path == "direct"
-        assert outcomes[("a", "s")].path == "relayed"
-        assert all(o.connected for o in outcomes.values())
+        cells = matrix_cells([cone("a"), cone("b"), symmetric("s")])
+        assert {pair: cell.path for pair, cell in cells.items()} == {
+            "a+b": "direct", "a+s": "relayed", "b+a": "direct",
+            "b+s": "relayed", "s+a": "relayed", "s+b": "relayed",
+        }
+        for cell in cells.values():
+            assert cell.connected, cell.pair
+            assert cell.relayed == (cell.path == "relayed"), cell.pair
 
 
 class TestTcpHolePunch:
@@ -112,30 +96,27 @@ class TestCatalogTraversal:
 
     def test_udp_hole_punching_splits_on_mapping(self):
         tags = ["al", "ap", "bu1", "dl1", "ed", "ng1", "smc", "ls2", "zy1", "we"]
-        experiment = HolePunchExperiment(Testbed.build(catalog_profiles(tags)))
-        outcomes = experiment.matrix(tags)
-        experiment.close()
+        cells = matrix_cells(catalog_profiles(tags)).values()
+        assert len(cells) == len(tags) * (len(tags) - 1)
         friendly = _endpoint_independent(tags)
-        for (tag_a, tag_b), outcome in outcomes.items():
-            if tag_a in friendly and tag_b in friendly:
-                assert outcome.success, (tag_a, tag_b)
-            if tag_a not in friendly and tag_b not in friendly:
-                assert not outcome.success, (tag_a, tag_b)
+        for cell in cells:
+            assert cell.punched == (cell.tag_a in friendly and cell.tag_b in friendly), cell.pair
 
     def test_ice_always_connects_and_tcp_punching_tracks_mapping(self):
         tags = ["al", "bu1", "dl1", "ng1", "smc"]
-        session = IceLiteSession(Testbed.build(catalog_profiles(tags)))
-        ice = session.matrix(tags)
-        session.close()
-        experiment = TcpHolePunchExperiment(Testbed.build(catalog_profiles(tags)))
-        tcp = {pair: experiment.attempt(*pair) for pair in ice}
-        experiment.close()
-        # ICE always connects (relay is the safety net), sometimes directly.
-        assert all(outcome.connected for outcome in ice.values())
-        paths = [outcome.path for outcome in ice.values()]
-        assert "relayed" in paths and "direct" in paths
-        # TCP punching matches the UDP-punch friendliness boundary here.
+        cells = matrix_cells(catalog_profiles(tags)).values()
         friendly = _endpoint_independent(tags)
+        # ICE always connects (relay is the safety net), directly exactly
+        # where both sides are endpoint-independent.
+        assert all(cell.connected for cell in cells)
+        assert {cell.path for cell in cells} == {"direct", "relayed"}
+        for cell in cells:
+            both = cell.tag_a in friendly and cell.tag_b in friendly
+            assert cell.path == ("direct" if both else "relayed"), cell.pair
+        experiment = TcpHolePunchExperiment(Testbed.build(catalog_profiles(tags)))
+        tcp = {pair: experiment.attempt(*pair) for pair in itertools.combinations(tags, 2)}
+        experiment.close()
+        # TCP punching matches the UDP-punch friendliness boundary here.
         for (tag_a, tag_b), outcome in tcp.items():
             assert outcome.success == (tag_a in friendly and tag_b in friendly), (tag_a, tag_b, outcome)
 
