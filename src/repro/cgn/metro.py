@@ -37,7 +37,6 @@ segment's position and of which other segments share the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cgn.families import Nat444Knobs
@@ -48,7 +47,7 @@ from repro.netsim.addresses import mac_allocator
 from repro.netsim.sim import Simulation
 from repro.netsim.switch import VlanSwitch
 from repro.protocols.stack import Host
-from repro.testbed.wiring import CgnSegment, Wiring, dhcp_cascade, simulation
+from repro.testbed.wiring import CgnSegment, Wiring, dhcp_cascade, first_host, simulation, slash24
 
 __all__ = [
     "MetroFlap",
@@ -82,7 +81,8 @@ CORE_DELAY = 2.5e-3
 #: OUI of the core host's MAC allocator; segment ``n`` allocates from
 #: ``0x020000 + n``, so address spaces never collide in one simulation.
 CORE_OUI = 0x02_F0_00
-#: Address plans bound the population exactly like Nat444's.
+#: Address plans bound the population exactly like Nat444's; a segment's
+#: access pool (``ACCESS_POOL_HOMES``) holds more than this many homes.
 MAX_METRO_SEGMENTS = 63
 MAX_METRO_SUBSCRIBERS = 200
 
@@ -377,9 +377,9 @@ class MetroTopology(Wiring):
 
     def _add_segment(self, index: int, profile: DeviceProfile) -> None:
         """Segment ``n``: its server face, everything behind its core link, the link, its schedule."""
-        wan_network = IPv4Network(f"10.100.{index}.0/24")
-        access_network = IPv4Network(f"100.{64 + index}.0.0/24")
-        server_ip = IPv4Address(f"10.100.{index}.1")
+        wan_network = slash24(10, 100, index)
+        access_network = slash24(100, 64 + index, 0)
+        server_ip = first_host(wan_network)
         server_iface = self.server_face(index, wan_network, server_ip)
         macs = mac_allocator(0x02_00_00 + index)
         access = VlanSwitch(self.sim, f"acc-{index}", macs)

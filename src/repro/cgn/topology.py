@@ -22,13 +22,22 @@ installs through the same two methods the survey engine already calls.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence
 
 from repro.devices.cgn_profiles import CgnPolicy
 from repro.devices.profile import DeviceProfile
 from repro.netsim.sim import Simulation
-from repro.testbed.wiring import CgnSegment, HomeSlot, Wiring, dhcp_cascade, simulation
+from repro.testbed.wiring import (
+    ACCESS_POOL_HOMES,
+    CgnSegment,
+    HomeSlot,
+    Wiring,
+    dhcp_cascade,
+    first_host,
+    simulation,
+    slash24,
+)
 
 __all__ = ["HomeSlot", "CgnSegment", "Nat444Topology"]
 
@@ -65,6 +74,10 @@ class Nat444Topology(Wiring):
                 f"{len(profiles)} segments x {subscribers} subscribers exceeds "
                 f"the {MAX_HOMES}-home address plan"
             )
+        if subscribers > ACCESS_POOL_HOMES:
+            raise ValueError(
+                f"a NAT444 segment's /24 access pool leases at most {ACCESS_POOL_HOMES} homes, got {subscribers}"
+            )
         super().__init__(sim)
         self.subscribers = subscribers
         self.cgn_policy = cgn_policy if cgn_policy is not None else CgnPolicy()
@@ -91,9 +104,9 @@ class Nat444Topology(Wiring):
         """Segment ``n``: server face and CGN on VLAN ``1000+n``, homes on ``2000+n``."""
         if profile.tag in self.segments:
             raise ValueError(f"duplicate device tag {profile.tag!r}")
-        wan_network = IPv4Network(f"10.100.{number}.0/24")
-        access_network = IPv4Network(f"100.{64 + number}.0.0/24")
-        server_ip = IPv4Address(f"10.100.{number}.1")
+        wan_network = slash24(10, 100, number)
+        access_network = slash24(100, 64 + number, 0)
+        server_ip = first_host(wan_network)
         name = f"cgn-{profile.tag}"
         uplink = (self.wan_switch, 1000 + number)
         server_iface = self.server_face(number, wan_network, server_ip, uplink, name)

@@ -178,9 +178,11 @@ def cmd_survey(args, out) -> int:
         line = f"{name:>10}: {len(results.family(name))} {descriptor.subject_kind}(s)"
         if name in stats.family_events:
             line = (f"{line:<30}{stats.family_wall[name]:8.2f}s  {stats.family_events[name]:>9} events  "
-                    f"{stats.family_segments[name]:>9} segments")
+                    f"{stats.family_segments[name]:>9} segments  {stats.family_setup[name]:6.2f}s setup")
         out(line)
-    out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s cpu (shard sum)")
+    setup = stats.setup_seconds
+    out(f"elapsed: {runner.last_elapsed:.2f}s wall   {setup + stats.wall_seconds:.2f}s cpu "
+        f"(shard sum: {setup:.2f}s setup + {stats.wall_seconds:.2f}s probe)")
     out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
     out(f"segments modeled: {stats.segments_modeled}   "
         f"fastpath saved: {stats.fastpath_events_saved} events in {stats.fastpath_windows} windows")

@@ -2,9 +2,10 @@
 
 :class:`SimStats` aggregates what the simulator core and the campaign driver
 already know — events processed, stale-entry purges, wall-clock per
-experiment family — into one block.  :class:`SurveyRunner` attaches it to
-its results; ``repro survey`` prints it, and ``tools/golden.py`` holds the
-per-family work counters of a canonical campaign to committed values.
+experiment family, split into bed setup and probe — into one block.
+:class:`SurveyRunner` attaches it to its results; ``repro survey`` prints
+it, and ``tools/golden.py`` holds the per-family work counters of a
+canonical campaign to committed values.
 """
 
 from __future__ import annotations
@@ -25,15 +26,19 @@ class SimStats:
     fastpath_events_saved: int = 0
     #: Idle→busy transitions of the eager kernels (analytic service windows).
     fastpath_windows: int = 0
-    #: Wall-clock seconds spent inside the measurement families.
+    #: Wall-clock seconds spent inside the measurement families' probes
+    #: (bed setup excluded: see ``family_setup``).
     wall_seconds: float = 0.0
     #: Heap compaction passes run by the schedulers.
     stale_purges: int = 0
     #: Dead heap entries dropped by those passes.
     stale_entries_purged: int = 0
-    #: Wall-clock seconds per experiment family.
+    #: Wall-clock seconds per experiment family, probe only.
     family_wall: Dict[str, float] = field(default_factory=dict)
-    #: Simulator events per experiment family.
+    #: Wall-clock seconds per experiment family building and bringing up
+    #: its beds, before the probe's clock starts.
+    family_setup: Dict[str, float] = field(default_factory=dict)
+    #: Simulator events per experiment family, bring-up included.
     family_events: Dict[str, int] = field(default_factory=dict)
     #: Work modeled per family: events processed + events the fast path
     #: counts as elided.  It is not engine-independent: a traced run,
@@ -46,11 +51,18 @@ class SimStats:
     jobs: int = 1
 
     @property
+    def setup_seconds(self) -> float:
+        """Wall-clock seconds of bed setup, summed over families."""
+        return sum(self.family_setup.values())
+
+    @property
     def events_per_sec(self) -> float:
-        """Simulated events per wall-clock second (0 when nothing ran)."""
-        if self.wall_seconds <= 0:
+        """Simulated events per wall-clock second of setup plus probe, the
+        time those events ran in (0 when nothing ran)."""
+        seconds = self.wall_seconds + self.setup_seconds
+        if seconds <= 0:
             return 0.0
-        return self.events_processed / self.wall_seconds
+        return self.events_processed / seconds
 
     @property
     def segments_modeled(self) -> int:
@@ -67,6 +79,10 @@ class SimStats:
         self.events_processed += events
         self.fastpath_events_saved += saved
         self.fastpath_windows += windows
+
+    def note_setup(self, family: str, seconds: float) -> None:
+        """Accumulate one bed's build and bring-up time for ``family``."""
+        self.family_setup[family] = self.family_setup.get(family, 0.0) + seconds
 
     def note_run(self, family: str, wall: float, sim) -> None:
         """Accumulate one family run: its wall time and its simulation's counters.
@@ -99,6 +115,8 @@ class SimStats:
         self.stale_entries_purged += other.stale_entries_purged
         for family, wall in other.family_wall.items():
             self.family_wall[family] = self.family_wall.get(family, 0.0) + wall
+        for family, seconds in other.family_setup.items():
+            self.note_setup(family, seconds)
         for family, events in other.family_events.items():
             self.family_events[family] = self.family_events.get(family, 0) + events
         for family, segments in other.family_segments.items():

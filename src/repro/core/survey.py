@@ -443,10 +443,12 @@ class SurveyRunner:
         ``schedule_faults`` raising) fails the family like its probe would,
         so the shard keeps the cells of the families before it.
         """
+        started = time.perf_counter()
         try:
             bed = self._fresh_testbed(family, subject, seed)
         except Exception as exc:
             raise ShardFailure(subject.tag, family.name, type(exc).__name__, str(exc)) from exc
+        stats.note_setup(family.name, time.perf_counter() - started)
         if self.family_timeout is not None:
             bed.sim.watchdog_limit = bed.sim.now + self.family_timeout
         # The observer attaches *after* bring-up: DHCP chatter stays out

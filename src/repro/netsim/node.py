@@ -98,7 +98,7 @@ class Interface:
         self.ip_int = int(ip)
         self.net_int = self.route.net
         self.mask_int = self.route.mask
-        self.broadcast_int = int(network.broadcast_address)
+        self.broadcast_int = self.net_int | (self.mask_int ^ 0xFFFFFFFF)
 
     def deconfigure(self) -> None:
         self.ip = None

@@ -5,13 +5,18 @@ interface, and each gateway's own DHCP server configures the test client's
 per-VLAN interface — so both a server and a client speak this format.
 Supported options are the ones those exchanges need: message type, subnet
 mask, router, DNS servers, lease time, server identifier, requested address.
+
+A :class:`DhcpMessage` keeps those options as typed values and rides in a
+:class:`~repro.packets.udp.UdpDatagram` as it is: ``len()`` is its encoded
+size, computed from the fields, so a frame carrying it takes exactly the
+link time its bytes would.  Bytes exist only where a sink reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.netsim.addresses import MacAddress
 
@@ -38,6 +43,10 @@ BOOTREPLY = 2
 MAGIC_COOKIE = bytes([99, 130, 83, 99])
 
 _FIXED_BYTES = 236
+#: The fixed header, the magic cookie and the END option.
+_BASE_BYTES = _FIXED_BYTES + len(MAGIC_COOKIE) + 1
+#: An option carrying one address or one 32-bit number: code, length, 4 bytes.
+_WORD_OPTION_BYTES = 6
 
 MESSAGE_TYPE_NAMES = {
     DHCP_DISCOVER: "DISCOVER",
@@ -52,13 +61,13 @@ MESSAGE_TYPE_NAMES = {
 _ZERO_IP = IPv4Address("0.0.0.0")
 
 
-def _ip_list_bytes(addresses: List[IPv4Address]) -> bytes:
-    return b"".join(a.packed for a in addresses)
-
-
 @dataclass
 class DhcpMessage:
-    """A BOOTP/DHCP message."""
+    """A BOOTP/DHCP message; an option is present when its field is set.
+
+    ``dns_servers`` is present when non-empty; ``router`` encodes as a
+    one-address router list.
+    """
 
     op: int
     xid: int
@@ -67,63 +76,25 @@ class DhcpMessage:
     yiaddr: IPv4Address = _ZERO_IP
     siaddr: IPv4Address = _ZERO_IP
     giaddr: IPv4Address = _ZERO_IP
-    options: Dict[int, bytes] = field(default_factory=dict)
-
-    # -- option accessors ---------------------------------------------------
-
-    @property
-    def message_type(self) -> Optional[int]:
-        raw = self.options.get(OPT_MESSAGE_TYPE)
-        return raw[0] if raw else None
-
-    def set_message_type(self, message_type: int) -> None:
-        self.options[OPT_MESSAGE_TYPE] = bytes([message_type])
-
-    @property
-    def subnet_mask(self) -> Optional[IPv4Address]:
-        raw = self.options.get(OPT_SUBNET_MASK)
-        return IPv4Address(raw) if raw else None
-
-    @property
-    def router(self) -> Optional[IPv4Address]:
-        raw = self.options.get(OPT_ROUTER)
-        return IPv4Address(raw[:4]) if raw else None
-
-    @property
-    def dns_servers(self) -> List[IPv4Address]:
-        raw = self.options.get(OPT_DNS_SERVERS, b"")
-        return [IPv4Address(raw[i : i + 4]) for i in range(0, len(raw), 4)]
-
-    @property
-    def lease_time(self) -> Optional[int]:
-        raw = self.options.get(OPT_LEASE_TIME)
-        return int.from_bytes(raw, "big") if raw else None
-
-    @property
-    def server_id(self) -> Optional[IPv4Address]:
-        raw = self.options.get(OPT_SERVER_ID)
-        return IPv4Address(raw) if raw else None
-
-    @property
-    def requested_ip(self) -> Optional[IPv4Address]:
-        raw = self.options.get(OPT_REQUESTED_IP)
-        return IPv4Address(raw) if raw else None
+    message_type: Optional[int] = None
+    subnet_mask: Optional[IPv4Address] = None
+    router: Optional[IPv4Address] = None
+    dns_servers: List[IPv4Address] = field(default_factory=list)
+    lease_time: Optional[int] = None
+    server_id: Optional[IPv4Address] = None
+    requested_ip: Optional[IPv4Address] = None
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def discover(cls, xid: int, client_mac: MacAddress) -> "DhcpMessage":
-        message = cls(BOOTREQUEST, xid, client_mac)
-        message.set_message_type(DHCP_DISCOVER)
-        return message
+        return cls(BOOTREQUEST, xid, client_mac, message_type=DHCP_DISCOVER)
 
     @classmethod
     def request(cls, xid: int, client_mac: MacAddress, requested: IPv4Address, server_id: IPv4Address) -> "DhcpMessage":
-        message = cls(BOOTREQUEST, xid, client_mac)
-        message.set_message_type(DHCP_REQUEST)
-        message.options[OPT_REQUESTED_IP] = requested.packed
-        message.options[OPT_SERVER_ID] = server_id.packed
-        return message
+        return cls(
+            BOOTREQUEST, xid, client_mac, message_type=DHCP_REQUEST, requested_ip=requested, server_id=server_id
+        )
 
     @classmethod
     def reply(
@@ -138,20 +109,35 @@ class DhcpMessage:
         dns_servers: List[IPv4Address],
         lease_time: int,
     ) -> "DhcpMessage":
-        message = cls(BOOTREPLY, xid, client_mac, yiaddr=yiaddr, siaddr=server_id)
-        message.set_message_type(message_type)
-        message.options[OPT_SERVER_ID] = server_id.packed
-        message.options[OPT_SUBNET_MASK] = subnet_mask.packed
-        if router is not None:
-            message.options[OPT_ROUTER] = router.packed
-        if dns_servers:
-            message.options[OPT_DNS_SERVERS] = _ip_list_bytes(dns_servers)
-        message.options[OPT_LEASE_TIME] = lease_time.to_bytes(4, "big")
-        return message
+        return cls(
+            BOOTREPLY, xid, client_mac, yiaddr=yiaddr, siaddr=server_id, message_type=message_type,
+            subnet_mask=subnet_mask, router=router, dns_servers=list(dns_servers), lease_time=lease_time,
+            server_id=server_id,
+        )
 
     # -- serialization ------------------------------------------------------------
 
+    def __len__(self) -> int:
+        """The encoded size, ``len(self.to_bytes())``, without encoding."""
+        size = _BASE_BYTES
+        if self.message_type is not None:
+            size += 3
+        if self.subnet_mask is not None:
+            size += _WORD_OPTION_BYTES
+        if self.router is not None:
+            size += _WORD_OPTION_BYTES
+        if self.dns_servers:
+            size += 2 + 4 * len(self.dns_servers)
+        if self.requested_ip is not None:
+            size += _WORD_OPTION_BYTES
+        if self.lease_time is not None:
+            size += _WORD_OPTION_BYTES
+        if self.server_id is not None:
+            size += _WORD_OPTION_BYTES
+        return size
+
     def to_bytes(self) -> bytes:
+        """The wire bytes; options in ascending code order, then END."""
         out = bytearray(_FIXED_BYTES)
         out[0] = self.op
         out[1] = 1  # htype: Ethernet
@@ -162,15 +148,28 @@ class DhcpMessage:
         out[20:24] = self.siaddr.packed
         out[24:28] = self.giaddr.packed
         out[28:34] = self.client_mac.to_bytes()
-        raw = bytes(out) + MAGIC_COOKIE
-        for code in sorted(self.options):
-            value = self.options[code]
-            raw += bytes([code, len(value)]) + value
-        raw += bytes([OPT_END])
-        return raw
+        out += MAGIC_COOKIE
+        if self.subnet_mask is not None:
+            out += bytes([OPT_SUBNET_MASK, 4]) + self.subnet_mask.packed
+        if self.router is not None:
+            out += bytes([OPT_ROUTER, 4]) + self.router.packed
+        if self.dns_servers:
+            out += bytes([OPT_DNS_SERVERS, 4 * len(self.dns_servers)])
+            out += b"".join(address.packed for address in self.dns_servers)
+        if self.requested_ip is not None:
+            out += bytes([OPT_REQUESTED_IP, 4]) + self.requested_ip.packed
+        if self.lease_time is not None:
+            out += bytes([OPT_LEASE_TIME, 4]) + self.lease_time.to_bytes(4, "big")
+        if self.message_type is not None:
+            out += bytes([OPT_MESSAGE_TYPE, 1, self.message_type])
+        if self.server_id is not None:
+            out += bytes([OPT_SERVER_ID, 4]) + self.server_id.packed
+        out.append(OPT_END)
+        return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DhcpMessage":
+        """Decode the supported options; any other option is skipped."""
         if len(data) < _FIXED_BYTES + 4:
             raise ValueError(f"truncated DHCP message: {len(data)} bytes")
         if data[_FIXED_BYTES : _FIXED_BYTES + 4] != MAGIC_COOKIE:
@@ -193,8 +192,24 @@ class DhcpMessage:
                 offset += 1
                 continue
             length = data[offset + 1]
-            message.options[code] = data[offset + 2 : offset + 2 + length]
+            raw = data[offset + 2 : offset + 2 + length]
             offset += 2 + length
+            if not raw:
+                continue
+            if code == OPT_MESSAGE_TYPE:
+                message.message_type = raw[0]
+            elif code == OPT_SUBNET_MASK:
+                message.subnet_mask = IPv4Address(raw)
+            elif code == OPT_ROUTER:
+                message.router = IPv4Address(raw[:4])
+            elif code == OPT_DNS_SERVERS:
+                message.dns_servers = [IPv4Address(raw[i : i + 4]) for i in range(0, len(raw), 4)]
+            elif code == OPT_LEASE_TIME:
+                message.lease_time = int.from_bytes(raw, "big")
+            elif code == OPT_SERVER_ID:
+                message.server_id = IPv4Address(raw)
+            elif code == OPT_REQUESTED_IP:
+                message.requested_ip = IPv4Address(raw)
         return message
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

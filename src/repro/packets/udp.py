@@ -14,7 +14,12 @@ HEADER_BYTES = 8
 class UdpDatagram:
     """A UDP datagram.  The checksum covers the IPv4 pseudo-header; it is
     ``None``, an explicit (possibly stale, or RFC 768 zero) int, or
-    :data:`~repro.packets.checksum.VALID`."""
+    :data:`~repro.packets.checksum.VALID`.
+
+    The payload is bytes or a structured message with ``len()`` and
+    ``to_bytes()`` (a :class:`~repro.packets.dhcp_codec.DhcpMessage`):
+    its bytes are built only where a sink reads them.
+    """
 
     __slots__ = ("src_port", "dst_port", "payload", "checksum")
 
@@ -38,8 +43,13 @@ class UdpDatagram:
             + checksum.to_bytes(2, "big")
         )
 
-    def compute_checksum(self, src_ip: IPv4Address, dst_ip: IPv4Address) -> int:
+    def payload_bytes(self) -> bytes:
+        """The payload's wire bytes, encoding a structured message here."""
         payload = self.payload
+        return payload if isinstance(payload, (bytes, bytearray)) else payload.to_bytes()
+
+    def compute_checksum(self, src_ip: IPv4Address, dst_ip: IPv4Address) -> int:
+        payload = self.payload_bytes()
         length = HEADER_BYTES + len(payload)
         src = src_ip._ip  # ._ip avoids the IPv4Address.__int__ call
         dst = dst_ip._ip
@@ -70,7 +80,7 @@ class UdpDatagram:
             if src_ip is None or dst_ip is None:
                 raise ValueError("a VALID checksum covers the pseudo-header: serialize with its addresses")
             checksum = self.compute_checksum(src_ip, dst_ip)
-        return self._header(checksum or 0) + self.payload
+        return self._header(checksum or 0) + self.payload_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "UdpDatagram":

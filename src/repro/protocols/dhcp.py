@@ -6,13 +6,18 @@ each gateway's built-in DHCP server configures the test client's per-VLAN
 interface.  The client mirrors the paper's modification: it installs
 *interface-specific* configuration only (address, netmask, gateway, DNS) and
 never a global default route.
+
+Both services send and receive :class:`~repro.packets.dhcp_codec.DhcpMessage`
+objects: a datagram carries the message itself, and its bytes are built only
+where a sink reads them (a pcap, an ICMP quote).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.netsim.addresses import MacAddress
 from repro.packets.dhcp_codec import (
@@ -23,6 +28,8 @@ from repro.packets.dhcp_codec import (
     DHCP_REQUEST,
     DhcpMessage,
 )
+from repro.packets.ipv4 import PROTO_UDP, IPv4Packet
+from repro.packets.udp import UdpDatagram
 from repro.protocols.stack import LIMITED_BROADCAST, UNSPECIFIED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,6 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DHCP_SERVER_PORT = 67
 DHCP_CLIENT_PORT = 68
 DEFAULT_LEASE_SECONDS = 86400
+#: The mask a client assumes when an ACK carries none.
+DEFAULT_MASK = IPv4Address("255.255.255.0")
 
 
 @dataclass
@@ -43,7 +52,12 @@ class Lease:
 
 
 class DhcpServerService:
-    """A DHCP server bound to one interface."""
+    """A DHCP server bound to one interface.
+
+    The pool is every host address of ``network`` but the server's own:
+    leases start at ``first_offset`` and, once the top of the network is
+    used, continue below it.
+    """
 
     def __init__(
         self,
@@ -64,28 +78,33 @@ class DhcpServerService:
         self.dns_servers = dns_servers or []
         self.lease_seconds = lease_seconds
         self.leases: Dict[MacAddress, Lease] = {}
-        self._next_offset = first_offset
+        self._free = self._pool(first_offset)
         self._socket = host.udp.bind(DHCP_SERVER_PORT, iface_index)
         self._socket.accept_unconfigured = False
         self._socket.on_receive = self._on_datagram
+
+    def _pool(self, first_offset: int) -> Iterator[IPv4Address]:
+        """Free addresses in lease order; the network, broadcast and server addresses are never leased."""
+        base = self.network.network_address._ip
+        top = self.network.num_addresses - 1  # the broadcast address's offset
+        for offset in chain(range(first_offset, top), range(1, min(first_offset, top))):
+            if base + offset != self.server_ip._ip:
+                yield IPv4Address(base + offset)
 
     def _allocate(self, mac: MacAddress) -> IPv4Address:
         lease = self.leases.get(mac)
         if lease is not None:
             lease.expires_at = self.host.sim.now + self.lease_seconds
             return lease.address
-        address = IPv4Address(int(self.network.network_address) + self._next_offset)
-        if address not in self.network:
+        address = next(self._free, None)
+        if address is None:
             raise RuntimeError(f"DHCP pool exhausted on {self.network}")
-        self._next_offset += 1
         self.leases[mac] = Lease(mac, address, self.host.sim.now + self.lease_seconds)
         return address
 
-    def _on_datagram(self, payload: bytes, src_ip: IPv4Address, src_port: int) -> None:
-        try:
-            message = DhcpMessage.from_bytes(payload)
-        except ValueError:
-            return
+    def _on_datagram(self, message: DhcpMessage, src_ip: IPv4Address, src_port: int) -> None:
+        if message.__class__ is not DhcpMessage:
+            return  # not a DHCP message: dropped, as a malformed one would be
         if message.message_type == DHCP_DISCOVER:
             self._reply(message, DHCP_OFFER, self._allocate(message.client_mac))
         elif message.message_type == DHCP_REQUEST:
@@ -115,10 +134,7 @@ class DhcpServerService:
         )
         # Reply unicast to the client's MAC; IP-level destination is the
         # offered address (the client stack accepts it while unconfigured).
-        from repro.packets.ipv4 import PROTO_UDP, IPv4Packet
-        from repro.packets.udp import UdpDatagram
-
-        datagram = UdpDatagram(DHCP_SERVER_PORT, DHCP_CLIENT_PORT, reply.to_bytes())
+        datagram = UdpDatagram(DHCP_SERVER_PORT, DHCP_CLIENT_PORT, reply)
         dst_ip = yiaddr if yiaddr != UNSPECIFIED else LIMITED_BROADCAST
         packet = IPv4Packet(self.server_ip, dst_ip, PROTO_UDP, datagram)
         self.host.send_ip_on_iface(packet, self.iface_index, dst_mac=request.client_mac)
@@ -163,10 +179,7 @@ class DhcpClientService:
         self._socket.close()
 
     def _broadcast(self, message: DhcpMessage) -> None:
-        from repro.packets.ipv4 import PROTO_UDP, IPv4Packet
-        from repro.packets.udp import UdpDatagram
-
-        datagram = UdpDatagram(DHCP_CLIENT_PORT, DHCP_SERVER_PORT, message.to_bytes())
+        datagram = UdpDatagram(DHCP_CLIENT_PORT, DHCP_SERVER_PORT, message)
         packet = IPv4Packet(UNSPECIFIED, LIMITED_BROADCAST, PROTO_UDP, datagram)
         self.host.send_ip_on_iface(packet, self.iface_index)
 
@@ -192,12 +205,8 @@ class DhcpClientService:
         self._broadcast(DhcpMessage.request(self._xid, iface.mac, offer.yiaddr, server_id))
         self._timer.restart(self.retry_interval)
 
-    def _on_datagram(self, payload: bytes, src_ip: IPv4Address, src_port: int) -> None:
-        try:
-            message = DhcpMessage.from_bytes(payload)
-        except ValueError:
-            return
-        if message.xid != self._xid:
+    def _on_datagram(self, message: DhcpMessage, src_ip: IPv4Address, src_port: int) -> None:
+        if message.__class__ is not DhcpMessage or message.xid != self._xid:
             return
         if message.message_type == DHCP_OFFER and self.offer is None:
             self.offer = message
@@ -211,8 +220,11 @@ class DhcpClientService:
 
     def _apply(self, ack: DhcpMessage) -> None:
         iface = self.host.interfaces[self.iface_index]
-        mask = ack.subnet_mask or IPv4Address("255.255.255.0")
-        network = IPv4Network(f"{ack.yiaddr}/{mask}", strict=False)
+        mask = (ack.subnet_mask or DEFAULT_MASK)._ip
+        # From ints: a dotted-quad round trip would parse two strings.  The
+        # mask is contiguous (every server here takes it from a network).
+        prefixlen = 32 - (mask ^ 0xFFFFFFFF).bit_length()
+        network = IPv4Network((ack.yiaddr._ip & mask, prefixlen))
         iface.configure(ack.yiaddr, network, gateway_ip=ack.router)
         self.configured = True
         self.lease_time = ack.lease_time

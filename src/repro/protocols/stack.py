@@ -34,6 +34,7 @@ from repro.packets.udp import UdpDatagram
 
 LIMITED_BROADCAST = IPv4Address("255.255.255.255")
 UNSPECIFIED = IPv4Address("0.0.0.0")
+DEFAULT_NETWORK = IPv4Network("0.0.0.0/0")
 
 
 class Host(Node):
@@ -98,7 +99,7 @@ class Host(Node):
         self.routes.append(Route(network, iface_index, gateway))
 
     def add_default_route(self, iface_index: int, gateway: IPv4Address) -> None:
-        self.add_route(IPv4Network("0.0.0.0/0"), iface_index, gateway)
+        self.add_route(DEFAULT_NETWORK, iface_index, gateway)
 
     def clear_routes(self, iface_index: Optional[int] = None) -> None:
         if iface_index is None:

@@ -1,15 +1,17 @@
 """UDP sockets.
 
 Callback-driven (the simulator has no blocking I/O): a socket delivers
-datagrams to ``on_receive`` and transport-related ICMP errors to
-``on_icmp_error``.  Sockets may be pinned to one interface — the test client
-binds one socket per home-gateway VLAN.
+datagram payloads to ``on_receive`` and transport-related ICMP errors to
+``on_icmp_error``.  A payload is what the sender put in the datagram: bytes,
+or a structured message such as a
+:class:`~repro.packets.dhcp_codec.DhcpMessage`.  Sockets may be pinned to
+one interface — the test client binds one socket per home-gateway VLAN.
 """
 
 from __future__ import annotations
 
 from ipaddress import IPv4Address
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.netsim.node import Interface
 from repro.packets.checksum import VALID
@@ -21,7 +23,7 @@ from repro.protocols.ports import EphemeralPortAllocator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.stack import Host
 
-ReceiveCallback = Callable[[bytes, IPv4Address, int], None]
+ReceiveCallback = Callable[[Any, IPv4Address, int], None]
 IcmpErrorCallback = Callable[[IcmpMessage, IPv4Packet], None]
 
 

@@ -17,7 +17,9 @@ from repro.testbed.wiring import (
     LINK_RATE_BPS,
     Wiring,
     dhcp_cascade,
+    first_host,
     simulation,
+    slash24,
 )
 
 #: The wiring constants stay importable from here, where probes look for them.
@@ -78,11 +80,11 @@ class Testbed(Wiring):
     def _add_gateway(self, number: int, profile: DeviceProfile) -> None:
         if profile.tag in self.ports:
             raise ValueError(f"duplicate device tag {profile.tag!r}")
-        wan_network = IPv4Network(f"10.0.{number}.0/24")
-        server_ip = IPv4Address(f"10.0.{number}.1")
+        wan_network = slash24(10, 0, number)
+        server_ip = first_host(wan_network)
         uplink = (self.wan_switch, 1000 + number)
         server_iface = self.server_face(number, wan_network, server_ip, uplink, profile.tag)
-        gateway = self.gateway(profile, self.macs, IPv4Network(f"192.168.{number}.0/24"))
+        gateway = self.gateway(profile, self.macs, slash24(192, 168, number))
         client_iface_index = self.home(
             profile.tag, gateway, uplink, (self.lan_switch, 2000 + number), self.client
         )

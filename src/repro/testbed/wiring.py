@@ -59,8 +59,25 @@ DEFAULT_ZONE_NAME = "test.hiit.fi"
 #: The canonical answer for the default name (TEST-NET-1 documentation space).
 DEFAULT_ZONE_ANSWER = IPv4Address("192.0.2.80")
 
+#: Homes one CGN's /24 access pool can lease: every address but the
+#: network, the broadcast and the CGN's own.
+ACCESS_POOL_HOMES = 253
+
 #: A switch access port still to be created: ``(switch, vlan)``.
 VlanPort = Tuple[VlanSwitch, int]
+
+
+def slash24(a: int, b: int, c: int) -> IPv4Network:
+    """The network ``a.b.c.0/24``, built from ints: an address plan runs
+    once per bed, and a dotted string would be parsed every time."""
+    if not (0 <= a <= 255 and 0 <= b <= 255 and 0 <= c <= 255):
+        raise ValueError(f"no /24 network at {a}.{b}.{c}.0")
+    return IPv4Network(((a << 24) | (b << 16) | (c << 8), 24))
+
+
+def first_host(network: IPv4Network) -> IPv4Address:
+    """The network's ``.1``: where every plan puts its server or gateway."""
+    return IPv4Address(int(network.network_address) + 1)
 
 
 def simulation(seed: int, fastpath: bool) -> Simulation:
@@ -252,7 +269,7 @@ class Wiring:
         profile, index = segment.profile, segment.index
         for slot in range(1, count + 1):
             k = first_lan + slot - 1
-            lan_network = IPv4Network(f"192.168.{k}.0/24")
+            lan_network = slash24(192, 168, k)
             gateway = self.gateway(profile, macs, lan_network, name=f"gw-{profile.tag}-{index}.{slot}")
             client_iface_index = self.home(f"{prefix}.{slot}", gateway, (access, 2000 + index), (lan, 3000 + k), client)
             segment.homes.append(HomeSlot(slot, gateway, gateway.lan_network, client_iface_index))
@@ -267,12 +284,14 @@ class Wiring:
         home (by its key in ``homes``) still unconfigured at ``timeout``.
         """
         sim = self.sim
-        pending = list(homes.values())
+        # Reversed, so the next home to wait for is at the end: a configured
+        # one is popped once rather than rechecked before every event.
+        pending = list(homes.values())[::-1]
         deadline = sim.now + timeout
         while sim.now < deadline:
-            if all(home.client_dhcp is not None and home.client_dhcp.configured for home in pending):
-                break
-            if not sim.step():
+            while pending and pending[-1].client_dhcp is not None and pending[-1].client_dhcp.configured:
+                pending.pop()
+            if not pending or not sim.step():
                 break
         not_up = [name for name, home in homes.items() if home.client_dhcp is None or not home.client_dhcp.configured]
         if not_up:

@@ -48,7 +48,7 @@ from repro.gateway.device import HomeGateway
 from repro.netsim.sim import Simulation
 from repro.obs.bus import PUNCH_RX, PUNCH_TX, RELAY_FALLBACK
 from repro.protocols.dhcp import DhcpClientService
-from repro.testbed.wiring import Wiring, dhcp_cascade, simulation
+from repro.testbed.wiring import Wiring, dhcp_cascade, first_host, simulation, slash24
 
 # The stun/relay siblings are imported lazily (inside the probe): this module
 # is loaded by registry.ensure_loaded(), which can itself be triggered from
@@ -238,18 +238,16 @@ class PairTopology(Wiring):
         return bed
 
     def _add_side(self, index: int, letter: str, profile: DeviceProfile, behind_cgn: bool) -> None:
-        wan_network = IPv4Network(f"10.0.{index}.0/24")
-        server_ip = IPv4Address(f"10.0.{index}.1")
+        wan_network = slash24(10, 0, index)
+        server_ip = first_host(wan_network)
         uplink = (self.wan_switch, 1000 + index)
         server_iface = self.server_face(index, wan_network, server_ip, uplink, letter)
-        gateway = self.gateway(
-            profile, self.macs, IPv4Network(f"192.168.{index}.0/24"), name=f"gw-{letter}-{profile.tag}"
-        )
+        gateway = self.gateway(profile, self.macs, slash24(192, 168, index), name=f"gw-{letter}-{profile.tag}")
         cgn: Optional[CgnNode] = None
         if behind_cgn:
             # WAN ─ CGN ─ access network ─ home gateway ─ LAN.
             cgn = self.cgn(
-                letter, self.cgn_policy, self.macs, IPv4Network(f"100.{64 + index}.0.0/24"),
+                letter, self.cgn_policy, self.macs, slash24(100, 64 + index, 0),
                 f"cgn-{letter}-{profile.tag}", access=(self.access_switch, 2000 + index),
                 wan=uplink, roles=("cgn-wan", "cgn-acc"),
             )

@@ -39,6 +39,15 @@ def make_profile(tag: str = "dev", **overrides) -> DeviceProfile:
     return DeviceProfile(tag, "TestVendor", "TestModel", "1.0", **overrides)
 
 
+def assert_distinct_host_leases(segment):
+    """Every home of ``segment`` holds its own access address: not the network's, broadcast or the CGN's."""
+    network = segment.access_network
+    reserved = {network.network_address, network.broadcast_address, segment.cgn.lan_ip}
+    leases = [home.gateway.wan_ip for home in segment.homes]
+    assert len(set(leases)) == len(leases)
+    assert all(ip in network and ip not in reserved for ip in leases)
+
+
 def cone(tag: str, filtering: FilteringBehavior = FilteringBehavior.ADDRESS_DEPENDENT) -> DeviceProfile:
     """An endpoint-independent-mapping NAT with the given filtering."""
     return make_profile(tag, nat=NatPolicy(filtering=filtering))

@@ -20,6 +20,7 @@ from repro.cgn.topology import Nat444Topology
 from repro.devices import catalog_profiles
 from repro.netsim.sim import Simulation
 from repro.netsim.switch import VlanSwitch
+from repro.packets.dhcp_codec import DhcpMessage
 from repro.testbed.testbed import Testbed
 from repro.traversal.matrix import PairTopology, pair_subject
 
@@ -67,13 +68,13 @@ def _metro_plan():
     return MetroLoadPlan(subscribers=SUBSCRIBERS, requests=2)
 
 
-def build_stepping(name: str):
+def build_stepping(name: str, fastpath: bool = True):
     """The stepping beds, built as the campaign engine builds them."""
     if name == "testbed":
-        return Testbed.build(_profiles(), seed=SEED)
+        return Testbed.build(_profiles(), seed=SEED, fastpath=fastpath)
     if name == "nat444":
-        return Nat444Topology.build(_profiles(), seed=SEED, subscribers=SUBSCRIBERS)
-    return PairTopology.build(_pair(name.split(":", 1)[1]), seed=SEED)
+        return Nat444Topology.build(_profiles(), seed=SEED, subscribers=SUBSCRIBERS, fastpath=fastpath)
+    return PairTopology.build(_pair(name.split(":", 1)[1]), seed=SEED, fastpath=fastpath)
 
 
 def build_metro():
@@ -211,6 +212,22 @@ def test_stepping_bed_state_at_probe_start(name):
     bed = build_stepping(name)
     assert layout(bed) == LAYOUT[name]
     assert counters(bed.sim) == COUNTERS[name]
+
+
+def _no_dhcp_bytes(*_args):
+    raise AssertionError("a DHCP message was encoded or decoded during bring-up")
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "staged"])
+@pytest.mark.parametrize("name", STEPPING)
+def test_bring_up_builds_no_dhcp_bytes(monkeypatch, name, fastpath):
+    """DHCP rides as message objects: a bed brings up, to its pinned state, with the codec disabled."""
+    monkeypatch.setattr(DhcpMessage, "to_bytes", _no_dhcp_bytes)
+    monkeypatch.setattr(DhcpMessage, "from_bytes", classmethod(_no_dhcp_bytes))
+    bed = build_stepping(name, fastpath)
+    if fastpath:
+        assert layout(bed) == LAYOUT[name]
+        assert counters(bed.sim) == COUNTERS[name]
 
 
 @pytest.mark.parametrize("name", METRO)

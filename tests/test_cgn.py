@@ -27,7 +27,8 @@ from repro.core.survey import SurveyRunner
 from repro.devices.profile import TcpTimeoutPolicy, UdpTimeoutPolicy
 from repro.gateway.nat import NatEngine
 from repro.netsim.sim import Simulation
-from tests.conftest import make_profile
+from repro.testbed.wiring import ACCESS_POOL_HOMES
+from tests.conftest import assert_distinct_host_leases, make_profile
 
 from ipaddress import IPv4Address
 
@@ -144,6 +145,13 @@ class TestTopology:
             Nat444Topology(Simulation(seed=0), [make_profile("x")], subscribers=0)
         with pytest.raises(ValueError, match="address plan"):
             Nat444Topology(Simulation(seed=0), [make_profile("x")], subscribers=255)
+
+    def test_access_pool_at_its_cap(self):
+        """A segment of 253 homes leases every host address but the CGN's; one more is refused."""
+        bed = Nat444Topology.build([make_profile("x")], seed=3, subscribers=ACCESS_POOL_HOMES)
+        assert_distinct_host_leases(bed.segment("x"))
+        with pytest.raises(ValueError, match=f"access pool leases at most {ACCESS_POOL_HOMES} homes"):
+            Nat444Topology(Simulation(seed=0), [make_profile("x")], subscribers=ACCESS_POOL_HOMES + 1)
 
 
 class TestEmergentTimeout:

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.netsim.addresses import MacAddress
+from repro.packets.checksum import VALID
 from repro.packets.dhcp_codec import (
+    BOOTREPLY,
+    BOOTREQUEST,
     DHCP_ACK,
     DHCP_DISCOVER,
     DHCP_OFFER,
+    DHCP_RELEASE,
     DHCP_REQUEST,
     DhcpMessage,
 )
@@ -24,10 +28,32 @@ from repro.packets.dns_codec import (
     frame_tcp,
     unframe_tcp,
 )
+from repro.packets.ipv4 import PROTO_UDP, IPv4Packet
+from repro.packets.udp import UdpDatagram
 
 labels = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=20)
 names = st.lists(labels, min_size=1, max_size=4).map(".".join)
 ips = st.integers(min_value=1, max_value=0xFFFFFFFE).map(IPv4Address)
+any_ips = st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPv4Address)
+words = st.integers(min_value=0, max_value=0xFFFFFFFF)
+#: Every field drawn, each option present or absent on its own.
+dhcp_messages = st.builds(
+    DhcpMessage,
+    op=st.sampled_from([BOOTREQUEST, BOOTREPLY]),
+    xid=words,
+    client_mac=st.integers(min_value=0, max_value=(1 << 48) - 1).map(MacAddress),
+    ciaddr=any_ips,
+    yiaddr=any_ips,
+    siaddr=any_ips,
+    giaddr=any_ips,
+    message_type=st.none() | st.integers(min_value=DHCP_DISCOVER, max_value=DHCP_RELEASE),
+    subnet_mask=st.none() | any_ips,
+    router=st.none() | any_ips,
+    dns_servers=st.lists(any_ips, max_size=4),
+    lease_time=st.none() | words,
+    server_id=st.none() | any_ips,
+    requested_ip=st.none() | any_ips,
+)
 
 
 class TestDnsNames:
@@ -161,3 +187,17 @@ class TestDhcp:
     def test_xid_roundtrip(self, xid):
         parsed = DhcpMessage.from_bytes(DhcpMessage.discover(xid, self.MAC).to_bytes())
         assert parsed.xid == xid
+
+    @given(dhcp_messages, ips, ips)
+    def test_a_typed_message_is_its_wire_encoding(self, message, src, dst):
+        """The message rides in place of its bytes: same length, same decode, same datagram bytes."""
+        raw = message.to_bytes()
+        assert len(message) == len(raw)
+        assert DhcpMessage.from_bytes(raw) == message
+        carried, encoded = (
+            IPv4Packet(src, dst, PROTO_UDP, UdpDatagram(68, 67, payload, checksum=VALID), header_checksum=VALID)
+            for payload in (message, raw)
+        )
+        assert carried.wire_size() == encoded.wire_size()
+        assert carried.to_bytes() == encoded.to_bytes()  # VALID: the UDP checksum is computed here
+        assert carried.payload.compute_checksum(src, dst) == encoded.payload.compute_checksum(src, dst)

@@ -13,10 +13,12 @@ import shutil
 
 import pytest
 
-from repro.cgn.metro import MetroFlap, MetroLoadPlan
+from repro.cgn.metro import LOAD_START, MAX_METRO_SUBSCRIBERS, MetroFlap, MetroLoadPlan, MetroTopology
 from repro.core import registry
 from repro.core.survey import SurveyRunner
 from repro.devices import catalog_profiles
+from repro.netsim.sim import Simulation
+from tests.conftest import assert_distinct_host_leases
 
 TAGS = ["al", "ap", "as1", "be1"]
 
@@ -101,3 +103,15 @@ class TestMetroKnobs:
         assert plan.send_time(0, 2) == 30.0 + 2 * 0.05 + 100.0
         assert plan.snap == plan.send_time(1, 3) + 5.0
         assert plan.horizon == plan.snap + 1.0
+
+
+def test_a_segment_at_its_cap_brings_every_home_up():
+    """200 homes lease distinct access addresses by ``LOAD_START``; a 201st is refused at construction."""
+    profiles = catalog_profiles(["al"])
+    bed = MetroTopology.build(profiles, subscribers=MAX_METRO_SUBSCRIBERS)
+    bed.sim.run(until=LOAD_START)
+    segment = bed.segments["al"]
+    assert all(home.client_dhcp is not None and home.client_dhcp.configured for home in segment.homes)
+    assert_distinct_host_leases(segment)
+    with pytest.raises(ValueError, match=f"1..{MAX_METRO_SUBSCRIBERS}"):
+        MetroTopology(Simulation(seed=0), profiles, subscribers=MAX_METRO_SUBSCRIBERS + 1)

@@ -74,6 +74,13 @@ class TestParallelEqualsSerial:
         assert set(stats.family_events) == set(FAMILIES)
         assert stats.jobs == 1
 
+    def test_setup_time_is_kept_apart_and_counted_in_the_rate(self, serial, parallel):
+        for stats in (serial.stats, parallel.stats):
+            assert set(stats.family_setup) == set(FAMILIES)
+            assert stats.setup_seconds > 0
+            # Bring-up events ran in setup time, so the rate divides by both.
+            assert stats.events_per_sec == stats.events_processed / (stats.wall_seconds + stats.setup_seconds)
+
 
 class TestShardSeeds:
     def test_tag_derived_and_stable(self):

@@ -12,6 +12,7 @@ from repro.protocols import (
     DnsStubResolver,
     Host,
 )
+from repro.protocols.stack import LIMITED_BROADCAST, UNSPECIFIED
 
 NET = IPv4Network("192.168.1.0/24")
 SERVER_IP = IPv4Address("192.168.1.1")
@@ -77,6 +78,26 @@ class TestDhcp:
         DhcpClientService(client, 0).start()
         sim.run(until=sim.now + 10)
         assert client.interfaces[0].ip == first
+        assert len(service.leases) == 1
+
+    def test_pool_skips_reserved_addresses_and_wraps_below_first_offset(self, sim, macs):
+        server = Host(sim, "server", macs)
+        server.new_interface().configure(IPv4Address("10.9.0.1"), IPv4Network("10.9.0.0/29"))
+        service = DhcpServerService(server, 0, IPv4Network("10.9.0.0/29"), IPv4Address("10.9.0.1"), first_offset=5)
+        leased = [str(service._allocate(next(macs))) for _ in range(5)]
+        assert leased == ["10.9.0.5", "10.9.0.6", "10.9.0.2", "10.9.0.3", "10.9.0.4"]
+        with pytest.raises(RuntimeError, match="pool exhausted on 10.9.0.0/29"):
+            service._allocate(next(macs))
+
+    def test_datagrams_that_are_not_dhcp_messages_are_dropped(self, lan, sim):
+        server, client = lan
+        service = self._serve(server)
+        dhcp = DhcpClientService(client, 0)
+        dhcp.start()
+        server.udp.bind(0, 0).send_to(b"\x02" * 300, LIMITED_BROADCAST, 68)
+        client.udp.bind(0, 0).send_to(b"\x01" * 300, SERVER_IP, 67, src_ip=UNSPECIFIED)
+        sim.run(until=sim.now + 10)
+        assert dhcp.configured
         assert len(service.leases) == 1
 
     def test_retry_after_lost_offer(self, lan, sim):
